@@ -29,7 +29,7 @@ from .drivers import SpaceTimeDriver
 from .errors import DomainError, NumericalError
 from .paths import TimeGrid
 from .regression import DEFAULT_RIDGE, fit_predict, poly_basis, ridge_fit
-from .young_calculus import young_cumsum_batch
+from .young_calculus import euler_flow_batch, step_increments
 
 __all__ = [
     "LinearBsdeSpec",
@@ -43,7 +43,6 @@ __all__ = [
     "solve_localized_bsde",
     "solve_bsde_with_localization",
     "exponential_moment_diagnostic",
-    "driver_increments_batch",
 ]
 
 _EXP_GUARD = 700.0
@@ -74,15 +73,14 @@ def girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
     return weights[:, -1], weights
 
 
-def driver_increments_batch(driver: SpaceTimeDriver, times: np.ndarray,
-                            paths: np.ndarray) -> np.ndarray:
-    """Left-point driver increments along each path, shape (S, m-1, M)."""
-    S, m, _ = paths.shape
-    out = np.empty((S, m - 1, driver.channels))
-    for i in range(m - 1):
-        out[:, i, :] = driver.increment_pairs(
-            np.full(S, times[i]), np.full(S, times[i + 1]), paths[:, i, :])
-    return out
+def _stacked_increments(driver: SpaceTimeDriver, times: np.ndarray,
+                        paths: np.ndarray) -> np.ndarray:
+    """All left-point driver increments of a batch, shape (S, m-1, M);
+    (S, 0, M) on a one-point grid."""
+    steps = list(step_increments(driver, times, paths))
+    if not steps:
+        return np.empty((paths.shape[0], 0, driver.channels))
+    return np.stack(steps, axis=1)
 
 
 # -- linear equations -------------------------------------------------------
@@ -143,21 +141,6 @@ class LinearBsdeSpec:
             x.shape[0], self.n_dim)
 
 
-def _flow_states_batch(alpha: np.ndarray, deta: np.ndarray) -> np.ndarray:
-    """Batched left-product Euler flow from time 0: (S, m, N, N)."""
-    S, steps, channels = deta.shape
-    n = alpha.shape[-1]
-    out = np.empty((S, steps + 1, n, n))
-    out[:, 0] = np.eye(n)
-    for i in range(steps):
-        step = np.einsum("scji,sjk,sc->sik", alpha[:, i], out[:, i],
-                         deta[:, i])
-        out[:, i + 1] = out[:, i] + step
-        if np.max(np.abs(out[:, i + 1])) > 1e12:
-            raise NumericalError(f"batched flow overflow at step {i + 1}")
-    return out
-
-
 def solve_linear_bsde(spec: LinearBsdeSpec, grid: TimeGrid, samples: int,
                       seed: int, eval_times=(0.0,), basis_degree: int = 2,
                       batch: PathBatch | None = None) -> "BsdeSolution":
@@ -179,7 +162,7 @@ def solve_linear_bsde(spec: LinearBsdeSpec, grid: TimeGrid, samples: int,
     alpha = np.empty((S, m, spec.driver.channels, n, n))
     for i in range(m):
         alpha[:, i] = spec.alpha_at(times[i], batch.paths[:, i, :])
-    deta = driver_increments_batch(spec.driver, times, batch.paths)
+    deta = _stacked_increments(spec.driver, times, batch.paths)
 
     if n == 1:
         exponent = np.concatenate(
@@ -190,7 +173,7 @@ def solve_linear_bsde(spec: LinearBsdeSpec, grid: TimeGrid, samples: int,
             raise NumericalError("linear flow exponent overflow")
         flow = np.exp(exponent)[:, :, None, None]
     else:
-        flow = _flow_states_batch(alpha[:, :-1], deta)
+        flow = euler_flow_batch(alpha[:, :-1], deta)
 
     g_vals = np.empty((S, m - 1, batch.dim))
     for i in range(m - 1):
@@ -264,7 +247,7 @@ def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
     S, m = batch.samples, times.size
     a_values = np.asarray(a_values, dtype=float).reshape(S, m)
     b_values = np.asarray(b_values, dtype=float).reshape(S, m)
-    deta = driver_increments_batch(driver, times, batch.paths)[:, :, 0]
+    deta = _stacked_increments(driver, times, batch.paths)[:, :, 0]
 
     a_hat = np.empty_like(a_values)
     for i in range(m):
@@ -278,6 +261,23 @@ def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
     combined_se = float(np.std(lhs - rhs, ddof=1) / math.sqrt(S)) if S > 1 \
         else 0.0
     return est1, est2, combined_se
+
+
+def _step_one_se(y_paths: np.ndarray,
+                 reference: np.ndarray | None = None) -> float:
+    """Standard error of Y_0 from an (S, m) backward solution, or of its
+    paired difference with a reference solve on the same batch.
+
+    Every solve starts from one deterministic x0, so the fitted t=0 values
+    agree up to roundoff and their spread says nothing; the spread at grid
+    step 1 is the noise scale.  0 for one sample or a one-point grid.
+    """
+    S, m = y_paths.shape
+    if S < 2 or m < 2:
+        return 0.0
+    values = y_paths[:, 1] if reference is None \
+        else y_paths[:, 1] - reference[:, 1]
+    return float(np.std(values, ddof=1) / math.sqrt(S))
 
 
 # -- nonlinear localized equations ------------------------------------------
@@ -447,7 +447,7 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
     stop_index = np.where(exit_report.exit_index == NO_EXIT, m - 1,
                           exit_report.exit_index)
     datum = problem.terminal_at(batch, stop_index)
-    deta = driver_increments_batch(problem.driver, times, batch.paths)
+    deta = _stacked_increments(problem.driver, times, batch.paths)
     active_masks = [stop_index > i for i in range(m - 1)]
 
     y = np.tile(datum[:, None], (1, m))
@@ -525,11 +525,6 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
     terminal_defect = float(np.max(np.abs(
         y[np.arange(S), stop_index] - datum)))
     y0 = float(y[:, 0].mean())
-    y0_se = float(y[:, 0].std(ddof=1) / math.sqrt(S)) if S > 1 else 0.0
-    # with a deterministic start the fitted values at t=0 coincide, so the
-    # spread of the step-1 regression target is the honest noise scale
-    if y0_se == 0.0 and m > 1:
-        y0_se = float(np.std(y[:, 1], ddof=1) / math.sqrt(S))
     return BsdeSolution(
         grid=batch.grid, y0=y0, y_at_times={float(times[0]): y[:, 0]},
         y_coefficients=y_coeffs, z_coefficients=z_coeffs, y_paths=y,
@@ -537,7 +532,7 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
         picard_gaps=gaps, converged=converged,
         terminal_defect=terminal_defect,
         martingale_residual={"mean": residual_mean, "se": residual_se},
-        samples=S, seed=batch.seed, y0_standard_error=y0_se,
+        samples=S, seed=batch.seed, y0_standard_error=_step_one_se(y),
         exit_probability=exit_report.probability,
         max_abs_y=float(np.max(np.abs(y))))
 
@@ -571,15 +566,8 @@ def solve_bsde_with_localization(problem: BsdeProblem,
     finest = solutions[-1]
     table = []
     for sol in solutions:
-        diff = sol.y_paths[:, 0] - finest.y_paths[:, 0]
         gap = abs(sol.y0 - finest.y0)
-        se = float(np.std(diff, ddof=1) / math.sqrt(len(diff))) \
-            if len(diff) > 1 else 0.0
-        # fitted values at the deterministic start collapse to a constant;
-        # use the paired spread of the step-1 values as the difference scale
-        if se == 0.0 and sol is not finest:
-            paired = sol.y_paths[:, 1] - finest.y_paths[:, 1]
-            se = float(np.std(paired, ddof=1) / math.sqrt(len(paired)))
+        se = _step_one_se(sol.y_paths, finest.y_paths)
         table.append({"radius": sol.radius, "gap": gap, "se": se,
                       "y0": sol.y0, "exit_probability": sol.exit_probability,
                       "max_abs_y": sol.max_abs_y})
@@ -608,8 +596,10 @@ def exponential_moment_diagnostic(alpha_values: np.ndarray,
     times = batch.grid.times
     S, m = batch.samples, times.size
     alpha_values = np.asarray(alpha_values, dtype=float).reshape(S, m)
-    cums = young_cumsum_batch(driver, times, batch.paths,
-                              y=alpha_values)[:, :, 0]
+    deta = _stacked_increments(driver, times, batch.paths)[:, :, 0]
+    cums = np.concatenate(
+        [np.zeros((S, 1)), np.cumsum(alpha_values[:, :-1] * deta, axis=1)],
+        axis=1)
     exit_index = first_exit(batch, radius).exit_index
     stop = np.where(exit_index == NO_EXIT, m - 1, exit_index)
     end_value = cums[np.arange(S), stop]

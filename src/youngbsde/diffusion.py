@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceError
 from .paths import SamplePath, TimeGrid
+from .regression import line_fit
 from .rng import hash64
 
 __all__ = [
@@ -230,15 +231,10 @@ def exit_tail_decay(spec: DiffusionSpec, x0, radii, grid: TimeGrid,
     probs_arr = np.asarray(probs)
     xs = (kept - x0_norm) ** 2
     ys = np.log(probs_arr)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    fitted = slope * xs + intercept
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return ExitDecayFit(slope=float(slope), intercept=float(intercept),
-                        r_squared=float(r2), radii=kept,
-                        probabilities=probs_arr, standard_errors=np.asarray(ses),
-                        dropped=dropped)
+    slope, intercept, r2 = line_fit(xs, ys)
+    return ExitDecayFit(slope=slope, intercept=intercept, r_squared=r2,
+                        radii=kept, probabilities=probs_arr,
+                        standard_errors=np.asarray(ses), dropped=dropped)
 
 
 def export_batch_csv(batch: PathBatch, path, max_cells: int = 2_000_000):

@@ -27,7 +27,6 @@ __all__ = [
     "SpaceTimeDriver",
     "SeminormEstimate",
     "make_separable_driver",
-    "make_custom_driver",
     "make_grid_driver",
     "zero_driver",
     "mollify_time",
@@ -150,15 +149,6 @@ def make_separable_driver(v, a, dim: int = 1, channels: int = 1,
     return SpaceTimeDriver(fn=fn, dim=dim, channels=channels, tau=tau,
                            lam=lam, beta=beta, smooth_in_time=smooth_in_time,
                            kind="analytic-separable", prenormalized=True)
-
-
-def make_custom_driver(fn, dim: int, channels: int = 1, tau: float = 1.0,
-                       lam: float = 1.0, beta: float = 0.0,
-                       smooth_in_time: bool = False) -> SpaceTimeDriver:
-    """Wrap an arbitrary pairs-semantics callable; recentres eta(0, .) to 0."""
-    return SpaceTimeDriver(fn=fn, dim=dim, channels=channels, tau=tau,
-                           lam=lam, beta=beta, smooth_in_time=smooth_in_time,
-                           kind="custom")
 
 
 def zero_driver(dim: int = 1, channels: int = 1) -> SpaceTimeDriver:

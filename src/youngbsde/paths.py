@@ -8,7 +8,7 @@ documented property of the method, not corrected for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,12 +17,10 @@ from .errors import DomainError
 __all__ = [
     "TimeGrid",
     "SamplePath",
-    "NormReport",
     "p_variation",
     "holder_norm",
     "uniform_norm",
     "p_variation_brute_force",
-    "norm_report",
 ]
 
 
@@ -101,25 +99,6 @@ class SamplePath:
         idx = self.grid.restrict(a, b)
         sub = TimeGrid(self.grid.times[idx], self.grid.horizon)
         return SamplePath(sub, self.values[idx])
-
-    def interpolate(self, t: np.ndarray) -> np.ndarray:
-        """Piecewise-linear values at arbitrary times, one column per dim."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        out = np.empty((t.size, self.dim))
-        for k in range(self.dim):
-            out[:, k] = np.interp(t, self.grid.times, self.values[:, k])
-        return out
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """Bundle of the three path seminorms at a given exponent."""
-
-    p_variation: float
-    holder: float
-    uniform: float
-    exponent: float
-    holder_exponent: float = field(default=float("nan"))
 
 
 def _increment_norms(values: np.ndarray) -> np.ndarray:
@@ -202,14 +181,3 @@ def uniform_norm(path: SamplePath) -> float:
     if path.values.shape[0] == 0:
         raise DomainError("uniform norm of an empty path")
     return float(np.max(np.linalg.norm(path.values, axis=1)))
-
-
-def norm_report(path: SamplePath, p: float, gamma: float,
-                mode: str = "exact") -> NormReport:
-    return NormReport(
-        p_variation=p_variation(path, p, mode=mode),
-        holder=holder_norm(path, gamma),
-        uniform=uniform_norm(path),
-        exponent=p,
-        holder_exponent=gamma,
-    )

@@ -17,13 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import BsdeProblem, PicardConfig, solve_localized_bsde
+from .bsde import (_EXP_GUARD, BsdeProblem, PicardConfig, _step_one_se,
+                   solve_localized_bsde)
 from .diffusion import DiffusionSpec, simulate
 from .drivers import SpaceTimeDriver, mollify_time, zero_driver
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .paths import TimeGrid
+from .regression import line_fit
 from .rng import hash64
-from .young_calculus import young_sum_batch
+from .young_calculus import step_increments, young_sum_batch
 
 __all__ = [
     "PdeProblem",
@@ -110,7 +112,10 @@ def fk_point_estimate(diffusion: DiffusionSpec, driver: SpaceTimeDriver,
                       terminal, t: float, x, horizon: float, steps: int,
                       samples: int, point_seed: int) -> tuple[float, float]:
     """Feynman-Kac estimate at one (t, x): chunked fresh simulations, global
-    per-sample stream indices, weight = exp(pathwise driver integral)."""
+    per-sample stream indices, weight = exp(pathwise driver integral).
+
+    The variance comes from sums shifted by the first chunk's mean, so a
+    large common offset in the payoff does not cancel it away."""
     if t > horizon + 1e-12:
         raise DomainError(f"evaluation time {t} beyond the horizon {horizon}")
     if abs(t - horizon) < 1e-12:
@@ -118,21 +123,29 @@ def fk_point_estimate(diffusion: DiffusionSpec, driver: SpaceTimeDriver,
                                         .reshape(1, -1)))[0])
         return val, 0.0
     grid = TimeGrid(np.linspace(t, horizon, steps + 1), horizon)
-    total, acc, acc_sq = 0, 0.0, 0.0
+    total, acc, shift, acc_dev, acc_dev_sq = 0, 0.0, None, 0.0, 0.0
     while total < samples:
         chunk = min(_FK_CHUNK, samples - total)
         batch = simulate(diffusion, x, grid, chunk, point_seed,
                          sample_offset=total)
-        log_weight = young_sum_batch(driver, grid.times, batch.paths)
-        weight = np.exp(np.sum(log_weight, axis=1))
+        log_weight = np.sum(
+            young_sum_batch(driver, grid.times, batch.paths), axis=1)
+        if np.max(log_weight) > _EXP_GUARD:
+            raise NumericalError(
+                f"Feynman-Kac weight overflow: pathwise driver integral "
+                f"{float(np.max(log_weight)):g} above {_EXP_GUARD:g}")
         payoff = np.asarray(terminal(batch.paths[:, -1, :]),
-                            dtype=float).reshape(-1) * weight
+                            dtype=float).reshape(-1) * np.exp(log_weight)
         acc += float(payoff.sum())
-        acc_sq += float(np.sum(payoff * payoff))
+        if shift is None:
+            shift = float(payoff.mean())
+        dev = payoff - shift
+        acc_dev += float(dev.sum())
+        acc_dev_sq += float(np.sum(dev * dev))
         total += chunk
-    mean = acc / total
-    var = max(acc_sq / total - mean * mean, 0.0)
-    return mean, math.sqrt(var / total)
+    dev_mean = acc_dev / total
+    var = max(acc_dev_sq / total - dev_mean * dev_mean, 0.0)
+    return acc / total, math.sqrt(var / total)
 
 
 def solve_linear_young_pde(terminal, diffusion: DiffusionSpec,
@@ -233,13 +246,10 @@ def weak_solution_residual(times: np.ndarray, xs: np.ndarray,
     space_integrand = np.trapezoid(u_values * lstar_phi[None, :], xs, axis=1)
     term_operator = np.trapezoid(space_integrand, times)
 
-    x_pairs = xs.reshape(-1, 1)
+    nodes = np.broadcast_to(xs[:, None, None], (xs.size, times.size, 1))
     young_per_node = np.zeros(xs.size)
-    for j in range(times.size - 1):
-        deta = driver.increment_pairs(np.full(xs.size, times[j]),
-                                      np.full(xs.size, times[j + 1]),
-                                      x_pairs)[:, 0]
-        young_per_node += u_values[j] * deta
+    for u_j, deta in zip(u_values, step_increments(driver, times, nodes)):
+        young_per_node += u_j * deta[:, 0]
     term_young = np.trapezoid(young_per_node * phi_vals, xs)
 
     return float(term_now - term_final - term_operator - term_young)
@@ -436,10 +446,8 @@ def localization_error_experiment(problem: NonLipschitzProblem, radii,
                                        point_seed,
                                        basis_degree=basis_degree,
                                        batch=batch, spot_check=False)
-            paired = sol.y_paths[:, 1] - ref.y_paths[:, 1]
             gap = abs(sol.y0 - ref.y0)
-            se = float(np.std(paired, ddof=1) / math.sqrt(samples)) \
-                if samples > 1 else 0.0
+            se = _step_one_se(sol.y_paths, ref.y_paths)
             gaps[j, k] = gap
             gap_ses[j, k] = se
             if gap == 0.0:
@@ -459,20 +467,13 @@ def localization_error_experiment(problem: NonLipschitzProblem, radii,
             intercepts[j] = float("nan")
             r2s[j] = float("nan")
             continue
-        slope, intercept = np.polyfit(usable_x, usable_y, 1)
-        fitted = slope * np.asarray(usable_x) + intercept
-        ys = np.asarray(usable_y)
-        ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-        r2s[j] = 1.0 - float(np.sum((ys - fitted) ** 2)) / ss_tot \
-            if ss_tot > 0 else 1.0
-        slopes[j] = float(slope)
-        intercepts[j] = float(intercept)
+        slopes[j], intercepts[j], r2s[j] = line_fit(usable_x, usable_y)
 
     x2 = np.array([float(np.sum(np.square(np.atleast_1d(x))))
                    for x in eval_xs])
     ok = np.isfinite(intercepts)
     if ok.sum() >= 2 and np.ptp(x2[ok]) > 0:
-        trend = float(np.polyfit(x2[ok], intercepts[ok], 1)[0])
+        trend = line_fit(x2[ok], intercepts[ok])[0]
     else:
         trend = float("nan")
     return LocalizationDecayReport(

@@ -1,5 +1,6 @@
 """Least-squares Monte Carlo regression: polynomial state bases and ridge
-normal equations shared by the BSDE and PDE layers."""
+normal equations shared by the BSDE and PDE layers, and the ordinary
+least-squares line of the decay experiments."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["poly_basis", "basis_size", "ridge_fit", "fit_predict"]
+__all__ = ["poly_basis", "basis_size", "ridge_fit", "fit_predict", "line_fit"]
 
 DEFAULT_RIDGE = 1e-8
 _RIDGE_CEILING = 1e-2
@@ -72,3 +73,15 @@ def fit_predict(basis: np.ndarray, targets: np.ndarray,
     """In-sample fitted values and the coefficients that produced them."""
     coeffs = ridge_fit(basis, targets, ridge)
     return basis @ coeffs, coeffs
+
+
+def line_fit(xs, ys) -> tuple[float, float, float]:
+    """Ordinary least-squares line ys ~ slope * xs + intercept; returns
+    (slope, intercept, R^2), with R^2 = 1 when ys is constant."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    ss_res = float(np.sum((ys - (slope * xs + intercept)) ** 2))
+    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return float(slope), float(intercept), float(r2)

@@ -29,8 +29,9 @@ __all__ = [
     "FlowPath",
     "nonlinear_young_integral",
     "young_sum_fixed_partition",
+    "step_increments",
     "young_sum_batch",
-    "young_cumsum_batch",
+    "euler_flow_batch",
     "solve_flow",
     "flow_inverse",
     "flow_product_defect",
@@ -143,46 +144,26 @@ def nonlinear_young_integral(y: SamplePath, x: SamplePath,
                                converged=False)
 
 
-def young_sum_batch(driver: SpaceTimeDriver, times: np.ndarray,
-                    paths: np.ndarray, y: np.ndarray | None = None,
-                    start: int = 0) -> np.ndarray:
-    """Vectorized left-point sums over a sample batch on the simulation grid.
-
-    paths has shape (S, m, d); y, when given, holds left-point integrand
-    values of shape (S, m) (or (S, m, M) per channel).  Accumulates one time
-    step at a time so the batch of driver increments is never materialized.
-    Returns (S, M).
-    """
+def step_increments(driver: SpaceTimeDriver, times: np.ndarray,
+                    paths: np.ndarray):
+    """Left-point driver increments along a path batch, one grid step at a
+    time: yields eta(t_{i+1}, X_i) - eta(t_i, X_i), shape (S, M), for
+    i = 0 .. m-2.  paths has shape (S, m, d).  Callers sum, weight, stack or
+    accumulate the steps; nothing else evaluates a driver along a batch."""
     S, m, _ = paths.shape
-    acc = np.zeros((S, driver.channels))
-    for i in range(start, m - 1):
-        deta = driver.increment_pairs(np.full(S, times[i]),
-                                      np.full(S, times[i + 1]),
-                                      paths[:, i, :])
-        if y is None:
-            acc += deta
-        else:
-            yi = y[:, i]
-            acc += yi[:, None] * deta if yi.ndim == 1 else yi * deta
-    return acc
-
-
-def young_cumsum_batch(driver: SpaceTimeDriver, times: np.ndarray,
-                       paths: np.ndarray,
-                       y: np.ndarray | None = None) -> np.ndarray:
-    """Running left-point sums c_j = sum_{i<j} y_i * deta_i, shape (S, m, M).
-    c_0 = 0; c_m covers the whole grid."""
-    S, m, _ = paths.shape
-    out = np.zeros((S, m, driver.channels))
     for i in range(m - 1):
-        deta = driver.increment_pairs(np.full(S, times[i]),
-                                      np.full(S, times[i + 1]),
-                                      paths[:, i, :])
-        if y is not None:
-            yi = y[:, i]
-            deta = yi[:, None] * deta if yi.ndim == 1 else yi * deta
-        out[:, i + 1] = out[:, i] + deta
-    return out
+        yield driver.increment_pairs(np.full(S, times[i]),
+                                     np.full(S, times[i + 1]),
+                                     paths[:, i, :])
+
+
+def young_sum_batch(driver: SpaceTimeDriver, times: np.ndarray,
+                    paths: np.ndarray) -> np.ndarray:
+    """Left-point sums of the driver increments over a sample batch on the
+    simulation grid, shape (S, M).  Streams one step at a time, so the batch
+    of increments is never materialized."""
+    return sum(step_increments(driver, times, paths),
+               np.zeros((paths.shape[0], driver.channels)))
 
 
 # -- flows -----------------------------------------------------------------
@@ -239,16 +220,20 @@ def _coerce_alpha(alpha: np.ndarray, m: int, channels: int) -> np.ndarray:
     return a
 
 
-def _euler_flow(alpha: np.ndarray, deta: np.ndarray) -> np.ndarray:
-    """Gamma_{i+1} = Gamma_i + sum_ch alpha[i,ch]^T Gamma_i deta[i,ch]."""
-    steps, channels = deta.shape
-    n = alpha.shape[2]
-    out = np.empty((steps + 1, n, n))
-    out[0] = np.eye(n)
+def euler_flow_batch(alpha: np.ndarray, deta: np.ndarray) -> np.ndarray:
+    """Explicit Euler flow per sample from the identity,
+    Gamma_{i+1} = Gamma_i + sum_ch alpha[s,i,ch]^T Gamma_i deta[s,i,ch];
+    alpha is (S, steps, M, N, N), deta is (S, steps, M).  Returns
+    (S, steps + 1, N, N)."""
+    S, steps, channels = deta.shape
+    n = alpha.shape[-1]
+    out = np.empty((S, steps + 1, n, n))
+    out[:, 0] = np.eye(n)
     for i in range(steps):
-        increment = np.einsum("cji,jk,c->ik", alpha[i], out[i], deta[i])
-        out[i + 1] = out[i] + increment
-        if np.max(np.abs(out[i + 1])) > FLOW_OVERFLOW_GUARD:
+        step = np.einsum("scji,sjk,sc->sik", alpha[:, i], out[:, i],
+                         deta[:, i])
+        out[:, i + 1] = out[:, i] + step
+        if np.max(np.abs(out[:, i + 1])) > FLOW_OVERFLOW_GUARD:
             raise NumericalError(
                 f"flow magnitude exceeded {FLOW_OVERFLOW_GUARD:g} at step "
                 f"{i + 1}; the step size is too coarse for these coefficients"
@@ -296,7 +281,7 @@ def solve_flow(alpha, driver: SpaceTimeDriver, x: SamplePath,
         raise DomainError(f"unknown flow mode {mode!r}")
 
     deta = driver.increment_pairs(sub_t[:-1], sub_t[1:], sub_x[:-1])
-    matrices = _euler_flow(sub_a[:-1], deta)
+    matrices = euler_flow_batch(sub_a[None, :-1], deta[None])[0]
     err = None
     if richardson:
         fine_t, fine_x = _refine(sub_t, sub_x)
@@ -305,7 +290,7 @@ def solve_flow(alpha, driver: SpaceTimeDriver, x: SamplePath,
         fine_a[1::2] = 0.5 * (sub_a[:-1] + sub_a[1:])
         fine_deta = driver.increment_pairs(fine_t[:-1], fine_t[1:],
                                            fine_x[:-1])
-        fine = _euler_flow(fine_a[:-1], fine_deta)
+        fine = euler_flow_batch(fine_a[None, :-1], fine_deta[None])[0]
         err = float(np.max(np.abs(fine[-1] - matrices[-1])))
     return FlowPath(base_time=float(sub_t[0]), times=sub_t,
                     matrices=matrices, mode="euler", error_estimate=err)

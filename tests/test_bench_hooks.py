@@ -1,0 +1,43 @@
+"""The traced benchmark run wraps library functions by name, as the calling
+modules bind them.  These checks fail when a refactor unbinds one of those
+names, instead of only when `bench/run.py --trace 1` is next run."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load("tracer")
+
+
+def test_workloads_module_imports():
+    _load("workloads")
+
+
+@pytest.mark.parametrize("owner, attr", [(o, a) for o, a, _ in tracer.SPANS],
+                         ids=[f"{o.__name__}.{a}" for o, a, _ in tracer.SPANS])
+def test_span_target_is_bound_on_its_owner(owner, attr):
+    assert attr in owner.__dict__
+
+
+@pytest.mark.parametrize("owner, attr", [
+    (tracer.diffusion, "hash64"),
+    (tracer.experiments, "parallel_map"),
+    (tracer.experiments, "driver_by_names"),
+], ids=["diffusion.hash64", "experiments.parallel_map",
+        "experiments.driver_by_names"])
+def test_patched_hook_is_bound_on_its_owner(owner, attr):
+    assert attr in owner.__dict__

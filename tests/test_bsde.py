@@ -245,6 +245,45 @@ class TestLocalizedSolver:
             solve_localized_bsde(problem, 4.0, GRID, 100, seed=1)
 
 
+class TestStandardError:
+    # the lorentz-driver problem of criterion 11 at a small size; at a
+    # deterministic start the fitted t=0 values differ only by roundoff,
+    # which gave a standard error of 3.5e-18 (single radius, seed 2) and a
+    # paired one of 5.5e-20 (radius 1.5 of the sweep, seed 1) before the
+    # step-1 rule
+    GRID32 = TimeGrid.uniform(1.0, 32)
+
+    @staticmethod
+    def problem():
+        return BsdeProblem(
+            f=lambda t, x, y, z: np.zeros(x.shape[0]),
+            g=lambda y: np.ones((np.size(y), 1)), terminal=lambda x: x[:, 0],
+            driver=driver_by_names("lorentz", "linear"), diffusion=BROWNIAN,
+            x0=np.array([0.0]), lipschitz_f=1e-9)
+
+    def test_single_solve_uses_step_one_spread(self):
+        sol = solve_localized_bsde(self.problem(), 3.0, self.GRID32, 4000,
+                                   seed=2)
+        step1 = np.std(sol.y_paths[:, 1], ddof=1) / math.sqrt(4000)
+        assert sol.y0_standard_error == step1
+        assert sol.y0_standard_error > 1e-3
+
+    def test_sweep_uses_paired_step_one_spread(self):
+        schedule = LocalizationSchedule(radii=np.array([1.5, 2.0, 3.0]),
+                                        samples=4000)
+        finest, table = solve_bsde_with_localization(
+            self.problem(), schedule, self.GRID32, seed=1)
+        assert table[-1]["se"] == 0.0
+        assert all(row["se"] > 1e-6 for row in table[:-1])
+
+    def test_one_point_grid_is_the_terminal_datum(self):
+        problem = self.problem()
+        problem.x0 = np.array([0.5])
+        sol = solve_localized_bsde(problem, 2.0, TimeGrid([0.0], 1.0), 10,
+                                   seed=1)
+        assert sol.y0 == 0.5 and sol.y0_standard_error == 0.0
+
+
 class TestLinearNonlinearConsistency:
     def test_localized_solver_agrees_with_flow_formula(self):
         # the same equation solved twice: g(y) = y through the localized

@@ -6,7 +6,7 @@ import pytest
 from youngbsde.bsde import PicardConfig
 from youngbsde.diffusion import simulate
 from youngbsde.drivers import make_separable_driver, zero_driver
-from youngbsde.errors import DomainError
+from youngbsde.errors import DomainError, NumericalError
 from youngbsde.fd import crank_nicolson_terminal_value
 from youngbsde.paths import TimeGrid
 from youngbsde.pde_fk import (NonLipschitzProblem, PdeProblem,
@@ -57,6 +57,27 @@ class TestLinearFeynmanKac:
                                   lambda x: x[:, 0] ** 2, 1.0, [1.5], 1.0,
                                   16, 100, point_seed=1)
         assert u == 2.25 and se == 0.0
+
+    def test_standard_error_survives_large_offset(self):
+        # before the shifted sums, E[X^2] - E[X]^2 cancelled at an offset
+        # of 1e8 and reported SE 0.0100 against 0.00702 without the offset
+        def estimate(offset):
+            return fk_point_estimate(BROWNIAN, zero_driver(),
+                                     lambda x: offset + x[:, 0], 0.0, [0.0],
+                                     1.0, 16, 20000, point_seed=5)
+
+        u_big, se_big = estimate(1e8)
+        u_plain, se_plain = estimate(0.0)
+        assert se_plain == pytest.approx(1 / math.sqrt(20000), rel=0.05)
+        assert se_big == pytest.approx(se_plain, rel=1e-6)
+        assert u_big - 1e8 == pytest.approx(u_plain, abs=1e-6)
+
+    def test_weight_overflow_raises(self):
+        driver = make_separable_driver(lambda x: np.full(x.shape[0], 800.0),
+                                       lambda t: t)
+        with pytest.raises(NumericalError, match="overflow"):
+            fk_point_estimate(BROWNIAN, driver, lambda x: x[:, 0], 0.0,
+                              [0.0], 1.0, 8, 10, point_seed=1)
 
     def test_cos_potential_vs_crank_nicolson(self):
         driver = driver_by_names("cos", "linear")

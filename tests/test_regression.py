@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from youngbsde.regression import basis_size, fit_predict, poly_basis, ridge_fit
+from youngbsde.regression import (basis_size, fit_predict, line_fit,
+                                  poly_basis, ridge_fit)
 
 
 class TestPolyBasis:
@@ -51,3 +52,25 @@ class TestRidge:
         y = np.cos(3 * x[:, 0])  # far outside the basis span
         fitted, _ = fit_predict(poly_basis(x, 2), y)
         assert fitted.mean() == pytest.approx(y.mean(), abs=1e-7)
+
+
+class TestLineFit:
+    def test_exact_line(self):
+        slope, intercept, r2 = line_fit([1.0, 2.0, 4.0], [1.0, 3.0, 7.0])
+        assert slope == pytest.approx(2.0, abs=1e-12)
+        assert intercept == pytest.approx(-1.0, abs=1e-12)
+        assert r2 == pytest.approx(1.0, abs=1e-12)
+
+    def test_constant_response_has_unit_r2(self):
+        slope, intercept, r2 = line_fit([0.0, 1.0, 2.0], [3.0, 3.0, 3.0])
+        assert slope == pytest.approx(0.0, abs=1e-12)
+        assert r2 == 1.0
+
+    def test_r2_of_noisy_fit(self):
+        xs = np.array([0.0, 1.0, 2.0, 3.0])
+        ys = np.array([0.0, 1.0, 1.0, 3.0])
+        slope, intercept, r2 = line_fit(xs, ys)
+        residual = ys - (slope * xs + intercept)
+        expected = 1 - np.sum(residual**2) / np.sum((ys - ys.mean())**2)
+        assert r2 == pytest.approx(expected, rel=1e-12)
+        assert 0 < r2 < 1

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from youngbsde.drivers import make_separable_driver, zero_driver
+from youngbsde.drivers import make_grid_driver, make_separable_driver, \
+    zero_driver
 from youngbsde.errors import DomainError, NumericalError
 from youngbsde.paths import SamplePath, TimeGrid
 from youngbsde.young_calculus import (flow_inverse, flow_product_defect,
                                       nonlinear_young_integral, solve_flow,
-                                      young_cumsum_batch,
+                                      step_increments, young_sum_batch,
                                       young_sum_fixed_partition)
 
 
@@ -232,14 +235,68 @@ class TestBatchSums:
         rng = np.random.Generator(np.random.Philox(key=9))
         paths = rng.standard_normal((7, 33, 1)).cumsum(axis=1)
         y = rng.standard_normal((7, 33))
-        cums = young_cumsum_batch(COS_T, g.times, paths, y=y)
+        deta = np.stack(list(step_increments(COS_T, g.times, paths)), axis=1)
+        cums = np.cumsum(y[:, :-1, None] * deta, axis=1)
         for s in range(7):
-            direct = young_sum_fixed_partition(COS_T, g.times, y[s],
-                                               paths[s])
-            np.testing.assert_allclose(cums[s, -1], direct, atol=1e-12)
+            for j in (8, 32):
+                direct = young_sum_fixed_partition(
+                    COS_T, g.times[:j + 1], y[s, :j + 1], paths[s, :j + 1])
+                np.testing.assert_allclose(cums[s, j - 1], direct,
+                                           atol=1e-12)
 
     def test_zero_driver_gives_zero(self):
         g = TimeGrid.uniform(1.0, 8)
         paths = np.zeros((3, 9, 1))
-        cums = young_cumsum_batch(zero_driver(), g.times, paths)
-        assert np.all(cums == 0)
+        steps = list(step_increments(zero_driver(), g.times, paths))
+        assert len(steps) == 8
+        assert all(d.shape == (3, 1) and np.all(d == 0) for d in steps)
+
+    def test_one_point_grid_sums_to_zero(self):
+        out = young_sum_batch(COS_T, np.array([0.0]), np.ones((4, 1, 1)))
+        assert out.shape == (4, 1) and np.all(out == 0)
+
+
+# a space-time field that is not separable: bilinear interpolation of
+# fixed grid samples
+GRID_DRIVER = make_grid_driver(
+    np.linspace(0.0, 1.0, 9), [np.linspace(-4.0, 4.0, 17)],
+    np.random.Generator(np.random.Philox(key=21)).standard_normal((9, 17)),
+    tau=0.5, lam=1.0, beta=0.0)
+DRIVERS = [COS_T, TIME_ONLY, GRID_DRIVER,
+           driver_vt(lambda x: np.sin(x[:, 0]), lambda t: np.sqrt(t),
+                     tau=0.5)]
+
+
+def _random_grid(rng, m):
+    return np.concatenate([[0.0], np.sort(rng.uniform(0.0, 1.0, m - 2)),
+                           [1.0]])
+
+
+class TestStepIncrementProperties:
+    @given(st.sampled_from(DRIVERS), st.integers(2, 24), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_telescopes_along_a_path_fixed_in_space(self, driver, m, S, seed):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        times = _random_grid(rng, m)
+        x = rng.uniform(-3.0, 3.0, (S, 1))
+        paths = np.broadcast_to(x[:, None, :], (S, m, 1))
+        total = sum(step_increments(driver, times, paths))
+        whole = driver.increment_pairs(np.full(S, times[0]),
+                                       np.full(S, times[-1]), x)
+        np.testing.assert_allclose(total, whole, rtol=0, atol=1e-12)
+
+    @given(st.sampled_from(DRIVERS), st.integers(2, 16), st.integers(2, 9),
+           st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_of_the_batch_is_stable(self, driver, m, S, data):
+        k = data.draw(st.integers(1, S))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        times = _random_grid(rng, m)
+        paths = rng.standard_normal((S, m, 1)).cumsum(axis=1)
+        full = list(step_increments(driver, times, paths))
+        prefix = list(step_increments(driver, times, paths[:k]))
+        assert len(full) == len(prefix) == m - 1
+        for a, b in zip(full, prefix):
+            np.testing.assert_array_equal(a[:k], b)
