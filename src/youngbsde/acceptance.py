@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from .bsde import (BsdeProblem, LocalizationSchedule, girsanov_weight,
+from .bsde import (BsdeProblem, girsanov_weight,
                    solve_bsde_with_localization, solve_localized_bsde,
                    tower_rule_defect)
 from .config import parse_config
@@ -310,10 +310,8 @@ def _c11_cauchy_property(workers: int, out: Path):
         g=lambda y: np.ones((np.size(y), 1)), terminal=lambda x: x[:, 0],
         driver=driver, diffusion=_brownian(), x0=np.array([0.0]),
         coefficient_bound=1.0, lipschitz_f=1e-6)
-    schedule = LocalizationSchedule(
-        radii=np.array([1.5, 2.0, 2.5, 3.0, 4.0]), samples=100000)
-    finest, table = solve_bsde_with_localization(problem, schedule, grid,
-                                                 seed=10)
+    finest, table = solve_bsde_with_localization(
+        problem, [1.5, 2.0, 2.5, 3.0, 4.0], grid, 100000, seed=10)
     y0s = [row["y0"] for row in table]
     gaps = [abs(a - b) for a, b in zip(y0s[:-1], y0s[1:])]
     violations = sum(1 for a, b in zip(gaps[:-1], gaps[1:]) if b > a)

@@ -29,13 +29,13 @@ from .drivers import SpaceTimeDriver
 from .errors import DomainError, NumericalError
 from .paths import TimeGrid
 from .regression import DEFAULT_RIDGE, fit_predict, poly_basis, ridge_fit
-from .young_calculus import euler_flow_batch, step_increments
+from .young_calculus import (FLOW_OVERFLOW_GUARD, euler_flow_batch,
+                             step_increments)
 
 __all__ = [
     "LinearBsdeSpec",
     "BsdeProblem",
     "BsdeSolution",
-    "LocalizationSchedule",
     "PicardConfig",
     "girsanov_weight",
     "solve_linear_bsde",
@@ -169,7 +169,7 @@ def solve_linear_bsde(spec: LinearBsdeSpec, grid: TimeGrid, samples: int,
             [np.zeros((S, 1)),
              np.cumsum(np.sum(alpha[:, :-1, :, 0, 0] * deta, axis=2), axis=1)],
             axis=1)
-        if np.max(exponent) > _EXP_GUARD:
+        if np.max(exponent) > np.log(FLOW_OVERFLOW_GUARD):
             raise NumericalError("linear flow exponent overflow")
         flow = np.exp(exponent)[:, :, None, None]
     else:
@@ -288,9 +288,9 @@ class BsdeProblem:
 
     f(t, x:(S,d), y:(S,), z:(S,d)) -> (S,); g(y:(S,)) -> (S, M) with g, its
     gradient and curvature bounded by coefficient_bound (spot-checked by
-    finite differences on sampled values); terminal h(x:(S,d)) -> (S,)
-    Lipschitz with declared constant.  A path-functional terminal process may
-    replace h via terminal_process(paths, exit_index) -> (S,).
+    finite differences on sampled values); terminal h(x:(S,d)) -> (S,).  A
+    path-functional terminal process may replace h via
+    terminal_process(paths, exit_index) -> (S,).
     """
 
     f: callable
@@ -301,8 +301,6 @@ class BsdeProblem:
     x0: np.ndarray
     coefficient_bound: float = 1.0
     lipschitz_f: float = 1.0
-    lipschitz_terminal: float = 1.0
-    growth_eps: float = 0.5
     terminal_process: callable = None
 
     def spot_check(self, seed: int = 0, points: int = 64) -> None:
@@ -370,24 +368,6 @@ class PicardConfig:
     max_iterations: int = 50
 
 
-@dataclass(frozen=True)
-class LocalizationSchedule:
-    """Increasing exit radii with per-radius budgets (shared defaults)."""
-
-    radii: np.ndarray
-    samples: int
-    min_start: float = 0.0
-
-    def __post_init__(self):
-        r = np.asarray(self.radii, dtype=float)
-        object.__setattr__(self, "radii", r)
-        if r.size == 0 or not np.all(np.diff(r) > 0):
-            raise DomainError("radii must be strictly increasing")
-        if np.any(r <= self.min_start):
-            raise DomainError(
-                f"all radii must exceed |x0| = {self.min_start:g}")
-
-
 @dataclass
 class BsdeSolution:
     """Estimated backward solution and solver diagnostics."""
@@ -417,8 +397,7 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
                          samples: int, seed: int, basis_degree: int = 2,
                          picard: PicardConfig | None = None,
                          batch: PathBatch | None = None,
-                         ridge: float = DEFAULT_RIDGE,
-                         spot_check: bool = True) -> BsdeSolution:
+                         ridge: float = DEFAULT_RIDGE) -> BsdeSolution:
     """Backward induction with regression conditional expectations on the
     equation stopped at the first exit from the centered ball of the given
     radius.
@@ -435,8 +414,7 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
     if radius <= x0_norm:
         raise DomainError(
             f"localization radius {radius:g} must exceed |x0| = {x0_norm:g}")
-    if spot_check:
-        problem.spot_check(seed=seed)
+    problem.spot_check(seed=seed)
     if batch is None:
         batch = simulate(problem.diffusion, problem.x0, grid, samples, seed)
     times = batch.grid.times
@@ -537,40 +515,40 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
         max_abs_y=float(np.max(np.abs(y))))
 
 
-def solve_bsde_with_localization(problem: BsdeProblem,
-                                 schedule: LocalizationSchedule,
-                                 grid: TimeGrid, seed: int,
+def solve_bsde_with_localization(problem: BsdeProblem, radii, grid: TimeGrid,
+                                 samples: int, seed: int,
                                  basis_degree: int = 2,
-                                 picard: PicardConfig | None = None
+                                 picard: PicardConfig | None = None,
+                                 batch: PathBatch | None = None
                                  ) -> tuple[BsdeSolution, list]:
-    """Sweep the localization radii on one shared path batch (common random
-    numbers) and report the decay of |Y^{n_k}_0 - Y^{n_K}_0|.
+    """Sweep strictly increasing localization radii on one shared path batch
+    (common random numbers) and report the decay of |Y^{n_k}_0 - Y^{n_K}_0|.
 
     Returns the largest-radius solution as the whole-space estimate plus one
-    table row (radius, gap to the finest radius, paired standard error,
-    exit probability) per radius.
+    table row per radius: y0 with its own standard error, the gap to the
+    largest radius with its paired standard error, the exit probability and
+    max |Y|.  The radii are checked before any simulation.
     """
+    radii = np.asarray(radii, dtype=float)
+    if radii.size == 0 or not np.all(np.diff(radii) > 0):
+        raise DomainError("radii must be strictly increasing")
     x0_norm = float(np.linalg.norm(np.asarray(problem.x0, dtype=float)))
-    if np.any(schedule.radii <= x0_norm):
-        raise DomainError(
-            f"schedule radii must all exceed |x0| = {x0_norm:g}")
-    batch = simulate(problem.diffusion, problem.x0, grid, schedule.samples,
-                     seed)
-    problem.spot_check(seed=seed)
-    solutions = []
-    for r in schedule.radii:
-        solutions.append(
-            solve_localized_bsde(problem, r, grid, schedule.samples, seed,
-                                 basis_degree=basis_degree, picard=picard,
-                                 batch=batch, spot_check=False))
+    if np.any(radii <= x0_norm):
+        raise DomainError(f"all radii must exceed |x0| = {x0_norm:g}")
+    if batch is None:
+        batch = simulate(problem.diffusion, problem.x0, grid, samples, seed)
+    solutions = [solve_localized_bsde(problem, r, grid, samples, seed,
+                                      basis_degree=basis_degree,
+                                      picard=picard, batch=batch)
+                 for r in radii]
     finest = solutions[-1]
-    table = []
-    for sol in solutions:
-        gap = abs(sol.y0 - finest.y0)
-        se = _step_one_se(sol.y_paths, finest.y_paths)
-        table.append({"radius": sol.radius, "gap": gap, "se": se,
-                      "y0": sol.y0, "exit_probability": sol.exit_probability,
-                      "max_abs_y": sol.max_abs_y})
+    table = [{"radius": sol.radius, "y0": sol.y0,
+              "y0_standard_error": sol.y0_standard_error,
+              "gap": abs(sol.y0 - finest.y0),
+              "se": _step_one_se(sol.y_paths, finest.y_paths),
+              "exit_probability": sol.exit_probability,
+              "max_abs_y": sol.max_abs_y}
+             for sol in solutions]
     return finest, table
 
 

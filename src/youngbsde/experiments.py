@@ -13,9 +13,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde import (BsdeProblem, LinearBsdeSpec, LocalizationSchedule,
-                   PicardConfig, solve_bsde_with_localization,
-                   solve_linear_bsde, tower_rule_defect)
+from .bsde import (BsdeProblem, LinearBsdeSpec, PicardConfig,
+                   solve_bsde_with_localization, solve_linear_bsde,
+                   tower_rule_defect)
 from .config import ExperimentConfig
 from .csvio import write_csv
 from .diffusion import exit_tail_decay, simulate
@@ -175,14 +175,11 @@ def _run_nonlinear_bsde(cfg, out: Path, workers: int) -> RunResult:
         terminal=terminal, driver=driver, diffusion=diffusion,
         x0=np.array([v["x0"]]), coefficient_bound=1.0,
         lipschitz_f=max(abs(rate), 1e-9))
-    schedule = LocalizationSchedule(radii=np.asarray(v["radii"]),
-                                    samples=v["samples"],
-                                    min_start=abs(v["x0"]))
     picard = PicardConfig(tolerance=v["picard_tol"],
                           max_iterations=v["picard_max"])
     finest, table = solve_bsde_with_localization(
-        problem, schedule, grid, v["seed"], basis_degree=v["basis_degree"],
-        picard=picard)
+        problem, v["radii"], grid, v["samples"], v["seed"],
+        basis_degree=v["basis_degree"], picard=picard)
     f1 = write_csv(out / "localization_decay.csv",
                    ["radius", "y0", "gap_to_finest", "standard_error",
                     "exit_probability", "max_abs_y"],

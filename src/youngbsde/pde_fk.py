@@ -17,8 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import (_EXP_GUARD, BsdeProblem, PicardConfig, _step_one_se,
-                   solve_localized_bsde)
+from .bsde import (_EXP_GUARD, BsdeProblem, PicardConfig,
+                   solve_bsde_with_localization)
+# bench/tracer.py wraps solve_localized_bsde as bound in this module
+from .bsde import solve_localized_bsde  # noqa: F401
 from .diffusion import DiffusionSpec, simulate
 from .drivers import SpaceTimeDriver, mollify_time, zero_driver
 from .errors import DomainError, NumericalError
@@ -57,7 +59,6 @@ class PdeProblem:
     coefficient_bound: float = 1.0
     lipschitz_f: float = 1.0
     lipschitz_terminal: float = 1.0
-    growth_eps: float = 0.5
 
     def __post_init__(self):
         if self.diffusion.ellipticity <= 0:
@@ -84,9 +85,7 @@ class PdeProblem:
             f=self.f, g=self.g, terminal=self.terminal, driver=driver,
             diffusion=self.diffusion, x0=np.asarray(x0, dtype=float),
             coefficient_bound=self.coefficient_bound,
-            lipschitz_f=self.lipschitz_f,
-            lipschitz_terminal=self.lipschitz_terminal,
-            growth_eps=self.growth_eps)
+            lipschitz_f=self.lipschitz_f)
 
 
 @dataclass
@@ -272,28 +271,20 @@ def solve_young_pde_double_approximation(problem: PdeProblem, deltas, radii,
     radii = list(radii)
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise DomainError("mollification widths must decrease")
-    if any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise DomainError("radii must increase")
     values = np.empty((len(radii), len(deltas), len(eval_points)))
     ses = np.empty_like(values)
     for j, (t, x) in enumerate(eval_points):
         grid = TimeGrid(np.linspace(float(t), problem.horizon, steps + 1),
                         problem.horizon)
-        batch = None
+        batch = simulate(problem.diffusion, x, grid, samples, hash64(seed, j))
         for mi, delta in enumerate(deltas):
             mollified = mollify_time(problem.driver, delta, problem.horizon)
-            sub = problem.bsde_problem(mollified, x)
-            if batch is None:
-                batch = simulate(sub.diffusion, x, grid, samples,
-                                 hash64(seed, j))
-            for ki, radius in enumerate(radii):
-                sol = solve_localized_bsde(sub, radius, grid, samples,
-                                           batch.seed,
-                                           basis_degree=basis_degree,
-                                           picard=picard, batch=batch,
-                                           spot_check=(mi == 0 and ki == 0))
-                values[ki, mi, j] = sol.y0
-                ses[ki, mi, j] = sol.y0_standard_error
+            _, table = solve_bsde_with_localization(
+                problem.bsde_problem(mollified, x), radii, grid, samples,
+                batch.seed, basis_degree=basis_degree, picard=picard,
+                batch=batch)
+            values[:, mi, j] = [row["y0"] for row in table]
+            ses[:, mi, j] = [row["y0_standard_error"] for row in table]
     finest = PdeSolutionTable(points=list(eval_points),
                               values=values[-1, -1],
                               standard_errors=ses[-1, -1],
@@ -336,7 +327,6 @@ class NonLipschitzProblem:
     theta2: float = 0.0
     theta3: float = 0.0
     growth_constant: float = 1.0
-    lipschitz_terminal: float = 1.0
 
     def __post_init__(self):
         if not (0 <= self.theta1 < 1 and 0 <= self.theta2 < 2
@@ -376,8 +366,7 @@ class NonLipschitzProblem:
             f=self.reaction, g=lambda y: np.zeros((np.size(y), 1)),
             terminal=self.terminal, driver=zero_driver(dim=dim),
             diffusion=self.diffusion, x0=np.asarray(x0, dtype=float),
-            coefficient_bound=1.0, lipschitz_f=float("inf"),
-            lipschitz_terminal=self.lipschitz_terminal)
+            coefficient_bound=1.0, lipschitz_f=float("inf"))
 
 
 @dataclass
@@ -433,21 +422,13 @@ def localization_error_experiment(problem: NonLipschitzProblem, radii,
 
     for j, x in enumerate(eval_xs):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        sub = problem.bsde_problem(x_arr)
-        point_seed = hash64(seed, j)
-        batch = simulate(sub.diffusion, x_arr, grid, samples, point_seed)
-        ref = solve_localized_bsde(sub, reference_radius, grid, samples,
-                                   point_seed, basis_degree=basis_degree,
-                                   batch=batch, spot_check=False)
+        ref, table = solve_bsde_with_localization(
+            problem.bsde_problem(x_arr), np.append(radii, reference_radius),
+            grid, samples, hash64(seed, j), basis_degree=basis_degree)
         ref_values[j] = ref.y0
         usable_x, usable_y = [], []
-        for k, radius in enumerate(radii):
-            sol = solve_localized_bsde(sub, radius, grid, samples,
-                                       point_seed,
-                                       basis_degree=basis_degree,
-                                       batch=batch, spot_check=False)
-            gap = abs(sol.y0 - ref.y0)
-            se = _step_one_se(sol.y_paths, ref.y_paths)
+        for k, row in enumerate(table[:-1]):
+            radius, gap, se = row["radius"], row["gap"], row["se"]
             gaps[j, k] = gap
             gap_ses[j, k] = se
             if gap == 0.0:

@@ -2,18 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from youngbsde.bsde import (BsdeProblem, LinearBsdeSpec,
-                            LocalizationSchedule, PicardConfig,
-                            exponential_moment_diagnostic, girsanov_weight,
-                            solve_bsde_with_localization, solve_linear_bsde,
-                            solve_localized_bsde, tower_rule_defect)
+from youngbsde import bsde
+from youngbsde.bsde import (BsdeProblem, LinearBsdeSpec, PicardConfig,
+                            _step_one_se, exponential_moment_diagnostic,
+                            girsanov_weight, solve_bsde_with_localization,
+                            solve_linear_bsde, solve_localized_bsde,
+                            tower_rule_defect)
 from youngbsde.diffusion import simulate
 from youngbsde.drivers import make_separable_driver, zero_driver
-from youngbsde.errors import DomainError
-from youngbsde.paths import TimeGrid
+from youngbsde.errors import DomainError, NumericalError
+from youngbsde.paths import SamplePath, TimeGrid
 from youngbsde.registry import diffusion_by_name, driver_by_names
-from youngbsde.young_calculus import young_sum_batch
+from youngbsde.young_calculus import solve_flow, young_sum_batch
 
 BROWNIAN = diffusion_by_name("brownian")
 GRID = TimeGrid.uniform(1.0, 32)
@@ -228,8 +231,7 @@ class TestLocalizedSolver:
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.zeros((np.size(y), 1)),
             terminal=lambda x: np.abs(x[:, 0]), driver=zero_driver(),
-            diffusion=BROWNIAN, x0=np.array([0.0]),
-            lipschitz_terminal=1.0, lipschitz_f=1e-9)
+            diffusion=BROWNIAN, x0=np.array([0.0]), lipschitz_f=1e-9)
         sol = solve_localized_bsde(problem, 1.0, GRID, 2000, seed=7)
         assert sol.terminal_defect == 0.0
         assert sol.exit_probability > 0.1
@@ -269,10 +271,8 @@ class TestStandardError:
         assert sol.y0_standard_error > 1e-3
 
     def test_sweep_uses_paired_step_one_spread(self):
-        schedule = LocalizationSchedule(radii=np.array([1.5, 2.0, 3.0]),
-                                        samples=4000)
         finest, table = solve_bsde_with_localization(
-            self.problem(), schedule, self.GRID32, seed=1)
+            self.problem(), [1.5, 2.0, 3.0], self.GRID32, 4000, seed=1)
         assert table[-1]["se"] == 0.0
         assert all(row["se"] > 1e-6 for row in table[:-1])
 
@@ -296,8 +296,7 @@ class TestLinearNonlinearConsistency:
             g=lambda y: np.asarray(y, dtype=float).reshape(-1, 1),
             terminal=lambda x: np.ones(x.shape[0]), driver=driver,
             diffusion=BROWNIAN, x0=np.array([0.0]),
-            coefficient_bound=20.0, lipschitz_f=1e-9,
-            lipschitz_terminal=1e-9)
+            coefficient_bound=20.0, lipschitz_f=1e-9)
         lsmc = solve_localized_bsde(problem, 6.0, grid, 40000, seed=33,
                                     picard=PicardConfig(tolerance=1e-8,
                                                         max_iterations=80))
@@ -321,8 +320,68 @@ class TestLinearNonlinearConsistency:
         with pytest.raises(DomainError, match="bound"):
             solve_linear_bsde(spec, GRID, 50, seed=1)
 
+    def test_flow_overflow_guard_shared_with_exact_flow(self):
+        # exponent 40 t ends above log(FLOW_OVERFLOW_GUARD) ~ 27.6 but below
+        # the 700 of the exponential-martingale guard
+        driver = driver_by_names("one", "linear", amplitude=40.0)
+        grid = TimeGrid.uniform(1.0, 8)
+        spec = LinearBsdeSpec(
+            alpha=lambda t, x: np.ones(x.shape[0]),
+            terminal=lambda p: np.ones(p.shape[0]), driver=driver,
+            diffusion=BROWNIAN, x0=np.array([0.0]))
+        with pytest.raises(NumericalError):
+            solve_linear_bsde(spec, grid, 50, seed=1)
+        with pytest.raises(NumericalError):
+            solve_flow(np.ones(9), driver, SamplePath(grid, np.zeros(9)),
+                       mode="exact")
+
 
 class TestLocalizationSweep:
+    GRID8 = TimeGrid.uniform(1.0, 8)
+
+    @staticmethod
+    def problem(x0=0.0):
+        return BsdeProblem(
+            f=lambda t, x, y, z: np.zeros(x.shape[0]),
+            g=lambda y: np.ones((np.size(y), 1)), terminal=lambda x: x[:, 0],
+            driver=driver_by_names("lorentz", "linear"), diffusion=BROWNIAN,
+            x0=np.array([x0]), lipschitz_f=1e-9)
+
+    @settings(max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**16),
+           radii=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+                          min_size=1, max_size=3, unique=True).map(sorted))
+    def test_rows_match_standalone_solves(self, seed, radii):
+        problem = self.problem()
+        batch = simulate(BROWNIAN, [0.0], self.GRID8, 300, seed)
+        finest, table = solve_bsde_with_localization(
+            problem, radii, self.GRID8, 300, seed, batch=batch)
+        assert finest.radius == radii[-1] and len(table) == len(radii)
+        for radius, row in zip(radii, table):
+            sol = solve_localized_bsde(problem, radius, self.GRID8, 300,
+                                       seed, batch=batch)
+            assert row["radius"] == radius
+            assert row["y0"] == sol.y0
+            assert row["y0_standard_error"] == sol.y0_standard_error
+            assert row["gap"] == abs(sol.y0 - finest.y0)
+            assert row["se"] == _step_one_se(sol.y_paths, finest.y_paths)
+            assert row["exit_probability"] == sol.exit_probability
+        # without a batch the sweep simulates the same one from its seed
+        _, own = solve_bsde_with_localization(problem, radii, self.GRID8,
+                                              300, seed)
+        assert own == table
+
+    @pytest.mark.parametrize("radii", [[], [2.0, 2.0], [3.0, 2.5],
+                                       [0.5, 3.0], [1.0, 3.0]])
+    def test_radii_rejected_before_simulation(self, monkeypatch, radii):
+        calls = []
+        monkeypatch.setattr(bsde, "simulate",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(DomainError):
+            solve_bsde_with_localization(self.problem(x0=1.0), radii,
+                                         self.GRID8, 50, seed=1)
+        assert not calls
+
     def test_inert_when_coefficients_compact(self):
         # driver coefficient vanishes outside |x| <= 1 and paths are frozen
         # only beyond the smallest radius, so all radii agree
@@ -332,11 +391,9 @@ class TestLocalizationSweep:
             g=lambda y: np.ones((np.size(y), 1)),
             terminal=lambda x: np.zeros(x.shape[0]), driver=driver,
             diffusion=diffusion_by_name("drift-only"), x0=np.array([0.0]),
-            lipschitz_f=1e-9, lipschitz_terminal=1e-9)
-        schedule = LocalizationSchedule(radii=np.array([2.0, 3.0, 4.0]),
-                                        samples=200)
+            lipschitz_f=1e-9)
         finest, table = solve_bsde_with_localization(
-            problem, schedule, GRID, seed=1)
+            problem, [2.0, 3.0, 4.0], GRID, 200, seed=1)
         gaps = [row["gap"] for row in table]
         assert all(g == 0.0 for g in gaps)
 
@@ -347,10 +404,10 @@ class TestLocalizationSweep:
             g=lambda y: np.ones((np.size(y), 1)),
             terminal=lambda x: x[:, 0], driver=driver, diffusion=BROWNIAN,
             x0=np.array([0.0]), lipschitz_f=1e-9)
-        schedule = LocalizationSchedule(radii=np.array([1.5, 2.5]),
-                                        samples=2000)
-        _, t1 = solve_bsde_with_localization(problem, schedule, GRID, seed=4)
-        _, t2 = solve_bsde_with_localization(problem, schedule, GRID, seed=4)
+        _, t1 = solve_bsde_with_localization(problem, [1.5, 2.5], GRID, 2000,
+                                             seed=4)
+        _, t2 = solve_bsde_with_localization(problem, [1.5, 2.5], GRID, 2000,
+                                             seed=4)
         assert [r["gap"] for r in t1] == [r["gap"] for r in t2]
 
     def test_growth_bound_fit_and_holdout(self):
@@ -364,10 +421,9 @@ class TestLocalizationSweep:
                 f=lambda t, x, y, z: np.zeros(x.shape[0]),
                 g=lambda y: np.ones((np.size(y), 1)),
                 terminal=lambda x: x[:, 0], driver=driver,
-                diffusion=BROWNIAN, x0=np.array([x0]), lipschitz_f=1e-9,
-                growth_eps=0.5)
+                diffusion=BROWNIAN, x0=np.array([x0]), lipschitz_f=1e-9)
             sol = solve_localized_bsde(problem, abs(x0) + 4.0, GRID, 4000,
-                                       seed=31, spot_check=False)
+                                       seed=31)
             values.append(abs(sol.y0))
         power = max(1.0, (driver.lam + driver.beta) / 0.5)
         envelope = 1.0 + np.abs(x0s) ** power

@@ -109,8 +109,7 @@ class TestLinearFeynmanKac:
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.ones((np.size(y), 1)),
             terminal=lambda x: np.ones(x.shape[0]), driver=driver,
-            diffusion=BROWNIAN, x0=np.array([0.0]), lipschitz_f=1e-9,
-            lipschitz_terminal=1e-9)
+            diffusion=BROWNIAN, x0=np.array([0.0]), lipschitz_f=1e-9)
         sol = solve_localized_bsde(problem, 6.0, grid, 40000, seed=19)
         s_idx = grid.index_of(0.5)
         x_probe = 0.3
@@ -320,6 +319,12 @@ class TestLocalizationError:
             theta2=1.0, theta3=2.0)
         with pytest.raises(DomainError, match="Lipschitz growth"):
             problem.spot_check()
+
+    def test_duplicate_radii_rejected(self):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            localization_error_experiment(
+                self._linear_problem(), [2.0, 2.0], [np.array([0.0])],
+                samples=100, seed=1, steps=8, reference_radius=3.0)
 
     def test_reference_must_dominate(self):
         with pytest.raises(DomainError, match="reference"):
