@@ -6,6 +6,8 @@ Conventions
 * Every driver is normalized so eta(0, x) = 0 (recentring at construction);
   time increments eta(t1,x) - eta(t0,x) are unaffected by the recentring and
   are evaluated through the raw field to save work in hot loops.
+* A separable driver v(x) * (a(t) - a(0)) keeps its factors: its increments
+  evaluate v once per point, and its time-mollification mollifies a alone.
 * The raw evaluation callable obeys "pairs semantics": called with a scalar t
   and one point x of shape (d,) it returns (M,); called with t of shape (K,)
   and x of shape (K, d) it returns (K, M) (channel axis may be omitted when
@@ -15,7 +17,7 @@ Conventions
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -80,6 +82,9 @@ class SpaceTimeDriver:
     regularity_is_estimate: bool = False
     prenormalized: bool = False
     payload: dict = field(default_factory=dict, repr=False)
+    # (v, a, a(0)) of a separable field v(x) * (a(t) - a(0)), else None;
+    # set by make_separable_driver
+    _factors: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 0 < self.tau <= 1 or not 0 < self.lam <= 1 or self.beta < 0:
@@ -112,16 +117,28 @@ class SpaceTimeDriver:
     def increment_pairs(self, t0: np.ndarray, t1: np.ndarray,
                         x: np.ndarray) -> np.ndarray:
         """eta(t1_k, x_k) - eta(t0_k, x_k); recentring cancels, so this hits
-        the raw field once per endpoint."""
+        the raw field once per endpoint, or a separable field's space factor
+        once per point."""
         t0 = np.asarray(t0, dtype=float).ravel()
         t1 = np.asarray(t1, dtype=float).ravel()
         x = np.asarray(x, dtype=float).reshape(t0.size, self.dim)
+        if self._factors is not None:
+            v, a, a0 = self._factors
+            vx = _space_factor(v, x)
+            hi = vx * (np.asarray(a(t1), dtype=float) - a0)[:, None]
+            lo = vx * (np.asarray(a(t0), dtype=float) - a0)[:, None]
+            return _as_channels(hi - lo, t0.size, self.channels)
         hi = _as_channels(self.fn(t1, x), t0.size, self.channels)
         lo = _as_channels(self.fn(t0, x), t0.size, self.channels)
         return hi - lo
 
     def __call__(self, t, x) -> np.ndarray:
         return self.at(t, x)
+
+
+def _space_factor(v, x: np.ndarray) -> np.ndarray:
+    vx = np.asarray(v(x), dtype=float)
+    return vx[:, None] if vx.ndim == 1 else vx
 
 
 def make_separable_driver(v, a, dim: int = 1, channels: int = 1,
@@ -139,28 +156,20 @@ def make_separable_driver(v, a, dim: int = 1, channels: int = 1,
         tv = np.atleast_1d(np.asarray(t, dtype=float))
         xv = np.asarray(x, dtype=float)
         single = xv.ndim == 1
-        xv = xv.reshape(-1, dim)
-        vx = np.asarray(v(xv), dtype=float)
-        if vx.ndim == 1:
-            vx = vx[:, None]
-        out = vx * (np.asarray(a(tv), dtype=float) - a0)[:, None]
+        out = (_space_factor(v, xv.reshape(-1, dim))
+               * (np.asarray(a(tv), dtype=float) - a0)[:, None])
         return out[0] if single else out
 
     return SpaceTimeDriver(fn=fn, dim=dim, channels=channels, tau=tau,
                            lam=lam, beta=beta, smooth_in_time=smooth_in_time,
-                           kind="analytic-separable", prenormalized=True)
+                           kind="analytic-separable", prenormalized=True,
+                           _factors=(v, a, a0))
 
 
 def zero_driver(dim: int = 1, channels: int = 1) -> SpaceTimeDriver:
-    def fn(t, x):
-        tv = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.asarray(x).ndim == 1:
-            return np.zeros(channels)
-        return np.zeros((tv.size, channels))
-
-    return SpaceTimeDriver(fn=fn, dim=dim, channels=channels,
-                           smooth_in_time=True, kind="analytic-separable",
-                           prenormalized=True)
+    return make_separable_driver(
+        lambda x: np.zeros((x.shape[0], channels)), np.zeros_like, dim=dim,
+        channels=channels)
 
 
 # -- mollification --------------------------------------------------------
@@ -207,7 +216,9 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
     even at the horizon); the discrete kernel weights are renormalized to
     unit mass, so a field linear in time is reproduced exactly on
     [0, horizon - delta].  The result is recentred so that
-    eta_delta(0, x) = 0 and reports smooth_in_time=True.
+    eta_delta(0, x) = 0 and reports smooth_in_time=True.  A separable driver
+    stays separable: only its time factor is convolved, all nodes at once,
+    once per distinct time.
     """
     if delta <= 0:
         raise DomainError("mollification width must be positive")
@@ -218,6 +229,24 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
     nodes = np.linspace(-1.0, 1.0, quadrature_points)
     weights = _simpson_weights(quadrature_points) * bump_kernel(nodes)
     weights = weights / weights.sum()
+    payload = {"delta": delta, "quadrature_points": quadrature_points}
+
+    if driver._factors is not None:
+        v, a, a0 = driver._factors
+
+        def a_smooth(t):
+            distinct, inverse = np.unique(np.asarray(t, dtype=float),
+                                          return_inverse=True)
+            s, sign = _reflect_into(distinct[:, None] - delta * nodes,
+                                    horizon)
+            raw = np.asarray(a(s.ravel()), dtype=float).reshape(s.shape) - a0
+            return ((sign * raw) @ weights)[inverse]
+
+        smooth = make_separable_driver(
+            v, a_smooth, dim=driver.dim, channels=driver.channels,
+            tau=driver.tau, lam=driver.lam, beta=driver.beta)
+        return replace(smooth, kind="mollified", payload=payload)
+
     base_fn = driver.fn
 
     def fn(t, x):
@@ -238,8 +267,7 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
     return SpaceTimeDriver(fn=fn, dim=driver.dim, channels=driver.channels,
                            tau=driver.tau, lam=driver.lam, beta=driver.beta,
                            smooth_in_time=True, kind="mollified",
-                           payload={"delta": delta,
-                                    "quadrature_points": quadrature_points})
+                           payload=payload)
 
 
 # -- seminorm estimation ---------------------------------------------------

@@ -271,16 +271,17 @@ def solve_young_pde_double_approximation(problem: PdeProblem, deltas, radii,
     radii = list(radii)
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise DomainError("mollification widths must decrease")
+    mollified = [mollify_time(problem.driver, delta, problem.horizon)
+                 for delta in deltas]
     values = np.empty((len(radii), len(deltas), len(eval_points)))
     ses = np.empty_like(values)
     for j, (t, x) in enumerate(eval_points):
         grid = TimeGrid(np.linspace(float(t), problem.horizon, steps + 1),
                         problem.horizon)
         batch = simulate(problem.diffusion, x, grid, samples, hash64(seed, j))
-        for mi, delta in enumerate(deltas):
-            mollified = mollify_time(problem.driver, delta, problem.horizon)
+        for mi, driver in enumerate(mollified):
             _, table = solve_bsde_with_localization(
-                problem.bsde_problem(mollified, x), radii, grid, samples,
+                problem.bsde_problem(driver, x), radii, grid, samples,
                 batch.seed, basis_degree=basis_degree, picard=picard,
                 batch=batch)
             values[:, mi, j] = [row["y0"] for row in table]
@@ -405,6 +406,8 @@ def localization_error_experiment(problem: NonLipschitzProblem, radii,
     standard error, with a warning.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
+    if radii.size == 0:
+        raise DomainError("localization error needs at least one radius")
     if reference_radius is None:
         reference_radius = float(radii[-1] + 1.0)
     if reference_radius <= radii[-1]:

@@ -125,6 +125,15 @@ class TestCliExitCodes:
         assert err["error"] == "precondition"
         assert not list(out.glob("*.csv"))
 
+    def test_empty_radii_is_3(self, tmp_path, capsys):
+        cfg = self._write(tmp_path,
+                          "kind = localization-error\nradii =\n"
+                          "samples = 50\nsteps = 4\n")
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "precondition"
+
     def test_numerical_error_is_4(self, tmp_path, capsys):
         # jitter capped at zero cannot factor the singular t=0 block
         cfg = self._write(tmp_path,

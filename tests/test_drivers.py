@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from youngbsde.drivers import (estimate_seminorm, load_sampled_driver,
                                make_grid_driver, make_separable_driver,
@@ -107,6 +111,105 @@ class TestMollify:
     def test_rejects_wide_kernel(self):
         with pytest.raises(DomainError):
             mollify_time(zero_driver(), delta=1.5, horizon=1.0)
+
+    def test_separable_stays_separable(self):
+        smooth = mollify_time(cos_driver(), delta=0.1, horizon=1.0)
+        assert smooth._factors is not None
+        assert smooth.kind == "mollified" and smooth.smooth_in_time
+        assert smooth.payload == {"delta": 0.1, "quadrature_points": 129}
+        grid = make_grid_driver(np.linspace(0, 1, 3), [np.array([0.0, 1.0])],
+                                np.arange(6.0).reshape(3, 2), tau=0.5,
+                                lam=0.5, beta=0.0)
+        assert mollify_time(grid, delta=0.1, horizon=1.0)._factors is None
+
+
+def wavy_driver(phase: float):
+    return make_separable_driver(
+        lambda x: np.cos(x[:, 0]) + 0.5 * x[:, 0],
+        lambda t: np.sin(3.0 * t + phase) + t)
+
+
+def grid_driver():
+    times = np.linspace(0.0, 1.0, 9)
+    axis = np.linspace(-3.0, 3.0, 7)
+    values = np.sin(times[:, None] * 4.0 + axis[None, :])
+    return make_grid_driver(times, [axis], values, tau=1.0, lam=1.0,
+                            beta=0.0)
+
+
+unit_times = st.floats(0.0, 1.0)
+points = st.floats(-3.0, 3.0)
+phases = st.floats(0.0, 2.0 * np.pi)
+widths = st.floats(0.005, 0.45)
+query = st.lists(st.tuples(unit_times, points), min_size=1, max_size=6)
+
+
+def _arrays(pairs):
+    ts = np.array([t for t, _ in pairs])
+    xs = np.array([[x] for _, x in pairs])
+    return ts, xs
+
+
+class TestSeparableProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(phase=phases, delta=widths, pairs=query)
+    def test_mollified_factors_match_generic_quadrature(self, phase, delta,
+                                                         pairs):
+        drv = wavy_driver(phase)
+        fast = mollify_time(drv, delta, 1.0)
+        generic = mollify_time(replace(drv, _factors=None), delta, 1.0)
+        assert generic._factors is None
+        ts, xs = _arrays(pairs)
+        np.testing.assert_allclose(fast.at_pairs(ts, xs),
+                                   generic.at_pairs(ts, xs), rtol=0,
+                                   atol=1e-13)
+        t1 = np.minimum(ts + 0.25, 1.0)
+        np.testing.assert_allclose(fast.increment_pairs(ts, t1, xs),
+                                   generic.increment_pairs(ts, t1, xs),
+                                   rtol=0, atol=1e-13)
+
+    @settings(max_examples=25, deadline=None)
+    @given(slope=st.floats(-5.0, 5.0), offset=st.floats(-5.0, 5.0),
+           delta=widths, fracs=st.lists(unit_times, min_size=1, max_size=6),
+           x=points, separable=st.booleans())
+    def test_linear_in_time_reproduced_inside(self, slope, offset, delta,
+                                              fracs, x, separable):
+        drv = make_separable_driver(lambda y: 1.0 + y[:, 0] ** 2,
+                                    lambda t: slope * t + offset)
+        if not separable:
+            drv = replace(drv, _factors=None)
+        smooth = mollify_time(drv, delta, 1.0)
+        ts = delta + np.array(fracs) * (1.0 - 2.0 * delta)
+        xs = np.full((ts.size, 1), x)
+        np.testing.assert_allclose(smooth.at_pairs(ts, xs),
+                                   drv.at_pairs(ts, xs), rtol=1e-12,
+                                   atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(phase=phases, delta=widths, kind=st.sampled_from(
+               ["separable", "mollified", "grid", "mollified-grid"]),
+           times=st.lists(unit_times, min_size=3, max_size=3),
+           x=points)
+    def test_increments_are_additive(self, phase, delta, kind, times, x):
+        drv = grid_driver() if kind.endswith("grid") else wavy_driver(phase)
+        if kind.startswith("mollified"):
+            drv = mollify_time(drv, delta, 1.0)
+        t0, t1, t2 = (np.array([t]) for t in sorted(times))
+        xs = np.array([[x]])
+        whole = drv.increment_pairs(t0, t2, xs)
+        parts = (drv.increment_pairs(t0, t1, xs)
+                 + drv.increment_pairs(t1, t2, xs))
+        np.testing.assert_allclose(parts, whole, rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(phase=phases, pairs=query, lag=unit_times)
+    def test_fast_increments_equal_raw_field_difference(self, phase, pairs,
+                                                        lag):
+        drv = wavy_driver(phase)
+        t0, xs = _arrays(pairs)
+        t1 = t0 + lag
+        assert np.array_equal(drv.increment_pairs(t0, t1, xs),
+                              drv.fn(t1, xs) - drv.fn(t0, xs))
 
 
 class TestSeminorm:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from youngbsde import pde_fk
 from youngbsde.bsde import PicardConfig
 from youngbsde.diffusion import simulate
 from youngbsde.drivers import make_separable_driver, zero_driver
@@ -270,6 +271,18 @@ class TestDoubleApproximation:
             solve_young_pde_double_approximation(
                 problem, deltas=[0.01, 0.02], radii=[2.0],
                 eval_points=[(0.0, [0.0])], samples=100, seed=1, steps=8)
+
+    @pytest.mark.parametrize("deltas", [[1.5], [0.5, 0.0], [2.0, 0.5]])
+    def test_widths_rejected_before_simulation(self, monkeypatch, deltas):
+        calls = []
+        monkeypatch.setattr(pde_fk, "simulate",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(DomainError, match="mollification width"):
+            solve_young_pde_double_approximation(
+                self._tent_problem(), deltas=deltas, radii=[2.0],
+                eval_points=[(0.0, [0.0]), (0.0, [1.0])], samples=100,
+                seed=1, steps=8)
+        assert not calls
 
 
 class TestLocalizationError:
