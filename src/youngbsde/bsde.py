@@ -20,7 +20,8 @@ bias of the Brownian-increment regression representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .diffusion import NO_EXIT, DiffusionSpec, PathBatch, first_exit, simulate
 from .drivers import SpaceTimeDriver
 from .errors import DomainError, NumericalError
 from .paths import TimeGrid
-from .regression import DEFAULT_RIDGE, fit_predict, poly_basis, ridge_fit
+from .regression import fit_predict, poly_basis, ridge_fit
 from .young_calculus import (FLOW_OVERFLOW_GUARD, euler_flow_batch,
                              step_increments)
 
@@ -41,6 +42,7 @@ __all__ = [
     "solve_linear_bsde",
     "tower_rule_defect",
     "solve_localized_bsde",
+    "martingale_residual",
     "solve_bsde_with_localization",
     "exponential_moment_diagnostic",
 ]
@@ -226,9 +228,8 @@ def solve_linear_bsde(spec: LinearBsdeSpec, grid: TimeGrid, samples: int,
                         y_coefficients=coeff_table, z_coefficients=None,
                         y_paths=None, z_paths=None, radius=math.inf,
                         picard_iterations=0, picard_gaps=[], converged=True,
-                        terminal_defect=0.0, martingale_residual=None,
-                        samples=S, seed=batch.seed, kind="linear-flow",
-                        y0_standard_error=y0_se)
+                        terminal_defect=0.0, samples=S, seed=batch.seed,
+                        kind="linear-flow", y0_standard_error=y0_se)
 
 
 def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
@@ -263,6 +264,13 @@ def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
     return est1, est2, combined_se
 
 
+def _stop_index(exit_report, m: int) -> np.ndarray:
+    """Grid index at which each sample stops: its first exit, else the
+    horizon."""
+    return np.where(exit_report.exit_index == NO_EXIT, m - 1,
+                    exit_report.exit_index)
+
+
 def _step_one_se(y_paths: np.ndarray,
                  reference: np.ndarray | None = None) -> float:
     """Standard error of Y_0 from an (S, m) backward solution, or of its
@@ -282,13 +290,62 @@ def _step_one_se(y_paths: np.ndarray,
 
 # -- nonlinear localized equations ------------------------------------------
 
+def _contract_cloud(dim: int) -> SimpleNamespace:
+    """The fixed 64-point cloud on which declared constants are checked:
+    y values for g, states x with (y, z) pairs for f, and offsets dx for
+    terminals."""
+    rng = np.random.Generator(np.random.Philox(key=1))
+    points = 64
+    y = rng.normal(scale=2.0, size=points)
+    x = rng.normal(scale=2.0, size=(points, dim))
+    y1, y2 = rng.normal(size=points), rng.normal(size=points)
+    z1 = rng.normal(size=(points, dim))
+    z2 = rng.normal(size=(points, dim))
+    dx = rng.normal(scale=0.5, size=(points, dim))
+    return SimpleNamespace(y=y, x=x, y1=y1, y2=y2, z1=z1, z2=z2, dx=dx)
+
+
+def _check_secant(message: str, change, distance, bound) -> None:
+    """Raise DomainError(message) when a secant |change| / distance on the
+    contract cloud exceeds its declared bound (a constant or one weight per
+    point) by more than 0.1 %."""
+    change = np.atleast_1d(np.abs(np.asarray(change, dtype=float)))
+    ratio = (change.reshape(change.shape[0], -1)
+             / np.maximum(np.reshape(distance, (-1, 1)), 1e-12))
+    if np.any(ratio > np.reshape(bound, (-1, 1)) * (1 + 1e-3)):
+        raise DomainError(f"{message} (observed secant "
+                          f"{float(np.max(ratio)):g})")
+
+
+def _check_coefficients(problem) -> None:
+    """The declared bound on g and its first two derivatives, and the
+    Lipschitz constant of f in (y, z), on the contract cloud."""
+    c = _contract_cloud(problem.diffusion.dim)
+    h = 1e-4
+    g0 = np.asarray(problem.g(c.y), dtype=float)
+    g_up = np.asarray(problem.g(c.y + h), dtype=float)
+    g_dn = np.asarray(problem.g(c.y - h), dtype=float)
+    message = (f"g or its derivatives exceed the declared bound "
+               f"{problem.coefficient_bound:g}")
+    for change, distance in ((g0, 1.0), (g_up - g_dn, 2 * h),
+                             (g_up - 2 * g0 + g_dn, h * h)):
+        _check_secant(message, change, distance, problem.coefficient_bound)
+    _check_secant(
+        f"f exceeds its declared Lipschitz constant {problem.lipschitz_f:g}",
+        np.asarray(problem.f(0.5, c.x, c.y1, c.z1), dtype=float)
+        - np.asarray(problem.f(0.5, c.x, c.y2, c.z2), dtype=float),
+        np.abs(c.y1 - c.y2) + np.linalg.norm(c.z1 - c.z2, axis=1),
+        problem.lipschitz_f)
+
+
 @dataclass
 class BsdeProblem:
     """Scalar nonlinear backward equation data.
 
     f(t, x:(S,d), y:(S,), z:(S,d)) -> (S,); g(y:(S,)) -> (S, M) with g, its
-    gradient and curvature bounded by coefficient_bound (spot-checked by
-    finite differences on sampled values); terminal h(x:(S,d)) -> (S,).  A
+    gradient and curvature bounded by coefficient_bound and f Lipschitz in
+    (y, z) with constant lipschitz_f (both checked by secants on the
+    contract cloud at construction); terminal h(x:(S,d)) -> (S,).  A
     path-functional terminal process may replace h via
     terminal_process(paths, exit_index) -> (S,).
     """
@@ -303,35 +360,8 @@ class BsdeProblem:
     lipschitz_f: float = 1.0
     terminal_process: callable = None
 
-    def spot_check(self, seed: int = 0, points: int = 64) -> None:
-        """Finite-difference checks of the declared coefficient bounds on a
-        random cloud of states; cheap, run once per solve."""
-        rng = np.random.Generator(np.random.Philox(key=seed + 1))
-        y = rng.normal(scale=2.0, size=points)
-        h = 1e-4
-        g0 = np.asarray(self.g(y), dtype=float)
-        g_up = np.asarray(self.g(y + h), dtype=float)
-        g_dn = np.asarray(self.g(y - h), dtype=float)
-        grad = (g_up - g_dn) / (2 * h)
-        curv = (g_up - 2 * g0 + g_dn) / h**2
-        worst = max(float(np.max(np.abs(g0))), float(np.max(np.abs(grad))),
-                    float(np.max(np.abs(curv))))
-        if worst > self.coefficient_bound * (1 + 1e-3):
-            raise DomainError(
-                f"g or its derivatives exceed the declared bound "
-                f"{self.coefficient_bound:g} (observed {worst:g})")
-        x = rng.normal(scale=2.0, size=(points, self.diffusion.dim))
-        y1, y2 = rng.normal(size=points), rng.normal(size=points)
-        z1 = rng.normal(size=(points, self.diffusion.dim))
-        z2 = rng.normal(size=(points, self.diffusion.dim))
-        f1 = np.asarray(self.f(0.5, x, y1, z1), dtype=float)
-        f2 = np.asarray(self.f(0.5, x, y2, z2), dtype=float)
-        denom = np.abs(y1 - y2) + np.linalg.norm(z1 - z2, axis=1)
-        ratio = np.abs(f1 - f2) / np.maximum(denom, 1e-12)
-        if float(np.max(ratio)) > self.lipschitz_f * (1 + 1e-3):
-            raise DomainError(
-                f"f exceeds its declared Lipschitz constant "
-                f"{self.lipschitz_f:g} (observed secant {float(np.max(ratio)):g})")
+    def __post_init__(self):
+        _check_coefficients(self)
 
     def terminal_at(self, batch: PathBatch, stop_index: np.ndarray
                     ) -> np.ndarray:
@@ -343,8 +373,8 @@ class BsdeProblem:
 
 
 def _cross_fitted_control(basis_full: np.ndarray, y_next: np.ndarray,
-                          dw: np.ndarray, dt: float, active: np.ndarray,
-                          ridge: float) -> np.ndarray:
+                          dw: np.ndarray, dt: float, active: np.ndarray
+                          ) -> np.ndarray:
     """Two-fold cross-fitted Z values on the active samples (deterministic
     parity split), so the diagnostic increments are independent of the fit."""
     idx = np.flatnonzero(active)
@@ -357,7 +387,7 @@ def _cross_fitted_control(basis_full: np.ndarray, y_next: np.ndarray,
         if not np.any(train) or not np.any(test):
             out[:] = 0.0
             return out
-        coeffs = ridge_fit(basis[train], target[train], ridge)
+        coeffs = ridge_fit(basis[train], target[train])
         out[test] = basis[test] @ coeffs
     return out
 
@@ -384,7 +414,6 @@ class BsdeSolution:
     picard_gaps: list
     converged: bool
     terminal_defect: float
-    martingale_residual: object
     samples: int
     seed: int
     kind: str = "localized-lsmc"
@@ -396,8 +425,7 @@ class BsdeSolution:
 def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
                          samples: int, seed: int, basis_degree: int = 2,
                          picard: PicardConfig | None = None,
-                         batch: PathBatch | None = None,
-                         ridge: float = DEFAULT_RIDGE) -> BsdeSolution:
+                         batch: PathBatch | None = None) -> BsdeSolution:
     """Backward induction with regression conditional expectations on the
     equation stopped at the first exit from the centered ball of the given
     radius.
@@ -414,7 +442,6 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
     if radius <= x0_norm:
         raise DomainError(
             f"localization radius {radius:g} must exceed |x0| = {x0_norm:g}")
-    problem.spot_check(seed=seed)
     if batch is None:
         batch = simulate(problem.diffusion, problem.x0, grid, samples, seed)
     times = batch.grid.times
@@ -422,12 +449,13 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
     dts = np.diff(times)
 
     exit_report = first_exit(batch, radius)
-    stop_index = np.where(exit_report.exit_index == NO_EXIT, m - 1,
-                          exit_report.exit_index)
+    stop_index = _stop_index(exit_report, m)
     datum = problem.terminal_at(batch, stop_index)
     deta = _stacked_increments(problem.driver, times, batch.paths)
     active_masks = [stop_index > i for i in range(m - 1)]
 
+    # exited samples keep their datum in y and zero in z: only active rows
+    # are ever written
     y = np.tile(datum[:, None], (1, m))
     z = np.zeros((S, m - 1, batch.dim))
     y_coeffs = [None] * (m - 1)
@@ -437,68 +465,34 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
     iterations = 0
     for iteration in range(picard.max_iterations):
         iterations = iteration + 1
-        y_prev = y.copy()
         y_new = y.copy()
         for i in range(m - 2, -1, -1):
             active = active_masks[i]
             if not np.any(active):
-                y_new[:, i] = datum
                 continue
             basis = poly_basis(batch.paths[active, i, :], basis_degree)
             zt = (y_new[active, i + 1:i + 2] * batch.increments[active, i, :]
                   / dts[i])
-            z_fit, zc = fit_predict(basis, zt, ridge)
+            z_fit, zc = fit_predict(basis, zt)
             z[active, i, :] = z_fit
-            z[~active, i, :] = 0.0
             f_val = np.asarray(
                 problem.f(times[i], batch.paths[active, i, :],
-                          y_prev[active, i], z_fit), dtype=float)
-            g_val = np.asarray(problem.g(y_prev[active, i]), dtype=float)
+                          y[active, i], z_fit), dtype=float)
+            g_val = np.asarray(problem.g(y[active, i]), dtype=float)
             if g_val.ndim == 1:
                 g_val = g_val[:, None]
             target = (y_new[active, i + 1] + f_val * dts[i]
                       + np.sum(g_val * deta[active, i, :], axis=1))
-            y_fit, yc = fit_predict(basis, target, ridge)
+            y_fit, yc = fit_predict(basis, target)
             y_new[active, i] = y_fit
-            y_new[~active, i] = datum[~active]
             y_coeffs[i] = yc
             z_coeffs[i] = zc
-        gap = float(np.max(np.abs(y_new - y_prev)))
+        gap = float(np.max(np.abs(y_new - y)))
         gaps.append(gap)
         y = y_new
         if gap < picard.tolerance:
             converged = True
             break
-
-    residual_mean = np.empty(m - 1)
-    residual_se = np.empty(m - 1)
-    for i in range(m - 1):
-        active = active_masks[i]
-        if not np.any(active):
-            residual_mean[i] = 0.0
-            residual_se[i] = 0.0
-            continue
-        f_val = np.asarray(
-            problem.f(times[i], batch.paths[active, i, :], y[active, i],
-                      z[active, i, :]), dtype=float)
-        g_val = np.asarray(problem.g(y[active, i]), dtype=float)
-        if g_val.ndim == 1:
-            g_val = g_val[:, None]
-        # the Brownian term uses out-of-fold control fits: in-sample fitted
-        # Z correlates with the very increments it was regressed on, which
-        # biases the mean by O(basis/samples) and would drown the test
-        z_cross = _cross_fitted_control(
-            poly_basis(batch.paths[:, i, :], basis_degree), y[:, i + 1],
-            batch.increments[:, i, :], dts[i], active, ridge)
-        zdw = np.sum(z_cross * batch.increments[active, i, :], axis=1)
-        res = y[active, i] - (
-            y[active, i + 1] + f_val * dts[i]
-            + np.sum(g_val * deta[active, i, :], axis=1)) + zdw
-        residual_mean[i] = float(res.mean())
-        # the projection part of the mean vanishes identically (normal
-        # equations), so the estimator fluctuates only through the zdw term
-        residual_se[i] = float(zdw.std(ddof=1) / math.sqrt(zdw.size)) \
-            if zdw.size > 1 else 0.0
 
     terminal_defect = float(np.max(np.abs(
         y[np.arange(S), stop_index] - datum)))
@@ -508,11 +502,55 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
         y_coefficients=y_coeffs, z_coefficients=z_coeffs, y_paths=y,
         z_paths=z, radius=float(radius), picard_iterations=iterations,
         picard_gaps=gaps, converged=converged,
-        terminal_defect=terminal_defect,
-        martingale_residual={"mean": residual_mean, "se": residual_se},
-        samples=S, seed=batch.seed, y0_standard_error=_step_one_se(y),
+        terminal_defect=terminal_defect, samples=S, seed=batch.seed,
+        y0_standard_error=_step_one_se(y),
         exit_probability=exit_report.probability,
         max_abs_y=float(np.max(np.abs(y))))
+
+
+def martingale_residual(problem: BsdeProblem, solution: BsdeSolution,
+                        batch: PathBatch, basis_degree: int = 2) -> dict:
+    """Per grid step, the mean one-step martingale residual
+        Y_i - (Y_{i+1} + f dt + g(Y_i) . deta_i) + Z_i . dW_i
+    of a localized solution over the samples still inside its ball, and the
+    standard error of that mean; zero where every sample has exited.
+
+    The batch must be the one the solution was computed on.  The Brownian
+    term uses out-of-fold control fits: in-sample fitted Z correlates with
+    the very increments it was regressed on, which biases the mean by
+    O(basis/samples) and would drown the test.
+    """
+    times = batch.grid.times
+    m = times.size
+    dts = np.diff(times)
+    stop_index = _stop_index(first_exit(batch, solution.radius), m)
+    deta = _stacked_increments(problem.driver, times, batch.paths)
+    y, z = solution.y_paths, solution.z_paths
+    mean = np.zeros(m - 1)
+    se = np.zeros(m - 1)
+    for i in range(m - 1):
+        active = stop_index > i
+        if not np.any(active):
+            continue
+        f_val = np.asarray(
+            problem.f(times[i], batch.paths[active, i, :], y[active, i],
+                      z[active, i, :]), dtype=float)
+        g_val = np.asarray(problem.g(y[active, i]), dtype=float)
+        if g_val.ndim == 1:
+            g_val = g_val[:, None]
+        z_cross = _cross_fitted_control(
+            poly_basis(batch.paths[:, i, :], basis_degree), y[:, i + 1],
+            batch.increments[:, i, :], dts[i], active)
+        zdw = np.sum(z_cross * batch.increments[active, i, :], axis=1)
+        res = y[active, i] - (
+            y[active, i + 1] + f_val * dts[i]
+            + np.sum(g_val * deta[active, i, :], axis=1)) + zdw
+        mean[i] = float(res.mean())
+        # the projection part of the mean vanishes identically (normal
+        # equations), so the estimator fluctuates only through the zdw term
+        se[i] = float(zdw.std(ddof=1) / math.sqrt(zdw.size)) \
+            if zdw.size > 1 else 0.0
+    return {"mean": mean, "se": se}
 
 
 def solve_bsde_with_localization(problem: BsdeProblem, radii, grid: TimeGrid,
@@ -578,8 +616,7 @@ def exponential_moment_diagnostic(alpha_values: np.ndarray,
     cums = np.concatenate(
         [np.zeros((S, 1)), np.cumsum(alpha_values[:, :-1] * deta, axis=1)],
         axis=1)
-    exit_index = first_exit(batch, radius).exit_index
-    stop = np.where(exit_index == NO_EXIT, m - 1, exit_index)
+    stop = _stop_index(first_exit(batch, radius), m)
     end_value = cums[np.arange(S), stop]
     best_log, best_t = -np.inf, float(times[0])
     for j in range(m):

@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .config import parse_config
 from .errors import ConfigError, DomainError, NumericalError, ResourceError
@@ -41,9 +40,13 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 def _default_workers() -> int:
     raw = os.environ.get(_WORKERS_ENV, "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(
+            f"{_WORKERS_ENV}={raw!r} is not a positive worker count")
+    return workers
 
 
 def _cmd_run(args) -> int:
@@ -54,8 +57,9 @@ def _cmd_run(args) -> int:
         overrides = list(args.override or [])
         if args.seed is not None:
             overrides.append(f"seed={args.seed}")
-        if args.workers is not None:
-            overrides.append(f"workers={args.workers}")
+        workers = args.workers if args.workers is not None \
+            else _default_workers()
+        overrides.append(f"workers={workers}")
         config = parse_config(path=args.config, overrides=overrides)
     except (ConfigError, OSError) as exc:
         return _fail("config", exc, EXIT_CONFIG)
@@ -150,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run" and args.workers is None:
-        args.workers = _default_workers()
     return args.func(args)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +47,13 @@ class DiffusionSpec:
     sigma: callable
     drift: callable
     bound: float
-    lipschitz: float
     dim: int
     ellipticity: float = 0.0
     name: str = ""
 
     def __post_init__(self):
-        if self.bound <= 0 or self.lipschitz <= 0 or self.dim < 1:
-            raise DomainError("bound, lipschitz and dim must be positive")
+        if self.bound <= 0 or self.dim < 1:
+            raise DomainError("bound and dim must be positive")
         if self.ellipticity < 0:
             raise DomainError("ellipticity must be >= 0")
 
@@ -97,7 +96,6 @@ class PathBatch:
     paths: np.ndarray
     increments: np.ndarray
     seed: int
-    spec: DiffusionSpec = field(repr=False, default=None)
 
     @property
     def samples(self) -> int:
@@ -120,10 +118,6 @@ class ExitReport:
     exit_time: np.ndarray
     probability: float
     standard_error: float
-
-    @property
-    def exited(self) -> np.ndarray:
-        return self.exit_index != NO_EXIT
 
 
 @dataclass(frozen=True)
@@ -177,8 +171,7 @@ def simulate(spec: DiffusionSpec, x0, grid: TimeGrid, samples: int,
         spec.check_bounds(times[i], sig, dri)
         state = state + dri * dts[i] + np.einsum("sij,sj->si", sig, dw[:, i])
         paths[:, i + 1, :] = state
-    return PathBatch(grid=grid, paths=paths, increments=dw, seed=seed,
-                     spec=spec)
+    return PathBatch(grid=grid, paths=paths, increments=dw, seed=seed)
 
 
 def first_exit(batch: PathBatch, radius: float) -> ExitReport:

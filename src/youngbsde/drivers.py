@@ -77,9 +77,7 @@ class SpaceTimeDriver:
     tau: float = 1.0
     lam: float = 1.0
     beta: float = 0.0
-    smooth_in_time: bool = False
     kind: str = "custom"
-    regularity_is_estimate: bool = False
     prenormalized: bool = False
     payload: dict = field(default_factory=dict, repr=False)
     # (v, a, a(0)) of a separable field v(x) * (a(t) - a(0)), else None;
@@ -143,12 +141,11 @@ def _space_factor(v, x: np.ndarray) -> np.ndarray:
 
 def make_separable_driver(v, a, dim: int = 1, channels: int = 1,
                           tau: float = 1.0, lam: float = 1.0,
-                          beta: float = 0.0,
-                          smooth_in_time: bool = True) -> SpaceTimeDriver:
+                          beta: float = 0.0) -> SpaceTimeDriver:
     """Driver eta(t, x) = v(x) * (a(t) - a(0)).
 
     v must be numpy-vectorized: (K, d) -> (K,) or (K, M); a likewise maps
-    (K,) -> (K,).  Set smooth_in_time=False when a is not differentiable.
+    (K,) -> (K,).
     """
     a0 = float(np.asarray(a(np.zeros(1)))[0])
 
@@ -161,9 +158,8 @@ def make_separable_driver(v, a, dim: int = 1, channels: int = 1,
         return out[0] if single else out
 
     return SpaceTimeDriver(fn=fn, dim=dim, channels=channels, tau=tau,
-                           lam=lam, beta=beta, smooth_in_time=smooth_in_time,
-                           kind="analytic-separable", prenormalized=True,
-                           _factors=(v, a, a0))
+                           lam=lam, beta=beta, kind="analytic-separable",
+                           prenormalized=True, _factors=(v, a, a0))
 
 
 def zero_driver(dim: int = 1, channels: int = 1) -> SpaceTimeDriver:
@@ -216,9 +212,8 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
     even at the horizon); the discrete kernel weights are renormalized to
     unit mass, so a field linear in time is reproduced exactly on
     [0, horizon - delta].  The result is recentred so that
-    eta_delta(0, x) = 0 and reports smooth_in_time=True.  A separable driver
-    stays separable: only its time factor is convolved, all nodes at once,
-    once per distinct time.
+    eta_delta(0, x) = 0.  A separable driver stays separable: only its time
+    factor is convolved, all nodes at once, once per distinct time.
     """
     if delta <= 0:
         raise DomainError("mollification width must be positive")
@@ -266,8 +261,7 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
 
     return SpaceTimeDriver(fn=fn, dim=driver.dim, channels=driver.channels,
                            tau=driver.tau, lam=driver.lam, beta=driver.beta,
-                           smooth_in_time=True, kind="mollified",
-                           payload=payload)
+                           kind="mollified", payload=payload)
 
 
 # -- seminorm estimation ---------------------------------------------------
@@ -390,8 +384,7 @@ def estimate_seminorm(driver: SpaceTimeDriver, time_grid, space_grid,
 
 def make_grid_driver(times: np.ndarray, space_axes: list[np.ndarray],
                      values: np.ndarray, tau: float, lam: float, beta: float,
-                     kind: str = "sampled-sheet",
-                     regularity_is_estimate: bool = True) -> SpaceTimeDriver:
+                     kind: str = "sampled-sheet") -> SpaceTimeDriver:
     """Driver interpolating grid samples multilinearly in (t, x).
 
     Queries outside the sampled hull are clamped to the boundary (constant
@@ -433,9 +426,7 @@ def make_grid_driver(times: np.ndarray, space_axes: list[np.ndarray],
         return out[0] if single else out
 
     drv = SpaceTimeDriver(fn=fn, dim=dim, channels=1, tau=tau, lam=lam,
-                          beta=beta, smooth_in_time=False, kind=kind,
-                          regularity_is_estimate=regularity_is_estimate,
-                          prenormalized=True)
+                          beta=beta, kind=kind, prenormalized=True)
     drv.payload.update(times=times, space_axes=space_axes, values=values)
     return drv
 
@@ -468,6 +459,13 @@ def load_sampled_driver(path, tau: float = 0.5, lam: float = 0.5,
         rows = list(csv.reader(fh))
     if not rows or rows[0][0] != "t":
         raise DomainError("not a sampled-driver CSV (missing 't' header)")
+    if len(rows) < 2:
+        raise DomainError("sampled-driver CSV has a header but no time rows")
+    ragged = [i for i, r in enumerate(rows) if len(r) != len(rows[0])]
+    if ragged:
+        raise DomainError(
+            f"sampled-driver CSV row {ragged[0]} has {len(rows[ragged[0]])} "
+            f"cells, the header has {len(rows[0])}")
     coords = np.array([[float(c) for c in cell.split("|")]
                        for cell in rows[0][1:]])
     dim = coords.shape[1]

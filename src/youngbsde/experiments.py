@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .bsde import (BsdeProblem, LinearBsdeSpec, PicardConfig,
-                   solve_bsde_with_localization, solve_linear_bsde,
-                   tower_rule_defect)
+                   martingale_residual, solve_bsde_with_localization,
+                   solve_linear_bsde, tower_rule_defect)
 from .config import ExperimentConfig
 from .csvio import write_csv
 from .diffusion import exit_tail_decay, simulate
@@ -177,9 +177,10 @@ def _run_nonlinear_bsde(cfg, out: Path, workers: int) -> RunResult:
         lipschitz_f=max(abs(rate), 1e-9))
     picard = PicardConfig(tolerance=v["picard_tol"],
                           max_iterations=v["picard_max"])
+    batch = simulate(diffusion, problem.x0, grid, v["samples"], v["seed"])
     finest, table = solve_bsde_with_localization(
         problem, v["radii"], grid, v["samples"], v["seed"],
-        basis_degree=v["basis_degree"], picard=picard)
+        basis_degree=v["basis_degree"], picard=picard, batch=batch)
     f1 = write_csv(out / "localization_decay.csv",
                    ["radius", "y0", "gap_to_finest", "standard_error",
                     "exit_probability", "max_abs_y"],
@@ -192,7 +193,8 @@ def _run_nonlinear_bsde(cfg, out: Path, workers: int) -> RunResult:
               + [f"z_c{i}" for i in range(nb)]
               + ["residual_mean", "residual_se"])
     rows = []
-    res = finest.martingale_residual
+    res = martingale_residual(problem, finest, batch,
+                              basis_degree=v["basis_degree"])
     for i, t in enumerate(grid.times[:-1]):
         yc = finest.y_coefficients[i]
         zc = finest.z_coefficients[i]

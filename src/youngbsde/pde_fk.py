@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import (_EXP_GUARD, BsdeProblem, PicardConfig,
+from .bsde import (_EXP_GUARD, BsdeProblem, PicardConfig, _check_coefficients,
+                   _check_secant, _contract_cloud,
                    solve_bsde_with_localization)
 # bench/tracer.py wraps solve_localized_bsde as bound in this module
 from .bsde import solve_localized_bsde  # noqa: F401
@@ -48,7 +49,8 @@ _FK_CHUNK = 50_000
 class PdeProblem:
     """Nonlinear Young PDE data: operator coefficients via the diffusion,
     reaction f(t,x,u,sigma^T grad u), Young coefficient g(u), driver, and a
-    Lipschitz terminal condition.  Ellipticity must be declared positive."""
+    Lipschitz terminal condition.  Ellipticity must be declared positive;
+    the declared constants are checked by secants at construction."""
 
     diffusion: DiffusionSpec
     f: callable
@@ -64,21 +66,14 @@ class PdeProblem:
         if self.diffusion.ellipticity <= 0:
             raise DomainError(
                 "PDE problems require a declared positive ellipticity")
-        self._check_terminal_lipschitz()
-
-    def _check_terminal_lipschitz(self, points: int = 48, seed: int = 9):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        x1 = rng.normal(scale=2.0, size=(points, self.diffusion.dim))
-        x2 = x1 + rng.normal(scale=0.5, size=x1.shape)
-        h1 = np.asarray(self.terminal(x1), dtype=float)
-        h2 = np.asarray(self.terminal(x2), dtype=float)
-        secant = np.abs(h1 - h2) / np.maximum(
-            np.linalg.norm(x1 - x2, axis=1), 1e-12)
-        worst = float(np.max(secant))
-        if worst > self.lipschitz_terminal * (1 + 1e-3):
-            raise DomainError(
-                f"terminal condition violates its declared Lipschitz "
-                f"constant {self.lipschitz_terminal:g} (secant {worst:g})")
+        _check_coefficients(self)
+        c = _contract_cloud(self.diffusion.dim)
+        _check_secant(
+            f"terminal condition violates its declared Lipschitz constant "
+            f"{self.lipschitz_terminal:g}",
+            np.asarray(self.terminal(c.x), dtype=float)
+            - np.asarray(self.terminal(c.x + c.dx), dtype=float),
+            np.linalg.norm(c.dx, axis=1), self.lipschitz_terminal)
 
     def bsde_problem(self, driver: SpaceTimeDriver, x0) -> BsdeProblem:
         return BsdeProblem(
@@ -99,12 +94,6 @@ class PdeSolutionTable:
     mollify_delta: float | None
     samples: int
     seed: int
-    extra: dict = field(default_factory=dict)
-
-    def rows(self):
-        for (t, x), u, se in zip(self.points, self.values,
-                                 self.standard_errors):
-            yield t, np.atleast_1d(x), float(u), float(se)
 
 
 def fk_point_estimate(diffusion: DiffusionSpec, driver: SpaceTimeDriver,
@@ -316,7 +305,7 @@ class NonLipschitzProblem:
 
     Declared growth exponents: theta1 < 1 for the z-Lipschitz weight,
     theta2 < 2 for the y-Lipschitz weight, theta3 >= 0 for the size of F;
-    all secant-spot-checked on random clouds against the declared constant.
+    all checked by secants on the contract cloud at construction.
     """
 
     f0: callable
@@ -335,31 +324,23 @@ class NonLipschitzProblem:
             raise DomainError(
                 "growth split requires theta1 in [0,1), theta2 in [0,2), "
                 "theta3 >= 0")
+        c = _contract_cloud(self.diffusion.dim)
+        weight = lambda theta: self.growth_constant * (
+            1 + np.linalg.norm(c.x, axis=1) ** theta)
+        big_f0 = lambda y, z: np.asarray(self.big_f0(0.5, c.x, y, z),
+                                         dtype=float)
+        _check_secant("F0 exceeds its declared size growth",
+                      big_f0(c.y1, c.z1), 1.0, weight(self.theta3))
+        _check_secant("F0 exceeds its declared y-Lipschitz growth",
+                      big_f0(c.y1, c.z1) - big_f0(c.y2, c.z1),
+                      np.abs(c.y1 - c.y2), weight(self.theta2))
+        _check_secant("F0 exceeds its declared z-Lipschitz growth",
+                      big_f0(c.y1, c.z1) - big_f0(c.y1, c.z2),
+                      np.linalg.norm(c.z1 - c.z2, axis=1), weight(self.theta1))
 
     def reaction(self, t, x, y, z):
         return (np.asarray(self.f0(t, x, y, z), dtype=float)
                 + np.asarray(self.big_f0(t, x, y, z), dtype=float))
-
-    def spot_check(self, seed: int = 0, points: int = 64) -> None:
-        rng = np.random.Generator(np.random.Philox(key=seed + 3))
-        x = rng.normal(scale=2.0, size=(points, self.diffusion.dim))
-        xn = np.linalg.norm(x, axis=1)
-        y1, y2 = rng.normal(size=points), rng.normal(size=points)
-        z1 = rng.normal(size=(points, self.diffusion.dim))
-        z2 = rng.normal(size=(points, self.diffusion.dim))
-        c = self.growth_constant * (1 + 1e-3)
-        size = np.abs(np.asarray(self.big_f0(0.5, x, y1, z1), dtype=float))
-        if np.any(size > c * (1 + xn**self.theta3)):
-            raise DomainError("F0 exceeds its declared size growth")
-        dy = np.abs(np.asarray(self.big_f0(0.5, x, y1, z1), dtype=float)
-                    - np.asarray(self.big_f0(0.5, x, y2, z1), dtype=float))
-        if np.any(dy > c * (1 + xn**self.theta2) * np.abs(y1 - y2) + 1e-12):
-            raise DomainError("F0 exceeds its declared y-Lipschitz growth")
-        dz = np.abs(np.asarray(self.big_f0(0.5, x, y1, z1), dtype=float)
-                    - np.asarray(self.big_f0(0.5, x, y1, z2), dtype=float))
-        if np.any(dz > c * (1 + xn**self.theta1)
-                  * np.linalg.norm(z1 - z2, axis=1) + 1e-12):
-            raise DomainError("F0 exceeds its declared z-Lipschitz growth")
 
     def bsde_problem(self, x0) -> BsdeProblem:
         dim = self.diffusion.dim
@@ -412,7 +393,6 @@ def localization_error_experiment(problem: NonLipschitzProblem, radii,
         reference_radius = float(radii[-1] + 1.0)
     if reference_radius <= radii[-1]:
         raise DomainError("reference radius must exceed the largest radius")
-    problem.spot_check(seed=seed)
     grid = TimeGrid.uniform(problem.horizon, steps)
     n_pts = len(eval_xs)
     gaps = np.empty((n_pts, radii.size))

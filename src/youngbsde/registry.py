@@ -52,8 +52,7 @@ def _brownian(dim: int) -> DiffusionSpec:
         return np.zeros_like(x)
 
     return DiffusionSpec(sigma=sigma, drift=drift, bound=float(np.sqrt(dim)),
-                         lipschitz=1.0, dim=dim, ellipticity=1.0,
-                         name="brownian")
+                         dim=dim, ellipticity=1.0, name="brownian")
 
 
 def _brownian_halfvol(dim: int) -> DiffusionSpec:
@@ -65,8 +64,8 @@ def _brownian_halfvol(dim: int) -> DiffusionSpec:
     def drift(t, x):
         return np.zeros_like(x)
 
-    return DiffusionSpec(sigma=sigma, drift=drift, bound=1.0, lipschitz=1.0,
-                         dim=dim, ellipticity=0.25, name="brownian-halfvol")
+    return DiffusionSpec(sigma=sigma, drift=drift, bound=1.0, dim=dim,
+                         ellipticity=0.25, name="brownian-halfvol")
 
 
 def _ou_truncated(dim: int) -> DiffusionSpec:
@@ -79,8 +78,8 @@ def _ou_truncated(dim: int) -> DiffusionSpec:
         return -np.clip(x, -1.0, 1.0)
 
     return DiffusionSpec(sigma=sigma, drift=drift,
-                         bound=float(np.sqrt(dim)) + 1e-9, lipschitz=1.0,
-                         dim=dim, ellipticity=1.0, name="ou-truncated")
+                         bound=float(np.sqrt(dim)) + 1e-9, dim=dim,
+                         ellipticity=1.0, name="ou-truncated")
 
 
 def _drift_only(dim: int) -> DiffusionSpec:
@@ -91,8 +90,7 @@ def _drift_only(dim: int) -> DiffusionSpec:
         return np.ones_like(x)
 
     return DiffusionSpec(sigma=sigma, drift=drift, bound=float(np.sqrt(dim)),
-                         lipschitz=1.0, dim=dim, ellipticity=0.0,
-                         name="drift-only")
+                         dim=dim, ellipticity=0.0, name="drift-only")
 
 
 DIFFUSIONS = {
@@ -126,20 +124,6 @@ TIME_FUNCTIONS = {
     "kink-mid": lambda t: np.abs(np.asarray(t, dtype=float) - 0.5),
 }
 
-_SMOOTH_TIME = {"linear", "quadratic", "sin"}
-
-_SPACE_REGULARITY = {
-    # (lam, beta) declared per space factor
-    "one": (1.0, 0.0),
-    "cos": (1.0, 0.0),
-    "sin": (1.0, 0.0),
-    "linear": (1.0, 0.0),
-    "tent": (1.0, 0.0),
-    "kink": (1.0, 0.0),
-    "lorentz": (1.0, 0.0),
-}
-
-
 def space_function(name: str):
     return _lookup(SPACE_FUNCTIONS, name, "space function")
 
@@ -152,10 +136,7 @@ def driver_by_names(space: str, time: str, dim: int = 1,
                     amplitude: float = 1.0) -> SpaceTimeDriver:
     v = space_function(space)
     a = time_function(time)
-    lam, beta = _SPACE_REGULARITY[space]
-    return make_separable_driver(
-        lambda x: amplitude * v(x), a, dim=dim, tau=1.0, lam=lam, beta=beta,
-        smooth_in_time=time in _SMOOTH_TIME)
+    return make_separable_driver(lambda x: amplitude * v(x), a, dim=dim)
 
 
 # -- terminal conditions, drift changes, reaction pieces ----------------------

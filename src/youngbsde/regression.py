@@ -12,7 +12,7 @@ from .errors import NumericalError
 
 __all__ = ["poly_basis", "basis_size", "ridge_fit", "fit_predict", "line_fit"]
 
-DEFAULT_RIDGE = 1e-8
+_RIDGE = 1e-8
 _RIDGE_CEILING = 1e-2
 
 
@@ -37,11 +37,10 @@ def poly_basis(x: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def ridge_fit(basis: np.ndarray, targets: np.ndarray,
-              ridge: float = DEFAULT_RIDGE) -> np.ndarray:
+def ridge_fit(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Coefficients of ridge least squares, shape (n_basis, k).
 
-    The ridge is relative to the mean diagonal of the normal matrix, so a
+    The ridge is 1e-8 of the mean diagonal of the normal matrix, so a
     constant-state regression degrades gracefully to the sample mean.
     Escalates the ridge on numerical failure before giving up.
     """
@@ -52,7 +51,7 @@ def ridge_fit(basis: np.ndarray, targets: np.ndarray,
     gram = basis.T @ basis
     rhs = basis.T @ targets
     scale = max(float(np.mean(np.diag(gram))), 1e-300)
-    level = ridge
+    level = _RIDGE
     while level <= _RIDGE_CEILING:
         try:
             coeffs = np.linalg.solve(gram + level * scale * np.eye(len(gram)),
@@ -67,11 +66,10 @@ def ridge_fit(basis: np.ndarray, targets: np.ndarray,
         f" (n={basis.shape[0]}, basis={basis.shape[1]})")
 
 
-def fit_predict(basis: np.ndarray, targets: np.ndarray,
-                ridge: float = DEFAULT_RIDGE
+def fit_predict(basis: np.ndarray, targets: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """In-sample fitted values and the coefficients that produced them."""
-    coeffs = ridge_fit(basis, targets, ridge)
+    coeffs = ridge_fit(basis, targets)
     return basis @ coeffs, coeffs
 
 

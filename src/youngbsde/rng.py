@@ -29,8 +29,3 @@ def hash64(*words: int) -> int:
 def stream(seed: int, *indices: int) -> np.random.Generator:
     """Independent generator for (seed, indices); counter-based (Philox)."""
     return np.random.Generator(np.random.Philox(key=hash64(seed, *indices)))
-
-
-def normal_block(seed: int, sample_index: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Standard-normal block for one sample, a pure function of its key."""
-    return stream(seed, sample_index).standard_normal(shape)

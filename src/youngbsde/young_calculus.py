@@ -6,8 +6,7 @@ compensated sums
     sum_i  y_{t_i} * ( eta(t_{i+1}, x_{t_i}) - eta(t_i, x_{t_i}) ),
 
 refined by dyadic midpoint insertion with linear interpolation of y and x.
-Space is frozen at the left point of each interval; midpoint freezing is
-available behind an experimental flag but is not the default convention.
+Space is frozen at the left point of each interval.
 
 Flows solve d Gamma = sum_i alpha_i^T Gamma eta_i(ds, x_s), Gamma = I at the
 base time, by explicit Euler steps; in one dimension the exponential closed
@@ -22,7 +21,7 @@ import numpy as np
 
 from .drivers import SpaceTimeDriver
 from .errors import DomainError, NumericalError
-from .paths import SamplePath, TimeGrid
+from .paths import SamplePath
 
 __all__ = [
     "YoungIntegralResult",
@@ -76,25 +75,18 @@ def _refine(times: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _left_sum(driver: SpaceTimeDriver, times: np.ndarray, y: np.ndarray,
-              x: np.ndarray, space_point: str) -> np.ndarray:
-    if space_point == "left":
-        anchors = x[:-1]
-    elif space_point == "mid":
-        anchors = 0.5 * (x[:-1] + x[1:])
-    else:
-        raise DomainError(f"unknown space-point convention {space_point!r}")
-    deta = driver.increment_pairs(times[:-1], times[1:], anchors)
+              x: np.ndarray) -> np.ndarray:
+    deta = driver.increment_pairs(times[:-1], times[1:], x[:-1])
     return np.sum(y[:-1] * deta, axis=0)
 
 
 def young_sum_fixed_partition(driver: SpaceTimeDriver, times: np.ndarray,
-                              y: np.ndarray, x: np.ndarray,
-                              space_point: str = "left") -> np.ndarray:
+                              y: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Left-point sum on one fixed partition; no refinement.  y has shape
     (m,) or (m, 1); x has shape (m, d).  Returns (M,)."""
     y = np.asarray(y, dtype=float).reshape(times.size, 1)
     x = np.asarray(x, dtype=float).reshape(times.size, -1)
-    return _left_sum(driver, times, y, x, space_point)
+    return _left_sum(driver, times, y, x)
 
 
 def nonlinear_young_integral(y: SamplePath, x: SamplePath,
@@ -102,8 +94,8 @@ def nonlinear_young_integral(y: SamplePath, x: SamplePath,
                              interval: tuple[float, float] | None = None,
                              tol_abs: float = DEFAULT_TOL_ABS,
                              tol_rel: float = DEFAULT_TOL_REL,
-                             max_levels: int = DEFAULT_MAX_LEVELS,
-                             space_point: str = "left") -> YoungIntegralResult:
+                             max_levels: int = DEFAULT_MAX_LEVELS
+                             ) -> YoungIntegralResult:
     """Integral of the scalar path y against eta(dr, x_r) over [a, b].
 
     Successive dyadic refinements are compared in max norm; the result is
@@ -127,13 +119,13 @@ def nonlinear_young_integral(y: SamplePath, x: SamplePath,
         raise DomainError("need at least 2 grid points on the interval")
 
     yv, xv = y.values, x.values
-    value = _left_sum(driver, times, yv, xv, space_point)
+    value = _left_sum(driver, times, yv, xv)
     gap = np.inf
     levels = 1
     for _ in range(max_levels):
         times, yv = _refine(times, yv)
         xv = _midpoint_refine(xv)
-        new_value = _left_sum(driver, times, yv, xv, space_point)
+        new_value = _left_sum(driver, times, yv, xv)
         gap = float(np.max(np.abs(new_value - value)))
         value = new_value
         levels += 1

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from youngbsde import bsde
 from youngbsde.bsde import (BsdeProblem, LinearBsdeSpec, PicardConfig,
                             _step_one_se, exponential_moment_diagnostic,
-                            girsanov_weight, solve_bsde_with_localization,
+                            girsanov_weight, martingale_residual,
+                            solve_bsde_with_localization,
                             solve_linear_bsde, solve_localized_bsde,
                             tower_rule_defect)
 from youngbsde.diffusion import simulate
@@ -221,8 +222,10 @@ class TestLocalizedSolver:
             g=lambda y: np.zeros((np.size(y), 1)),
             terminal=lambda x: x[:, 0], driver=zero_driver(),
             diffusion=BROWNIAN, x0=np.array([0.5]), lipschitz_f=0.11)
-        sol = solve_localized_bsde(problem, 6.0, GRID, 20000, seed=42)
-        res = sol.martingale_residual
+        batch = brownian_batch(20000, seed=42, x0=0.5)
+        sol = solve_localized_bsde(problem, 6.0, GRID, 20000, seed=42,
+                                   batch=batch)
+        res = martingale_residual(problem, sol, batch)
         z = np.abs(res["mean"]) / np.maximum(res["se"], 1e-300)
         assert np.max(z) <= 3.5
 
@@ -237,14 +240,13 @@ class TestLocalizedSolver:
         assert sol.exit_probability > 0.1
 
     def test_spot_check_rejects_unbounded_g(self):
-        problem = BsdeProblem(
-            f=lambda t, x, y, z: np.zeros(x.shape[0]),
-            g=lambda y: (2.0 * np.asarray(y)).reshape(-1, 1),
-            terminal=lambda x: x[:, 0], driver=zero_driver(),
-            diffusion=BROWNIAN, x0=np.array([0.0]),
-            coefficient_bound=1.0)
         with pytest.raises(DomainError, match="declared bound"):
-            solve_localized_bsde(problem, 4.0, GRID, 100, seed=1)
+            BsdeProblem(
+                f=lambda t, x, y, z: np.zeros(x.shape[0]),
+                g=lambda y: (2.0 * np.asarray(y)).reshape(-1, 1),
+                terminal=lambda x: x[:, 0], driver=zero_driver(),
+                diffusion=BROWNIAN, x0=np.array([0.0]),
+                coefficient_bound=1.0)
 
 
 class TestStandardError:

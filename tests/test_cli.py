@@ -125,6 +125,21 @@ class TestCliExitCodes:
         assert err["error"] == "precondition"
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_invalid_worker_env_is_2(self, tmp_path, capsys, monkeypatch,
+                                     value):
+        monkeypatch.setenv("YOUNGBSDE_WORKERS", value)
+        cfg = self._write(tmp_path, "kind = hurst-region\nresolution = 9\n")
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert main(["acceptance", "--select", "05",
+                     "--out", str(tmp_path / "a")]) == 2
+        for line in capsys.readouterr().err.strip().splitlines():
+            err = json.loads(line)
+            assert err["error"] == "config" and "YOUNGBSDE_WORKERS" in \
+                err["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_empty_radii_is_3(self, tmp_path, capsys):
         cfg = self._write(tmp_path,
                           "kind = localization-error\nradii =\n"

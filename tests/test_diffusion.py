@@ -16,7 +16,7 @@ def constant_spec(sigma=1.0, drift=0.0, dim=1, bound=None):
         drift=lambda t, x: np.full_like(x, b),
         bound=bound if bound is not None else max(abs(s), abs(b), 1e-9)
         * np.sqrt(dim),
-        lipschitz=1.0, dim=dim)
+        dim=dim)
 
 
 GRID = TimeGrid.uniform(1.0, 32)

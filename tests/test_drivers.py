@@ -85,7 +85,6 @@ class TestMollify:
         drv = make_separable_driver(lambda x: np.ones(x.shape[0]),
                                     lambda t: np.abs(t - 0.5))
         smooth = mollify_time(drv, delta=0.1, horizon=1.0)
-        assert smooth.smooth_in_time
         x = [0.0]
         derivs = []
         for h in (1e-3, 5e-4, 2.5e-4):
@@ -115,7 +114,7 @@ class TestMollify:
     def test_separable_stays_separable(self):
         smooth = mollify_time(cos_driver(), delta=0.1, horizon=1.0)
         assert smooth._factors is not None
-        assert smooth.kind == "mollified" and smooth.smooth_in_time
+        assert smooth.kind == "mollified"
         assert smooth.payload == {"delta": 0.1, "quadrature_points": 129}
         grid = make_grid_driver(np.linspace(0, 1, 3), [np.array([0.0, 1.0])],
                                 np.arange(6.0).reshape(3, 2), tau=0.5,
@@ -309,3 +308,15 @@ class TestCsvRoundTrip:
         drv = make_grid_driver(times, axes, values, tau=0.5, lam=0.5,
                                beta=0.0)
         assert drv.at(0.5, [5.0])[0] == drv.at(0.5, [1.0])[0]
+
+    def test_header_only_file_rejected(self, tmp_path):
+        target = tmp_path / "header.csv"
+        target.write_text("t,0|0,1|0\n")
+        with pytest.raises(DomainError, match="no time rows"):
+            load_sampled_driver(target)
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        target = tmp_path / "ragged.csv"
+        target.write_text("t,0,1\n0,0,0\n0.5,1\n")
+        with pytest.raises(DomainError, match="row 2 has 2 cells"):
+            load_sampled_driver(target)

