@@ -78,7 +78,7 @@ def _brownian():
 
 # -- criterion 1 -------------------------------------------------------------
 
-def _c01_pvariation(workers: int, out: Path):
+def _c01_pvariation(out: Path):
     rng = stream(1001)
     worst = 0.0
     for _ in range(200):
@@ -96,7 +96,7 @@ def _c01_pvariation(workers: int, out: Path):
 
 # -- criterion 2 -------------------------------------------------------------
 
-def _c02_young_smooth(workers: int, out: Path):
+def _c02_young_smooth(out: Path):
     grid = TimeGrid.uniform(1.0, 1024)
     y = SamplePath(grid, np.sin(grid.times))
     x = SamplePath(grid, grid.times)
@@ -112,7 +112,7 @@ def _c02_young_smooth(workers: int, out: Path):
 
 # -- criterion 3 -------------------------------------------------------------
 
-def _c03_flow_identities(workers: int, out: Path):
+def _c03_flow_identities(out: Path):
     # (a) one-dimensional exponential mode against the fixed-partition sum
     grid = TimeGrid.uniform(1.0, 4096)
     x = SamplePath(grid, np.sin(grid.times))
@@ -154,7 +154,7 @@ def _c03_flow_identities(workers: int, out: Path):
 
 # -- criterion 4 -------------------------------------------------------------
 
-def _c04_sheet_covariance(workers: int, out: Path):
+def _c04_sheet_covariance(out: Path):
     spec = SheetSpec(0.75, [0.75], TimeGrid(np.linspace(0, 1, 8), 1.0),
                      [np.linspace(0.25, 2.0, 8)])
     cov = covariance_matrix(spec)
@@ -174,7 +174,7 @@ def _c04_sheet_covariance(workers: int, out: Path):
 
 # -- criterion 5 -------------------------------------------------------------
 
-def _c05_hurst_region(workers: int, out: Path):
+def _c05_hurst_region(out: Path):
     regions = {}
     exact, h0_gate = True, True
     for d in (1, 2, 3):
@@ -196,7 +196,7 @@ def _c05_hurst_region(workers: int, out: Path):
 
 # -- criterion 6 -------------------------------------------------------------
 
-def _c06_exit_decay(workers: int, out: Path):
+def _c06_exit_decay(out: Path):
     fit = exit_tail_decay(_brownian(), [0.0], [1.0, 1.5, 2.0, 2.5],
                           TimeGrid.uniform(1.0, 256), 100000, seed=5)
     ok = fit.slope < 0 and fit.r_squared >= 0.9
@@ -206,7 +206,7 @@ def _c06_exit_decay(workers: int, out: Path):
 
 # -- criterion 7 -------------------------------------------------------------
 
-def _c07_girsanov_tower(workers: int, out: Path):
+def _c07_girsanov_tower(out: Path):
     grid = TimeGrid.uniform(1.0, 32)
     batch = simulate(_brownian(), [0.0], grid, 100000, seed=31)
     dts = np.diff(grid.times)
@@ -236,7 +236,7 @@ def _c07_girsanov_tower(workers: int, out: Path):
 
 # -- criterion 8 -------------------------------------------------------------
 
-def _c08_classical_bsde(workers: int, out: Path):
+def _c08_classical_bsde(out: Path):
     rate = 0.1
     details, ok = [], True
     for x0 in (0.5, 1.0):
@@ -258,7 +258,7 @@ def _c08_classical_bsde(workers: int, out: Path):
 
 # -- criterion 9 -------------------------------------------------------------
 
-def _c09_linear_pde_vs_fd(workers: int, out: Path):
+def _c09_linear_pde_vs_fd(out: Path):
     driver = driver_by_names("cos", "linear")
     oracle = crank_nicolson_terminal_value(
         lambda x: np.ones_like(x), lambda x: np.ones_like(x),
@@ -278,7 +278,7 @@ def _c09_linear_pde_vs_fd(workers: int, out: Path):
 
 # -- criterion 10 ------------------------------------------------------------
 
-def _c10_localization_decay(workers: int, out: Path):
+def _c10_localization_decay(out: Path):
     problem = NonLipschitzProblem(
         f0=lambda t, x, y, z: np.zeros(x.shape[0]),
         big_f0=lambda t, x, y, z: np.zeros(x.shape[0]),
@@ -302,7 +302,7 @@ def _c10_localization_decay(workers: int, out: Path):
 
 # -- criterion 11 ------------------------------------------------------------
 
-def _c11_cauchy_property(workers: int, out: Path):
+def _c11_cauchy_property(out: Path):
     driver = driver_by_names("lorentz", "linear")
     grid = TimeGrid.uniform(1.0, 64)
     problem = BsdeProblem(
@@ -350,7 +350,7 @@ _DETERMINISM_CONFIGS = {
 }
 
 
-def _c12_determinism(workers: int, out: Path):
+def _c12_determinism(out: Path):
     base = Path(out) / "determinism"
     mismatches = []
     for kind, body in _DETERMINISM_CONFIGS.items():
@@ -361,7 +361,7 @@ def _c12_determinism(workers: int, out: Path):
             run_dir = base / kind / f"workers{w}"
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                result = run_experiment(cfg, run_dir, workers=w)
+                result = run_experiment(cfg, run_dir)
             outputs[w] = {Path(f).name: Path(f).read_bytes()
                           for f in result.files}
         if set(outputs[1]) != set(outputs[3]):
@@ -392,14 +392,13 @@ CRITERIA = [
 ]
 
 
-def run_criterion(name: str, workers: int = 1,
-                  out_dir="acceptance-out") -> CriterionResult:
+def run_criterion(name: str, out_dir="acceptance-out") -> CriterionResult:
     for crit_name, budget, _, fn in CRITERIA:
         if crit_name == name:
             out = Path(out_dir)
             out.mkdir(parents=True, exist_ok=True)
             start = time.perf_counter()
-            passed, detail = fn(workers, out)
+            passed, detail = fn(out)
             runtime = time.perf_counter() - start
             if runtime > budget:
                 passed = False
@@ -410,8 +409,8 @@ def run_criterion(name: str, workers: int = 1,
     raise ConfigError(f"unknown criterion {name!r}")
 
 
-def run_acceptance(selector: str = "", out_dir="acceptance-out",
-                   workers: int = 1) -> AcceptanceReport:
+def run_acceptance(selector: str = "",
+                   out_dir="acceptance-out") -> AcceptanceReport:
     """Run the acceptance criteria.  selector: empty = all, 'fast' = the
     sub-minute subset, anything else = substring filter on names."""
     chosen = []
@@ -423,12 +422,9 @@ def run_acceptance(selector: str = "", out_dir="acceptance-out",
         chosen.append(name)
     if not chosen:
         raise ConfigError(f"selector {selector!r} matches no criteria")
-    results = [run_criterion(name, workers=workers, out_dir=out_dir)
-               for name in chosen]
+    results = [run_criterion(name, out_dir=out_dir) for name in chosen]
     report = AcceptanceReport(results=results)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "acceptance_report.csv",
+    write_csv(Path(out_dir) / "acceptance_report.csv",
               ["criterion", "passed", "runtime_seconds", "budget_seconds"],
               [[r.name, r.passed, round(r.runtime, 3), r.budget]
                for r in report.results])

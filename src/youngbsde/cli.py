@@ -5,6 +5,9 @@ Subcommands:
   hurst-region  emit the admissible Hurst-parameter region as CSV
   acceptance    run the curated acceptance suite with pinned seeds/budgets
 
+A run's worker count is its config's `workers`: `run --workers N`, else the
+config file, else 1.
+
 Exit codes: 0 success; 2 config error; 3 precondition violation; 4 numerical
 failure; 5 non-convergence with outputs written.  Every failure also prints
 one structured JSON line on stderr.
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .config import parse_config
@@ -28,8 +30,6 @@ EXIT_PRECONDITION = 3
 EXIT_NUMERICAL = 4
 EXIT_NONCONVERGED = 5
 
-_WORKERS_ENV = "YOUNGBSDE_WORKERS"
-
 
 def _fail(kind: str, exc: Exception, code: int) -> int:
     sys.stderr.write(json.dumps(
@@ -37,38 +37,21 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
     return code
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(_WORKERS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(
-            f"{_WORKERS_ENV}={raw!r} is not a positive worker count")
-    return workers
-
-
-def _cmd_run(args) -> int:
+def _run_config(out, **source) -> int:
+    """Parse a config from parse_config's keywords, run it into `out` and
+    write its manifest; OSError is a config error only while reading it."""
     timer = PhaseTimer()
     started = utc_now()
     try:
         timer.start("configure")
-        overrides = list(args.override or [])
-        if args.seed is not None:
-            overrides.append(f"seed={args.seed}")
-        workers = args.workers if args.workers is not None \
-            else _default_workers()
-        overrides.append(f"workers={workers}")
-        config = parse_config(path=args.config, overrides=overrides)
+        config = parse_config(**source)
     except (ConfigError, OSError) as exc:
         return _fail("config", exc, EXIT_CONFIG)
     try:
         timer.start("compute")
-        result = run_experiment(config, args.out,
-                                workers=config.values["workers"])
+        result = run_experiment(config, out)
         timer.start("write")
-        write_manifest(args.out, config.echo(), result.files, timer, started)
+        write_manifest(out, config.echo(), result.files, timer, started)
     except ConfigError as exc:
         return _fail("config", exc, EXIT_CONFIG)
     except DomainError as exc:
@@ -84,33 +67,25 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _cmd_run(args) -> int:
+    overrides = list(args.override or [])
+    if args.seed is not None:
+        overrides.append(f"seed={args.seed}")
+    if args.workers is not None:
+        overrides.append(f"workers={args.workers}")
+    return _run_config(args.out, path=args.config, overrides=overrides)
+
+
 def _cmd_hurst_region(args) -> int:
-    text = (f"kind = hurst-region\nd = {args.d}\n"
-            f"resolution = {args.resolution}\n")
-    timer = PhaseTimer()
-    started = utc_now()
-    try:
-        timer.start("configure")
-        config = parse_config(text=text)
-        timer.start("compute")
-        result = run_experiment(config, args.out, workers=1)
-        timer.start("write")
-        write_manifest(args.out, config.echo(), result.files, timer, started)
-    except ConfigError as exc:
-        return _fail("config", exc, EXIT_CONFIG)
-    except DomainError as exc:
-        return _fail("precondition", exc, EXIT_PRECONDITION)
-    except (NumericalError, ResourceError) as exc:
-        return _fail("numerical", exc, EXIT_NUMERICAL)
-    return EXIT_OK
+    return _run_config(args.out, text=f"kind = hurst-region\nd = {args.d}\n"
+                                      f"resolution = {args.resolution}\n")
 
 
 def _cmd_acceptance(args) -> int:
     from .acceptance import run_acceptance
 
     try:
-        report = run_acceptance(selector=args.select, out_dir=args.out,
-                                workers=args.workers or _default_workers())
+        report = run_acceptance(selector=args.select, out_dir=args.out)
     except ConfigError as exc:
         return _fail("config", exc, EXIT_CONFIG)
     for line in report.lines():
@@ -131,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the master seed")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--workers", type=int, default=None,
-                       help=f"worker count (default ${_WORKERS_ENV} or 1)")
+                       help="override the config's worker count (default 1)")
     p_run.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="config override, repeatable")
     p_run.set_defaults(func=_cmd_run)
@@ -147,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_a.add_argument("--select", default="",
                      help="criterion substring filter, or 'fast'")
     p_a.add_argument("--out", default="acceptance-out")
-    p_a.add_argument("--workers", type=int, default=None)
     p_a.set_defaults(func=_cmd_acceptance)
     return parser
 

@@ -450,6 +450,14 @@ def save_sampled_driver(driver: SpaceTimeDriver, path) -> None:
             writer.writerow([f"{t:.17g}"] + [f"{v:.17g}" for v in flat[i]])
 
 
+def _csv_number(cell: str, row: int, col: int) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise DomainError(f"sampled-driver CSV row {row} column {col}: "
+                          f"{cell!r} is not a number") from None
+
+
 def load_sampled_driver(path, tau: float = 0.5, lam: float = 0.5,
                         beta: float = 0.0) -> SpaceTimeDriver:
     """Rebuild a grid-sampled driver from the CSV layout of
@@ -466,8 +474,8 @@ def load_sampled_driver(path, tau: float = 0.5, lam: float = 0.5,
         raise DomainError(
             f"sampled-driver CSV row {ragged[0]} has {len(rows[ragged[0]])} "
             f"cells, the header has {len(rows[0])}")
-    coords = np.array([[float(c) for c in cell.split("|")]
-                       for cell in rows[0][1:]])
+    coords = np.array([[_csv_number(c, 0, j) for c in cell.split("|")]
+                       for j, cell in enumerate(rows[0][1:], start=1)])
     dim = coords.shape[1]
     axes = [np.unique(coords[:, k]) for k in range(dim)]
     expected = np.column_stack(
@@ -475,7 +483,8 @@ def load_sampled_driver(path, tau: float = 0.5, lam: float = 0.5,
     if coords.shape != expected.shape or not np.allclose(coords, expected):
         raise DomainError("CSV columns do not form a product grid "
                           "in time-major order")
-    times = np.array([float(r[0]) for r in rows[1:]])
-    flat = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
+    body = np.array([[_csv_number(c, i, j) for j, c in enumerate(r)]
+                     for i, r in enumerate(rows[1:], start=1)])
+    times, flat = body[:, 0], body[:, 1:]
     values = flat.reshape(times.size, *(ax.size for ax in axes))
     return make_grid_driver(times, axes, values, tau=tau, lam=lam, beta=beta)

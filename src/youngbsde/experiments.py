@@ -26,7 +26,7 @@ from .paths import SamplePath, TimeGrid
 from .pde_fk import (NonLipschitzProblem, fk_point_estimate,
                      localization_error_experiment)
 from .registry import (diffusion_by_name, driver_by_names, drift_change_function,
-                       path_function, terminal_function,
+                       path_function, space_function, terminal_function,
                        y_coefficient_function)
 from .rng import hash64
 from .young_calculus import (flow_inverse, flow_product_defect,
@@ -39,10 +39,9 @@ __all__ = ["run_experiment", "RunResult", "parallel_map"]
 class RunResult:
     files: list = field(default_factory=list)
     converged: bool = True
-    notes: dict = field(default_factory=dict)
 
 
-def parallel_map(fn, items, workers: int) -> list:
+def parallel_map(fn, items, workers) -> list:
     """Order-preserving map over independent jobs; thread pool when asked."""
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
@@ -50,13 +49,9 @@ def parallel_map(fn, items, workers: int) -> list:
         return list(pool.map(fn, items))
 
 
-def _grid(horizon: float, steps: int) -> TimeGrid:
-    return TimeGrid.uniform(horizon, steps)
-
-
 # -- handlers ----------------------------------------------------------------
 
-def _run_simulate_fbs(cfg, out: Path, workers: int) -> RunResult:
+def _run_simulate_fbs(cfg, out: Path) -> RunResult:
     v = cfg.values
     times = np.linspace(0.0, v["horizon"], v["time_points"])
     axes = [np.linspace(v["space_min"], v["space_max"], v["space_points"])
@@ -75,7 +70,7 @@ def _run_simulate_fbs(cfg, out: Path, workers: int) -> RunResult:
     return RunResult(files=[path, meta])
 
 
-def _run_young_integral(cfg, out: Path, workers: int) -> RunResult:
+def _run_young_integral(cfg, out: Path) -> RunResult:
     v = cfg.values
     grid = TimeGrid(np.linspace(v["lower"], v["upper"], v["steps"] + 1),
                     v["horizon"])
@@ -109,9 +104,9 @@ def _flow_alpha(kind: str, times: np.ndarray, n_dim: int) -> np.ndarray:
     raise ConfigError(f"unknown alpha_kind {kind!r} for n_dim=2")
 
 
-def _run_flow(cfg, out: Path, workers: int) -> RunResult:
+def _run_flow(cfg, out: Path) -> RunResult:
     v = cfg.values
-    grid = _grid(v["horizon"], v["steps"])
+    grid = TimeGrid.uniform(v["horizon"], v["steps"])
     x = SamplePath(grid, path_function(v["x_path"])(grid.times))
     driver = driver_by_names(v["driver_space"], v["driver_time"])
     alpha = _flow_alpha(v["alpha_kind"], grid.times, v["n_dim"])
@@ -140,9 +135,9 @@ def _run_flow(cfg, out: Path, workers: int) -> RunResult:
     return RunResult(files=[f1, f2])
 
 
-def _run_linear_bsde(cfg, out: Path, workers: int) -> RunResult:
+def _run_linear_bsde(cfg, out: Path) -> RunResult:
     v = cfg.values
-    grid = _grid(v["horizon"], v["steps"])
+    grid = TimeGrid.uniform(v["horizon"], v["steps"])
     diffusion = diffusion_by_name(v["diffusion"])
     driver = driver_by_names(v["driver_space"], v["driver_time"],
                              amplitude=v["amplitude"])
@@ -162,9 +157,9 @@ def _run_linear_bsde(cfg, out: Path, workers: int) -> RunResult:
     return RunResult(files=[path])
 
 
-def _run_nonlinear_bsde(cfg, out: Path, workers: int) -> RunResult:
+def _run_nonlinear_bsde(cfg, out: Path) -> RunResult:
     v = cfg.values
-    grid = _grid(v["horizon"], v["steps"])
+    grid = TimeGrid.uniform(v["horizon"], v["steps"])
     diffusion = diffusion_by_name(v["diffusion"])
     driver = driver_by_names(v["driver_space"], v["driver_time"],
                              amplitude=v["amplitude"])
@@ -206,7 +201,7 @@ def _run_nonlinear_bsde(cfg, out: Path, workers: int) -> RunResult:
     return RunResult(files=[f1, f2], converged=finest.converged)
 
 
-def _run_pde_fk(cfg, out: Path, workers: int) -> RunResult:
+def _run_pde_fk(cfg, out: Path) -> RunResult:
     v = cfg.values
     diffusion = diffusion_by_name(v["diffusion"])
     driver = driver_by_names(v["driver_space"], v["driver_time"],
@@ -220,7 +215,7 @@ def _run_pde_fk(cfg, out: Path, workers: int) -> RunResult:
                                  v["horizon"], v["steps"], v["samples"],
                                  hash64(v["seed"], j))
 
-    results = parallel_map(job, list(enumerate(points)), workers)
+    results = parallel_map(job, list(enumerate(points)), v["workers"])
     rows = [[t, x[0], u, se, v["samples"]]
             for (t, x), (u, se) in zip(points, results)]
     path = write_csv(out / "pde_table.csv",
@@ -228,7 +223,7 @@ def _run_pde_fk(cfg, out: Path, workers: int) -> RunResult:
     return RunResult(files=[path])
 
 
-def _run_localization_error(cfg, out: Path, workers: int) -> RunResult:
+def _run_localization_error(cfg, out: Path) -> RunResult:
     v = cfg.values
     diffusion = diffusion_by_name(v["diffusion"])
     terminal = terminal_function(v["terminal"])
@@ -236,8 +231,6 @@ def _run_localization_error(cfg, out: Path, workers: int) -> RunResult:
         f0 = lambda t, x, y, z: np.zeros(x.shape[0])
         big_f0 = lambda t, x, y, z: np.zeros(x.shape[0])
     else:
-        from .registry import space_function
-
         vx = space_function(v["reaction_space"])
         gy = y_coefficient_function(v["reaction_g"])
         f0 = lambda t, x, y, z: np.zeros(x.shape[0])
@@ -269,7 +262,7 @@ def _run_localization_error(cfg, out: Path, workers: int) -> RunResult:
     return RunResult(files=[f1, f2])
 
 
-def _run_hurst_region(cfg, out: Path, workers: int) -> RunResult:
+def _run_hurst_region(cfg, out: Path) -> RunResult:
     v = cfg.values
     table = hurst_region_grid(v["d"], v["resolution"])
     path = write_csv(out / "hurst_region.csv", ["H", "H0", "admissible"],
@@ -278,9 +271,9 @@ def _run_hurst_region(cfg, out: Path, workers: int) -> RunResult:
     return RunResult(files=[path])
 
 
-def _run_tower_rule(cfg, out: Path, workers: int) -> RunResult:
+def _run_tower_rule(cfg, out: Path) -> RunResult:
     v = cfg.values
-    grid = _grid(v["horizon"], v["steps"])
+    grid = TimeGrid.uniform(v["horizon"], v["steps"])
     diffusion = diffusion_by_name(v["diffusion"])
     driver = driver_by_names(v["driver_space"], v["driver_time"])
     batch = simulate(diffusion, [v["x0"]], grid, v["samples"], v["seed"])
@@ -302,9 +295,9 @@ def _run_tower_rule(cfg, out: Path, workers: int) -> RunResult:
     return RunResult(files=[path])
 
 
-def _run_exit_decay(cfg, out: Path, workers: int) -> RunResult:
+def _run_exit_decay(cfg, out: Path) -> RunResult:
     v = cfg.values
-    grid = _grid(v["horizon"], v["steps"])
+    grid = TimeGrid.uniform(v["horizon"], v["steps"])
     diffusion = diffusion_by_name(v["diffusion"])
     fit = exit_tail_decay(diffusion, [v["x0"]], v["radii"], grid,
                           v["samples"], v["seed"])
@@ -334,11 +327,7 @@ _HANDLERS = {
 }
 
 
-def run_experiment(config: ExperimentConfig, out_dir,
-                   workers: int | None = None) -> RunResult:
+def run_experiment(config: ExperimentConfig, out_dir) -> RunResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    handler = _HANDLERS[config.kind]
-    if workers is None:
-        workers = config.values.get("workers", 1)
-    return handler(config, out, workers)
+    return _HANDLERS[config.kind](config, out)

@@ -27,6 +27,17 @@ def test_workloads_module_imports():
     _load("workloads")
 
 
+def test_cli_parses_the_benchmark_argv(monkeypatch, tmp_path):
+    workloads = _load("workloads")
+    calls = []
+    monkeypatch.setattr(workloads.cli, "main",
+                        lambda argv: calls.append(argv) or 0)
+    workloads._run_cli(tmp_path / "cfg.txt", tmp_path / "out", 2, None)
+    (argv,) = calls
+    args = workloads.cli.build_parser().parse_args(argv)
+    assert args.func is workloads.cli._cmd_run and args.workers == 2
+
+
 @pytest.mark.parametrize("owner, attr", [(o, a) for o, a, _ in tracer.SPANS],
                          ids=[f"{o.__name__}.{a}" for o, a, _ in tracer.SPANS])
 def test_span_target_is_bound_on_its_owner(owner, attr):

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from youngbsde import experiments
 from youngbsde.cli import main
 from youngbsde.config import parse_config
 from youngbsde.csvio import format_value, sha256_of_file, write_csv
@@ -125,19 +126,41 @@ class TestCliExitCodes:
         assert err["error"] == "precondition"
         assert not list(out.glob("*.csv"))
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_invalid_worker_env_is_2(self, tmp_path, capsys, monkeypatch,
-                                     value):
-        monkeypatch.setenv("YOUNGBSDE_WORKERS", value)
-        cfg = self._write(tmp_path, "kind = hurst-region\nresolution = 9\n")
-        assert main(["run", "--config", cfg,
-                     "--out", str(tmp_path / "o")]) == 2
-        assert main(["acceptance", "--select", "05",
-                     "--out", str(tmp_path / "a")]) == 2
-        for line in capsys.readouterr().err.strip().splitlines():
-            err = json.loads(line)
-            assert err["error"] == "config" and "YOUNGBSDE_WORKERS" in \
-                err["message"]
+    @pytest.mark.parametrize("file_lines, flags, workers", [
+        ("workers = 3\n", [], 3),
+        ("workers = 3\n", ["--workers", "2"], 2),
+        ("", [], 1),
+    ], ids=["config-file", "flag-over-file", "default"])
+    def test_worker_count_reaches_pool_and_manifest(
+            self, tmp_path, monkeypatch, file_lines, flags, workers):
+        seen = []
+        pool = experiments.parallel_map
+
+        def recording_map(fn, items, count):
+            seen.append(count)
+            return pool(fn, items, count)
+
+        monkeypatch.setattr(experiments, "parallel_map", recording_map)
+        cfg = self._write(tmp_path, "kind = pde-fk\nsamples = 200\n"
+                                    "steps = 8\n" + file_lines)
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out),
+                     *flags]) == 0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert seen == [workers]
+        assert manifest["config"]["workers"] == workers
+
+    @pytest.mark.parametrize("file_lines, flags", [
+        ("workers = 0\n", []),
+        ("workers = abc\n", []),
+        ("", ["--workers", "0"]),
+    ], ids=["file-zero", "file-text", "flag-zero"])
+    def test_invalid_workers_is_2(self, tmp_path, capsys, file_lines, flags):
+        cfg = self._write(tmp_path, "kind = pde-fk\n" + file_lines)
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     *flags]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "workers" in err["message"]
         assert not (tmp_path / "o").exists()
 
     def test_empty_radii_is_3(self, tmp_path, capsys):

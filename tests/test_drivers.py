@@ -320,3 +320,9 @@ class TestCsvRoundTrip:
         target.write_text("t,0,1\n0,0,0\n0.5,1\n")
         with pytest.raises(DomainError, match="row 2 has 2 cells"):
             load_sampled_driver(target)
+
+    def test_non_numeric_cell_rejected(self, tmp_path):
+        target = tmp_path / "text.csv"
+        target.write_text("t,0\n0,abc\n")
+        with pytest.raises(DomainError, match="row 1 column 1: 'abc'"):
+            load_sampled_driver(target)
