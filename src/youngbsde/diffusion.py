@@ -79,8 +79,11 @@ class DiffusionSpec:
                 f"{worst_sigma:g}, |b|={worst_drift:g} exceed the declared "
                 f"uniform bound L={self.bound:g}")
         if self.ellipticity > 0:
-            gram = np.einsum("sij,skj->sik", sig, sig)
-            smallest = float(np.min(np.linalg.eigvalsh(gram)))
+            if self.dim == 1:  # sigma*sigma^T is its own eigenvalue
+                smallest = float(np.min(sig[:, 0, 0] * sig[:, 0, 0]))
+            else:
+                gram = np.einsum("sij,skj->sik", sig, sig)
+                smallest = float(np.min(np.linalg.eigvalsh(gram)))
             if smallest < self.ellipticity * (1 - 1e-9):
                 raise DomainError(
                     f"ellipticity violated at t={t:g}: smallest sigma*sigma^T "
@@ -135,13 +138,24 @@ class ExitDecayFit:
 
 def _normal_increments(seed: int, samples: int, steps: int, dim: int,
                        dts: np.ndarray, offset: int) -> np.ndarray:
-    """Brownian increments, one counter-based stream per sample index."""
+    """Brownian increments, one counter-based stream per sample index.
+
+    Sample i is Philox with key hash64(seed, offset + i) and counter 0, the
+    stream `rng.stream(seed, offset + i)` gives.  One bit generator is
+    re-keyed per sample: its state is reset to the start state of a fresh
+    `Philox(key=k)` (key [k, 0], counter 0, empty buffer), so the draws are
+    the same bytes as a fresh generator per sample.
+    """
+    keys = hash64(seed, offset + np.arange(samples))
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    start = bitgen.state  # a copy; the setter copies it back in
     out = np.empty((samples, steps, dim))
-    sqrt_dt = np.sqrt(dts)[:, None]
-    for i in range(samples):
-        key = hash64(seed, offset + i)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        out[i] = gen.standard_normal((steps, dim)) * sqrt_dt
+    for i, key in enumerate(keys):
+        start["state"]["key"][0] = key
+        bitgen.state = start
+        gen.standard_normal(out=out[i])
+    out *= np.sqrt(dts)[:, None]
     return out
 
 

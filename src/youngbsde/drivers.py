@@ -23,7 +23,7 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DomainError
-from .rng import hash64
+from .rng import stream
 
 __all__ = [
     "SpaceTimeDriver",
@@ -296,8 +296,7 @@ def _pair_indices(count_a: int, count_b: int | None, budget: int,
         total = ii.size
         if total <= budget:
             return ii, jj
-        rng = np.random.Generator(np.random.Philox(key=hash64(key, total)))
-        keep = rng.choice(total, size=budget, replace=False)
+        keep = stream(key, total).choice(total, size=budget, replace=False)
         keep.sort()
         return ii[keep], jj[keep]
     total = count_a * count_b
@@ -305,8 +304,7 @@ def _pair_indices(count_a: int, count_b: int | None, budget: int,
         ii = np.repeat(np.arange(count_a), count_b)
         jj = np.tile(np.arange(count_b), count_a)
         return ii, jj
-    rng = np.random.Generator(np.random.Philox(key=hash64(key, total)))
-    flat = rng.choice(total, size=budget, replace=False)
+    flat = stream(key, total).choice(total, size=budget, replace=False)
     flat.sort()
     return flat // count_b, flat % count_b
 

@@ -1,9 +1,13 @@
 """Deterministic parallel random streams.
 
 Every Monte Carlo sample draws from its own counter-based stream whose key
-depends only on (master seed, sample index).  This makes batches bit-stable
-under chunking, re-runs, and any worker scheduling, and enlarging the sample
-count never perturbs the streams already drawn.
+depends only on (master seed, sample index): sample i of a batch that starts
+at sample offset `offset` is Philox with key hash64(seed, offset + i) and
+counter 0, exactly what `stream(seed, offset + i)` returns.  Batches are
+drawn by re-keying one bit generator to that state per sample (see
+`diffusion._normal_increments`).  This makes batches bit-stable under
+chunking, re-runs, and any worker scheduling, and enlarging the sample count
+never perturbs the streams already drawn.
 """
 
 from __future__ import annotations
@@ -13,11 +17,23 @@ import numpy as np
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
-def hash64(*words: int) -> int:
-    """Mix integer words into a single 64-bit stream key (splitmix64 core)."""
+def _word(w):
+    """A word reduced mod 2**64: a Python int, or a uint64 array for an
+    integer array (the cast wraps negative entries mod 2**64)."""
+    if np.ndim(w) == 0:
+        return int(w) & _MASK64
+    return np.asarray(w).astype(np.uint64)
+
+
+def hash64(*words):
+    """Mix integer words into a single 64-bit stream key (splitmix64 core).
+
+    Integer words give a Python int.  An integer array word gives one key
+    per element, as a uint64 array equal elementwise to the scalar keys.
+    """
     h = 0x9E3779B97F4A7C15
     for w in words:
-        h = (h + (int(w) & _MASK64)) & _MASK64
+        h = (h + _word(w)) & _MASK64
         h ^= h >> 30
         h = (h * 0xBF58476D1CE4E5B9) & _MASK64
         h ^= h >> 27

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from youngbsde import experiments
 from youngbsde.cli import main
@@ -84,6 +86,24 @@ class TestCsvFormatting:
 class TestRngStreams:
     def test_hash64_order_sensitive(self):
         assert hash64(1, 2) != hash64(2, 1)
+
+    @given(st.integers(-2**70, 2**70), st.sampled_from(["int64", "uint64"]),
+           st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_hash64_array_word_matches_scalar_words(self, word, dtype, first,
+                                                    data):
+        info = np.iinfo(dtype)
+        column = data.draw(st.lists(st.integers(int(info.min), int(info.max)),
+                                    min_size=1, max_size=16))
+
+        def words(c):
+            return (c, word) if first else (word, c)
+
+        scalar = [hash64(*words(c)) for c in column]
+        assert all(type(k) is int for k in scalar)
+        keys = hash64(*words(np.array(column, dtype=dtype)))
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == scalar
 
     def test_stream_reproducible(self):
         a = stream(5, 3).standard_normal(4)

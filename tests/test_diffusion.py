@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from youngbsde.diffusion import (NO_EXIT, DiffusionSpec, exit_tail_decay,
                                  first_exit, sample_pvar, simulate)
 from youngbsde.errors import DomainError
 from youngbsde.paths import TimeGrid
 from youngbsde.registry import diffusion_by_name
+from youngbsde.rng import stream
 
 
 def constant_spec(sigma=1.0, drift=0.0, dim=1, bound=None):
@@ -20,6 +23,28 @@ def constant_spec(sigma=1.0, drift=0.0, dim=1, bound=None):
 
 
 GRID = TimeGrid.uniform(1.0, 32)
+
+# Master seeds on both sides of the int64 range and past 2**64: stream keys
+# reduce every word mod 2**64.
+SEEDS = st.one_of(st.integers(-2**63, -1), st.integers(0, 2**32),
+                  st.integers(2**63, 2**64 + 2**20))
+DIMS = st.integers(1, 3)
+
+
+@st.composite
+def grids(draw):
+    """Uniform grids, or non-uniform ones with gaps up to 100:1, on [0, 1]."""
+    steps = draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return TimeGrid.uniform(1.0, steps)
+    gaps = draw(st.lists(st.floats(0.01, 1.0), min_size=steps,
+                         max_size=steps))
+    times = np.concatenate([[0.0], np.cumsum(gaps)])
+    return TimeGrid(times / times[-1], 1.0)
+
+
+def brownian(dim):
+    return constant_spec(1.0, 0.0, dim=dim)
 
 
 class TestSimulate:
@@ -47,21 +72,60 @@ class TestSimulate:
         np.testing.assert_array_equal(a.paths, b.paths)
         np.testing.assert_array_equal(a.increments, b.increments)
 
-    def test_seed_splitting_prefix_stable(self):
-        small = simulate(constant_spec(1.0, 0.0), [0.0], GRID, 16, seed=9)
-        large = simulate(constant_spec(1.0, 0.0), [0.0], GRID, 48, seed=9)
-        np.testing.assert_array_equal(small.paths, large.paths[:16])
+    @given(SEEDS, st.integers(0, 2**40), DIMS, grids(), st.integers(1, 6))
+    @settings(max_examples=60, deadline=None)
+    def test_increments_follow_reference_streams(self, seed, offset, dim,
+                                                 grid, samples):
+        batch = simulate(brownian(dim), np.zeros(dim), grid, samples, seed,
+                         sample_offset=offset)
+        steps = grid.times.size - 1
+        sqrt_dt = np.sqrt(np.diff(grid.times))[:, None]
+        for i in range(samples):
+            ref = stream(seed, offset + i).standard_normal((steps, dim))
+            assert np.array_equal(batch.increments[i], ref * sqrt_dt)
 
-    def test_sample_offset_matches_big_batch(self):
-        whole = simulate(constant_spec(1.0, 0.0), [0.0], GRID, 32, seed=9)
-        tail = simulate(constant_spec(1.0, 0.0), [0.0], GRID, 12, seed=9,
-                        sample_offset=20)
-        np.testing.assert_array_equal(whole.paths[20:], tail.paths)
+    @given(SEEDS, DIMS, grids(), st.integers(1, 8), st.integers(0, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_seed_splitting_prefix_stable(self, seed, dim, grid, small_n,
+                                          extra):
+        small = simulate(brownian(dim), np.zeros(dim), grid, small_n, seed)
+        large = simulate(brownian(dim), np.zeros(dim), grid, small_n + extra,
+                         seed)
+        np.testing.assert_array_equal(small.paths, large.paths[:small_n])
+        np.testing.assert_array_equal(small.increments,
+                                      large.increments[:small_n])
+
+    @given(SEEDS, DIMS, grids(), st.integers(0, 8), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_sample_offset_matches_big_batch(self, seed, dim, grid, split,
+                                             tail_n):
+        whole = simulate(brownian(dim), np.zeros(dim), grid, split + tail_n,
+                         seed)
+        tail = simulate(brownian(dim), np.zeros(dim), grid, tail_n, seed,
+                        sample_offset=split)
+        np.testing.assert_array_equal(whole.paths[split:], tail.paths)
+        np.testing.assert_array_equal(whole.increments[split:],
+                                      tail.increments)
 
     def test_bound_violation_raises(self):
         spec = constant_spec(2.0, 0.0, bound=1.0)
         with pytest.raises(DomainError, match="bound"):
             simulate(spec, [0.0], GRID, 4, seed=0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_ellipticity_violation_raises(self, dim):
+        # sigma = I near the start, 0.5 I once the drift has carried a path
+        # past |x| = 0.5: the start is elliptic, later visited states are not.
+        def sigma(t, x):
+            scale = np.where(np.linalg.norm(x, axis=1) < 0.5, 1.0, 0.5)
+            return scale[:, None, None] * np.eye(dim)
+
+        spec = DiffusionSpec(sigma=sigma, drift=lambda t, x: np.ones_like(x),
+                             bound=np.sqrt(dim), dim=dim, ellipticity=1.0)
+        with pytest.raises(DomainError, match=r"ellipticity violated at "
+                           r"t=0\.\d+: smallest sigma\*sigma\^T eigenvalue "
+                           r"0.25 < declared 1"):
+            simulate(spec, np.zeros(dim), GRID, 4, seed=0)
 
 
 class TestFirstExit:
