@@ -15,6 +15,13 @@ Two routes are implemented:
 Conditional expectations are global polynomial regressions on the state
 restricted to not-yet-exited samples.  Z carries the documented O(sqrt(dt))
 bias of the Brownian-increment regression representation.
+
+The localized solver sorts its samples once, stably, by descending stop
+index, so the samples still active at each step are a prefix of that order,
+and keeps paths, increments, Y and Z time-major in it.  Each step's basis
+and the Cholesky factor of its ridged normal matrix are built once per
+radius; every Picard sweep solves its Z and Y fits with that factor.  Y and
+Z are returned in sample order.
 """
 
 from __future__ import annotations
@@ -29,7 +36,8 @@ from .diffusion import NO_EXIT, DiffusionSpec, PathBatch, first_exit, simulate
 from .drivers import SpaceTimeDriver
 from .errors import DomainError, NumericalError
 from .paths import TimeGrid
-from .regression import fit_predict, poly_basis, ridge_fit
+from .regression import (fit_predict, poly_basis, ridge_factor, ridge_fit,
+                         ridge_solve)
 from .young_calculus import (FLOW_OVERFLOW_GUARD, euler_flow_batch,
                              step_increments)
 
@@ -73,6 +81,12 @@ def girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
                              "drift-change process is too large")
     weights = np.exp(log_path)
     return weights[:, -1], weights
+
+
+def _time_major(a: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Samples-first array a (S, steps, ...) as a contiguous steps-first
+    array with its samples in the given order."""
+    return np.ascontiguousarray(np.swapaxes(a[order], 0, 1))
 
 
 def _stacked_increments(driver: SpaceTimeDriver, times: np.ndarray,
@@ -372,16 +386,13 @@ class BsdeProblem:
         return np.asarray(self.terminal(stopped), dtype=float).reshape(-1)
 
 
-def _cross_fitted_control(basis_full: np.ndarray, y_next: np.ndarray,
-                          dw: np.ndarray, dt: float, active: np.ndarray
-                          ) -> np.ndarray:
-    """Two-fold cross-fitted Z values on the active samples (deterministic
+def _cross_fitted_control(basis: np.ndarray, y_next: np.ndarray,
+                          dw: np.ndarray, dt: float) -> np.ndarray:
+    """Two-fold cross-fitted Z values on the given rows (deterministic
     parity split), so the diagnostic increments are independent of the fit."""
-    idx = np.flatnonzero(active)
-    out = np.empty((idx.size, dw.shape[1]))
-    target = y_next[idx, None] * dw[idx, :] / dt
-    basis = basis_full[idx]
-    fold = np.arange(idx.size) % 2
+    out = np.empty((basis.shape[0], dw.shape[1]))
+    target = y_next[:, None] * dw / dt
+    fold = np.arange(basis.shape[0]) % 2
     for f in (0, 1):
         train, test = fold == f, fold != f
         if not np.any(train) or not np.any(test):
@@ -451,13 +462,23 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
     exit_report = first_exit(batch, radius)
     stop_index = _stop_index(exit_report, m)
     datum = problem.terminal_at(batch, stop_index)
-    deta = _stacked_increments(problem.driver, times, batch.paths)
-    active_masks = [stop_index > i for i in range(m - 1)]
+    # samples by descending stop index, ties in sample order: the samples
+    # still active at step i, those with stop index > i, are the prefix
+    # [:n_active[i]]
+    order = np.argsort(-stop_index, kind="stable")
+    n_active = S - np.cumsum(np.bincount(stop_index, minlength=m))[:-1]
+    x = _time_major(batch.paths, order)
+    dw = _time_major(batch.increments, order)
+    deta = _time_major(
+        _stacked_increments(problem.driver, times, batch.paths), order)
+    bases = [poly_basis(x[i, :n], basis_degree) if n else None
+             for i, n in enumerate(n_active)]
+    factors = [ridge_factor(b) if b is not None else None for b in bases]
 
     # exited samples keep their datum in y and zero in z: only active rows
     # are ever written
-    y = np.tile(datum[:, None], (1, m))
-    z = np.zeros((S, m - 1, batch.dim))
+    y = np.tile(datum[order], (m, 1))
+    z = np.zeros((m - 1, S, batch.dim))
     y_coeffs = [None] * (m - 1)
     z_coeffs = [None] * (m - 1)
     gaps = []
@@ -467,26 +488,23 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
         iterations = iteration + 1
         y_new = y.copy()
         for i in range(m - 2, -1, -1):
-            active = active_masks[i]
-            if not np.any(active):
+            n = n_active[i]
+            if n == 0:
                 continue
-            basis = poly_basis(batch.paths[active, i, :], basis_degree)
-            zt = (y_new[active, i + 1:i + 2] * batch.increments[active, i, :]
-                  / dts[i])
-            z_fit, zc = fit_predict(basis, zt)
-            z[active, i, :] = z_fit
-            f_val = np.asarray(
-                problem.f(times[i], batch.paths[active, i, :],
-                          y[active, i], z_fit), dtype=float)
-            g_val = np.asarray(problem.g(y[active, i]), dtype=float)
+            basis, factor = bases[i], factors[i]
+            z_coeffs[i] = ridge_solve(
+                factor, basis, y_new[i + 1, :n, None] * dw[i, :n] / dts[i])
+            z_fit = basis @ z_coeffs[i]
+            z[i, :n] = z_fit
+            f_val = np.asarray(problem.f(times[i], x[i, :n], y[i, :n], z_fit),
+                               dtype=float)
+            g_val = np.asarray(problem.g(y[i, :n]), dtype=float)
             if g_val.ndim == 1:
                 g_val = g_val[:, None]
-            target = (y_new[active, i + 1] + f_val * dts[i]
-                      + np.sum(g_val * deta[active, i, :], axis=1))
-            y_fit, yc = fit_predict(basis, target)
-            y_new[active, i] = y_fit
-            y_coeffs[i] = yc
-            z_coeffs[i] = zc
+            target = (y_new[i + 1, :n] + f_val * dts[i]
+                      + np.sum(g_val * deta[i, :n], axis=1))
+            y_coeffs[i] = ridge_solve(factor, basis, target)
+            y_new[i, :n] = basis @ y_coeffs[i]
         gap = float(np.max(np.abs(y_new - y)))
         gaps.append(gap)
         y = y_new
@@ -494,18 +512,23 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
             converged = True
             break
 
+    # back to sample order, so the reductions below sum as the batch does
+    y_paths = np.empty((S, m))
+    y_paths[order] = y.T
+    z_paths = np.empty((S, m - 1, batch.dim))
+    z_paths[order] = z.transpose(1, 0, 2)
     terminal_defect = float(np.max(np.abs(
-        y[np.arange(S), stop_index] - datum)))
-    y0 = float(y[:, 0].mean())
+        y_paths[np.arange(S), stop_index] - datum)))
+    y0 = float(y_paths[:, 0].mean())
     return BsdeSolution(
-        grid=batch.grid, y0=y0, y_at_times={float(times[0]): y[:, 0]},
-        y_coefficients=y_coeffs, z_coefficients=z_coeffs, y_paths=y,
-        z_paths=z, radius=float(radius), picard_iterations=iterations,
+        grid=batch.grid, y0=y0, y_at_times={float(times[0]): y_paths[:, 0]},
+        y_coefficients=y_coeffs, z_coefficients=z_coeffs, y_paths=y_paths,
+        z_paths=z_paths, radius=float(radius), picard_iterations=iterations,
         picard_gaps=gaps, converged=converged,
         terminal_defect=terminal_defect, samples=S, seed=batch.seed,
-        y0_standard_error=_step_one_se(y),
+        y0_standard_error=_step_one_se(y_paths),
         exit_probability=exit_report.probability,
-        max_abs_y=float(np.max(np.abs(y))))
+        max_abs_y=float(np.max(np.abs(y_paths))))
 
 
 def martingale_residual(problem: BsdeProblem, solution: BsdeSolution,
@@ -539,8 +562,8 @@ def martingale_residual(problem: BsdeProblem, solution: BsdeSolution,
         if g_val.ndim == 1:
             g_val = g_val[:, None]
         z_cross = _cross_fitted_control(
-            poly_basis(batch.paths[:, i, :], basis_degree), y[:, i + 1],
-            batch.increments[:, i, :], dts[i], active)
+            poly_basis(batch.paths[active, i, :], basis_degree),
+            y[active, i + 1], batch.increments[active, i, :], dts[i])
         zdw = np.sum(z_cross * batch.increments[active, i, :], axis=1)
         res = y[active, i] - (
             y[active, i + 1] + f_val * dts[i]

@@ -7,10 +7,12 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 
 from .errors import NumericalError
 
-__all__ = ["poly_basis", "basis_size", "ridge_fit", "fit_predict", "line_fit"]
+__all__ = ["poly_basis", "basis_size", "ridge_factor", "ridge_solve",
+           "ridge_fit", "fit_predict", "line_fit"]
 
 _RIDGE = 1e-8
 _RIDGE_CEILING = 1e-2
@@ -37,33 +39,52 @@ def poly_basis(x: np.ndarray, degree: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def ridge_fit(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Coefficients of ridge least squares, shape (n_basis, k).
+def ridge_factor(basis: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of the ridged normal matrix B^T B + lambda I of
+    a basis B.
 
-    The ridge is 1e-8 of the mean diagonal of the normal matrix, so a
-    constant-state regression degrades gracefully to the sample mean.
-    Escalates the ridge on numerical failure before giving up.
+    The ridge lambda is 1e-8 of the mean diagonal of B^T B, so a
+    constant-state regression degrades gracefully to the sample mean.  It
+    escalates tenfold while the factorization fails or is not finite, up to
+    1e-2, then raises NumericalError.  This is the only escalation rule:
+    every ridge fit solves through a factor made here.
     """
-    targets = np.asarray(targets, dtype=float)
-    squeeze = targets.ndim == 1
-    if squeeze:
-        targets = targets[:, None]
     gram = basis.T @ basis
-    rhs = basis.T @ targets
     scale = max(float(np.mean(np.diag(gram))), 1e-300)
+    eye = np.eye(len(gram))
     level = _RIDGE
     while level <= _RIDGE_CEILING:
         try:
-            coeffs = np.linalg.solve(gram + level * scale * np.eye(len(gram)),
-                                     rhs)
-            if np.all(np.isfinite(coeffs)):
-                return coeffs[:, 0] if squeeze else coeffs
+            lower = np.linalg.cholesky(gram + level * scale * eye)
+            if np.all(np.isfinite(lower)):
+                # dpotrs would copy a C-ordered factor on every solve
+                return np.asfortranarray(lower)
         except np.linalg.LinAlgError:
             pass
         level *= 10.0
     raise NumericalError(
         f"regression normal equations unsolvable up to ridge {_RIDGE_CEILING:g}"
         f" (n={basis.shape[0]}, basis={basis.shape[1]})")
+
+
+def ridge_solve(factor: np.ndarray, basis: np.ndarray,
+                targets: np.ndarray) -> np.ndarray:
+    """Ridge coefficients of targets (n,) or (n, k) on basis, given
+    factor = ridge_factor(basis); raises NumericalError when they are not
+    finite, as a NaN or inf target makes them."""
+    coeffs, _ = dpotrs(factor, basis.T @ targets, lower=1)
+    if not np.isfinite(coeffs).all():
+        raise NumericalError(
+            f"regression coefficients not finite (n={basis.shape[0]}, "
+            f"basis={basis.shape[1]})")
+    return coeffs
+
+
+def ridge_fit(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Coefficients of ridge least squares, shape (n_basis,) for targets
+    (n,) and (n_basis, k) for targets (n, k)."""
+    return ridge_solve(ridge_factor(basis), basis,
+                       np.asarray(targets, dtype=float))
 
 
 def fit_predict(basis: np.ndarray, targets: np.ndarray

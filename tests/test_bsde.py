@@ -1,8 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from youngbsde import bsde
@@ -12,10 +13,11 @@ from youngbsde.bsde import (BsdeProblem, LinearBsdeSpec, PicardConfig,
                             solve_bsde_with_localization,
                             solve_linear_bsde, solve_localized_bsde,
                             tower_rule_defect)
-from youngbsde.diffusion import simulate
+from youngbsde.diffusion import DiffusionSpec, first_exit, simulate
 from youngbsde.drivers import make_separable_driver, zero_driver
 from youngbsde.errors import DomainError, NumericalError
 from youngbsde.paths import SamplePath, TimeGrid
+from youngbsde.regression import basis_size, poly_basis, ridge_fit
 from youngbsde.registry import diffusion_by_name, driver_by_names
 from youngbsde.young_calculus import solve_flow, young_sum_batch
 
@@ -27,6 +29,75 @@ TIME_DRIVER = make_separable_driver(lambda x: np.ones(x.shape[0]),
 
 def brownian_batch(samples=20000, seed=5, grid=GRID, x0=0.0):
     return simulate(BROWNIAN, [x0], grid, samples, seed)
+
+
+def _reference_ridge_fit(basis, targets):
+    """Ridge least squares by an LU solve of the ridged normal equations,
+    escalating the ridge tenfold on failure; independent of the Cholesky
+    factor the solver caches."""
+    targets = np.asarray(targets, dtype=float)
+    gram = basis.T @ basis
+    scale = max(float(np.mean(np.diag(gram))), 1e-300)
+    level = 1e-8
+    while level <= 1e-2:
+        try:
+            coeffs = np.linalg.solve(gram + level * scale * np.eye(len(gram)),
+                                     basis.T @ targets)
+            if np.all(np.isfinite(coeffs)):
+                return coeffs
+        except np.linalg.LinAlgError:
+            pass
+        level *= 10.0
+    raise NumericalError("reference normal equations unsolvable")
+
+
+def _reference_localized_bsde(problem, radius, grid, samples, seed,
+                              basis_degree=2, picard=None):
+    """The localized Picard scheme as a masked loop in sample order: every
+    sweep gathers each step's active rows, builds their basis and solves
+    the normal equations afresh."""
+    picard = picard or PicardConfig()
+    batch = simulate(problem.diffusion, problem.x0, grid, samples, seed)
+    times = batch.grid.times
+    S, m = batch.samples, times.size
+    dts = np.diff(times)
+    stop_index = bsde._stop_index(first_exit(batch, radius), m)
+    datum = problem.terminal_at(batch, stop_index)
+    deta = bsde._stacked_increments(problem.driver, times, batch.paths)
+    y = np.tile(datum[:, None], (1, m))
+    z = np.zeros((S, m - 1, batch.dim))
+    converged, iterations = False, 0
+    for iteration in range(picard.max_iterations):
+        iterations = iteration + 1
+        y_new = y.copy()
+        for i in range(m - 2, -1, -1):
+            active = stop_index > i
+            if not np.any(active):
+                continue
+            basis = poly_basis(batch.paths[active, i, :], basis_degree)
+            zt = (y_new[active, i + 1:i + 2] * batch.increments[active, i, :]
+                  / dts[i])
+            z_fit = basis @ _reference_ridge_fit(basis, zt)
+            z[active, i, :] = z_fit
+            f_val = np.asarray(
+                problem.f(times[i], batch.paths[active, i, :],
+                          y[active, i], z_fit), dtype=float)
+            g_val = np.asarray(problem.g(y[active, i]), dtype=float)
+            if g_val.ndim == 1:
+                g_val = g_val[:, None]
+            target = (y_new[active, i + 1] + f_val * dts[i]
+                      + np.sum(g_val * deta[active, i, :], axis=1))
+            y_new[active, i] = basis @ _reference_ridge_fit(basis, target)
+        gap = float(np.max(np.abs(y_new - y)))
+        y = y_new
+        if gap < picard.tolerance:
+            converged = True
+            break
+    return SimpleNamespace(
+        y_paths=y, z_paths=z, picard_iterations=iterations,
+        converged=converged, stop_index=stop_index,
+        terminal_defect=float(np.max(np.abs(
+            y[np.arange(S), stop_index] - datum))))
 
 
 class TestGirsanov:
@@ -249,6 +320,130 @@ class TestLocalizedSolver:
                 coefficient_bound=1.0)
 
 
+class TestPrefixOrderedSolver:
+    """The solver sorts its samples by stop index and reuses one basis and
+    one ridge factor per step in every Picard sweep.  It must agree with the
+    masked loop in sample order, and every fit must still be the ridge_fit
+    of that step's active rows."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 2),
+           degree=st.integers(1, 3), radius=st.floats(0.6, 6.0),
+           steps=st.integers(0, 12), samples=st.integers(2, 150))
+    # every sample has left the ball of radius 0.6 before the last steps
+    @example(seed=146, dim=1, degree=2, radius=0.6, steps=12, samples=30)
+    @example(seed=1, dim=2, degree=3, radius=2.0, steps=0, samples=20)
+    def test_matches_masked_reference(self, seed, dim, degree, radius, steps,
+                                      samples):
+        problem = BsdeProblem(
+            f=lambda t, x, y, z: 0.2 * np.cos(x[:, 0]) * y + 0.1 * z[:, -1],
+            g=lambda y: np.tanh(np.asarray(y, dtype=float)).reshape(-1, 1),
+            terminal=lambda x: np.sum(x, axis=1),
+            driver=driver_by_names("cos", "linear", dim=dim),
+            diffusion=diffusion_by_name("brownian", dim=dim),
+            x0=np.zeros(dim), lipschitz_f=0.3)
+        grid = TimeGrid([0.0], 1.0) if steps == 0 \
+            else TimeGrid.uniform(1.0, steps)
+        ref = _reference_localized_bsde(problem, radius, grid, samples, seed,
+                                        basis_degree=degree)
+        sol = solve_localized_bsde(problem, radius, grid, samples, seed,
+                                   basis_degree=degree)
+        assert sol.picard_iterations == ref.picard_iterations
+        assert sol.converged == ref.converged
+        # the solver sums B^T B over the same rows in another order.  With
+        # at least 2p active rows at every step (p basis columns) the fits
+        # agree to 1e-11.  With fewer, the normal equations are nearly
+        # singular and only the 1e-8 ridge bounds their condition number,
+        # by about p / 1e-8: either fit is then accurate to eps * p / 1e-8
+        p = basis_size(dim, degree)
+        active = (np.count_nonzero(ref.stop_index > i)
+                  for i in range(grid.times.size - 1))
+        tol = 1e-11 if all(n == 0 or n >= 2 * p for n in active) \
+            else np.finfo(float).eps * p / 1e-8
+        np.testing.assert_allclose(sol.y_paths, ref.y_paths, rtol=0,
+                                   atol=tol)
+        np.testing.assert_allclose(sol.z_paths, ref.z_paths, rtol=0,
+                                   atol=tol)
+        if ref.terminal_defect == 0.0:
+            assert sol.terminal_defect == 0.0
+
+    def test_reference_example_has_empty_steps(self):
+        # the first explicit example above, where the solver skips steps
+        ref = _reference_localized_bsde(
+            BsdeProblem(f=lambda t, x, y, z: np.zeros(x.shape[0]),
+                        g=lambda y: np.ones((np.size(y), 1)),
+                        terminal=lambda x: x[:, 0],
+                        driver=driver_by_names("cos", "linear"),
+                        diffusion=BROWNIAN, x0=np.array([0.0])),
+            0.6, TimeGrid.uniform(1.0, 12), 30, 146)
+        # every sample stops by step 9: steps 9 to 11 have none active
+        assert np.max(ref.stop_index) == 9
+
+    @staticmethod
+    def fits_match_ridge_fit(problem, radius, grid, samples, seed, degree):
+        """Assert that each step's final Z and Y coefficients equal ridge_fit
+        on that step's active rows, taken in the solver's prefix order, and
+        return the active counts.  Needs f = 0 and g = 1, so the Y target
+        does not involve the previous Picard iterate."""
+        batch = simulate(problem.diffusion, problem.x0, grid, samples, seed)
+        sol = solve_localized_bsde(problem, radius, grid, samples, seed,
+                                   basis_degree=degree, batch=batch)
+        times = grid.times
+        stop = bsde._stop_index(first_exit(batch, radius), times.size)
+        order = np.argsort(-stop, kind="stable")
+        deta = bsde._stacked_increments(problem.driver, times, batch.paths)
+        dts = np.diff(times)
+        counts = []
+        for i in range(times.size - 1):
+            rows = order[:np.count_nonzero(stop > i)]
+            if rows.size == 0:
+                continue
+            basis = poly_basis(batch.paths[rows, i], degree)
+            y_next = sol.y_paths[rows, i + 1]
+            z_ref = ridge_fit(basis, y_next[:, None]
+                              * batch.increments[rows, i] / dts[i])
+            y_ref = ridge_fit(basis, y_next + deta[rows, i, 0])
+            for got, want in ((sol.z_coefficients[i], z_ref),
+                              (sol.y_coefficients[i], y_ref)):
+                assert np.all(np.isfinite(got))
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
+            counts.append(rows.size)
+        return counts
+
+    @staticmethod
+    def constant_g_problem(diffusion, x0):
+        return BsdeProblem(
+            f=lambda t, x, y, z: np.zeros(x.shape[0]),
+            g=lambda y: np.ones((np.size(y), 1)), terminal=lambda x: x[:, 0],
+            driver=driver_by_names("cos", "linear"), diffusion=diffusion,
+            x0=np.array([x0]), lipschitz_f=1e-9)
+
+    def test_degree_six_on_clustered_states(self):
+        narrow = DiffusionSpec(sigma=lambda t, x: np.full(x.shape[0], 1e-3),
+                               drift=lambda t, x: np.zeros(x.shape[0]),
+                               bound=1.0, dim=1)
+        counts = self.fits_match_ridge_fit(
+            self.constant_g_problem(narrow, 1.3), 2.0,
+            TimeGrid.uniform(1.0, 16), 300, seed=3, degree=6)
+        assert counts == [300] * 16
+
+    def test_two_active_samples_at_degree_two(self):
+        counts = self.fits_match_ridge_fit(
+            self.constant_g_problem(BROWNIAN, 0.0), 0.8,
+            TimeGrid.uniform(1.0, 16), 12, seed=5, degree=2)
+        assert 2 in counts
+
+    def test_nan_from_g_raises(self):
+        problem = BsdeProblem(
+            f=lambda t, x, y, z: np.zeros(x.shape[0]),
+            g=lambda y: np.full((np.size(y), 1), np.nan),
+            terminal=lambda x: x[:, 0],
+            driver=driver_by_names("cos", "linear"), diffusion=BROWNIAN,
+            x0=np.array([0.0]), lipschitz_f=1e-9)
+        with pytest.raises(NumericalError, match="not finite"):
+            solve_localized_bsde(problem, 3.0, GRID, 200, seed=1)
+
+
 class TestStandardError:
     # the lorentz-driver problem of criterion 11 at a small size; at a
     # deterministic start the fitted t=0 values differ only by roundoff,
@@ -398,6 +593,29 @@ class TestLocalizationSweep:
             problem, [2.0, 3.0, 4.0], GRID, 200, seed=1)
         gaps = [row["gap"] for row in table]
         assert all(g == 0.0 for g in gaps)
+
+    def test_equal_stop_indices_give_bit_identical_solves(self):
+        # two radii strictly between the same two consecutive visited norms
+        # stop every sample at the same index, so the sorted sample orders
+        # and the solves agree bit for bit and the sweep gap is exactly 0,
+        # the saturation mark of localization_error_experiment
+        problem = self.problem()
+        batch = simulate(BROWNIAN, [0.0], GRID, 400, 12)
+        norms = np.unique(np.abs(batch.paths))
+        k = np.searchsorted(norms, 1.5)
+        lo, hi = norms[k], norms[k + 1]
+        radii = [lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3]
+        stops = [bsde._stop_index(first_exit(batch, r), GRID.times.size)
+                 for r in radii]
+        np.testing.assert_array_equal(stops[0], stops[1])
+        assert 0 < np.count_nonzero(stops[0] < GRID.times.size - 1) < 400
+        solutions = [solve_localized_bsde(problem, r, GRID, 400, 12,
+                                          batch=batch) for r in radii]
+        np.testing.assert_array_equal(solutions[0].y_paths,
+                                      solutions[1].y_paths)
+        _, table = solve_bsde_with_localization(problem, radii, GRID, 400, 12,
+                                                batch=batch)
+        assert table[0]["gap"] == 0.0
 
     def test_common_random_numbers_deterministic(self):
         driver = driver_by_names("lorentz", "linear")

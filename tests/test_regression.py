@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from youngbsde.errors import NumericalError
 from youngbsde.regression import (basis_size, fit_predict, line_fit,
-                                  poly_basis, ridge_fit)
+                                  poly_basis, ridge_factor, ridge_fit)
 
 
 class TestPolyBasis:
@@ -52,6 +53,20 @@ class TestRidge:
         y = np.cos(3 * x[:, 0])  # far outside the basis span
         fitted, _ = fit_predict(poly_basis(x, 2), y)
         assert fitted.mean() == pytest.approx(y.mean(), abs=1e-7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_raises(self, bad):
+        rng = np.random.Generator(np.random.Philox(key=4))
+        x = rng.standard_normal((50, 1))
+        y = x[:, 0].copy()
+        y[17] = bad
+        with pytest.raises(NumericalError, match="not finite"):
+            ridge_fit(poly_basis(x, 2), y)
+
+    def test_non_finite_basis_raises(self):
+        x = np.array([[0.0], [np.nan], [1.0]])
+        with pytest.raises(NumericalError, match="unsolvable"):
+            ridge_factor(poly_basis(x, 2))
 
 
 class TestLineFit:
