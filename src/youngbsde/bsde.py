@@ -238,12 +238,11 @@ def solve_linear_bsde(spec: LinearBsdeSpec, grid: TimeGrid, samples: int,
 
     t0 = float(times[0])
     y0 = float(values[t0][:, 0].mean()) if t0 in values else None
-    return BsdeSolution(grid=batch.grid, y0=y0, y_at_times=values,
+    return BsdeSolution(y0=y0, y_at_times=values,
                         y_coefficients=coeff_table, z_coefficients=None,
                         y_paths=None, z_paths=None, radius=math.inf,
                         picard_iterations=0, picard_gaps=[], converged=True,
-                        terminal_defect=0.0, samples=S, seed=batch.seed,
-                        kind="linear-flow", y0_standard_error=y0_se)
+                        terminal_defect=0.0, y0_standard_error=y0_se)
 
 
 def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
@@ -256,10 +255,14 @@ def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
     Returns (estimator with the raw integrand, estimator with the per-time
     regression-conditioned integrand, standard error of their paired
     difference).  The pairing uses common samples, so the returned standard
-    error is the one relevant for testing the defect.
+    error is the one relevant for testing the defect.  The sums start at grid
+    index t_index, which must leave at least one step: 0 <= t_index <= m - 2.
     """
     times = batch.grid.times
     S, m = batch.samples, times.size
+    if not 0 <= t_index <= m - 2:
+        raise DomainError(f"t_index {t_index} outside [0, {m - 2}] on a grid "
+                          f"of {m} points")
     a_values = np.asarray(a_values, dtype=float).reshape(S, m)
     b_values = np.asarray(b_values, dtype=float).reshape(S, m)
     deta = _stacked_increments(driver, times, batch.paths)[:, :, 0]
@@ -359,9 +362,7 @@ class BsdeProblem:
     f(t, x:(S,d), y:(S,), z:(S,d)) -> (S,); g(y:(S,)) -> (S, M) with g, its
     gradient and curvature bounded by coefficient_bound and f Lipschitz in
     (y, z) with constant lipschitz_f (both checked by secants on the
-    contract cloud at construction); terminal h(x:(S,d)) -> (S,).  A
-    path-functional terminal process may replace h via
-    terminal_process(paths, exit_index) -> (S,).
+    contract cloud at construction); terminal h(x:(S,d)) -> (S,).
     """
 
     f: callable
@@ -372,16 +373,12 @@ class BsdeProblem:
     x0: np.ndarray
     coefficient_bound: float = 1.0
     lipschitz_f: float = 1.0
-    terminal_process: callable = None
 
     def __post_init__(self):
         _check_coefficients(self)
 
     def terminal_at(self, batch: PathBatch, stop_index: np.ndarray
                     ) -> np.ndarray:
-        if self.terminal_process is not None:
-            return np.asarray(
-                self.terminal_process(batch.paths, stop_index), dtype=float)
         stopped = batch.paths[np.arange(batch.samples), stop_index, :]
         return np.asarray(self.terminal(stopped), dtype=float).reshape(-1)
 
@@ -413,7 +410,6 @@ class PicardConfig:
 class BsdeSolution:
     """Estimated backward solution and solver diagnostics."""
 
-    grid: TimeGrid
     y0: float
     y_at_times: dict
     y_coefficients: object
@@ -425,9 +421,6 @@ class BsdeSolution:
     picard_gaps: list
     converged: bool
     terminal_defect: float
-    samples: int
-    seed: int
-    kind: str = "localized-lsmc"
     y0_standard_error: float = float("nan")
     exit_probability: float = 0.0
     max_abs_y: float = float("nan")
@@ -521,11 +514,11 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
         y_paths[np.arange(S), stop_index] - datum)))
     y0 = float(y_paths[:, 0].mean())
     return BsdeSolution(
-        grid=batch.grid, y0=y0, y_at_times={float(times[0]): y_paths[:, 0]},
+        y0=y0, y_at_times={float(times[0]): y_paths[:, 0]},
         y_coefficients=y_coeffs, z_coefficients=z_coeffs, y_paths=y_paths,
         z_paths=z_paths, radius=float(radius), picard_iterations=iterations,
         picard_gaps=gaps, converged=converged,
-        terminal_defect=terminal_defect, samples=S, seed=batch.seed,
+        terminal_defect=terminal_defect,
         y0_standard_error=_step_one_se(y_paths),
         exit_probability=exit_report.probability,
         max_abs_y=float(np.max(np.abs(y_paths))))
@@ -588,7 +581,9 @@ def solve_bsde_with_localization(problem: BsdeProblem, radii, grid: TimeGrid,
     Returns the largest-radius solution as the whole-space estimate plus one
     table row per radius: y0 with its own standard error, the gap to the
     largest radius with its paired standard error, the exit probability and
-    max |Y|.  The radii are checked before any simulation.
+    max |Y|.  The radii are checked before any simulation.  Only the finest
+    solution is kept whole: each coarser one shrinks to its row before the
+    next solve runs.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or not np.all(np.diff(radii) > 0):
@@ -598,19 +593,26 @@ def solve_bsde_with_localization(problem: BsdeProblem, radii, grid: TimeGrid,
         raise DomainError(f"all radii must exceed |x0| = {x0_norm:g}")
     if batch is None:
         batch = simulate(problem.diffusion, problem.x0, grid, samples, seed)
-    solutions = [solve_localized_bsde(problem, r, grid, samples, seed,
-                                      basis_degree=basis_degree,
-                                      picard=picard, batch=batch)
-                 for r in radii]
-    finest = solutions[-1]
-    table = [{"radius": sol.radius, "y0": sol.y0,
-              "y0_standard_error": sol.y0_standard_error,
-              "gap": abs(sol.y0 - finest.y0),
-              "se": _step_one_se(sol.y_paths, finest.y_paths),
-              "exit_probability": sol.exit_probability,
-              "max_abs_y": sol.max_abs_y}
-             for sol in solutions]
-    return finest, table
+
+    def solve(radius):
+        return solve_localized_bsde(problem, radius, grid, samples, seed,
+                                    basis_degree=basis_degree,
+                                    picard=picard, batch=batch)
+
+    def summary(sol):
+        # the row scalars, and Y at steps 0 and 1 for the paired SE
+        return ({"radius": sol.radius, "y0": sol.y0,
+                 "y0_standard_error": sol.y0_standard_error,
+                 "exit_probability": sol.exit_probability,
+                 "max_abs_y": sol.max_abs_y}, sol.y_paths[:, :2].copy())
+
+    summaries = [summary(solve(r)) for r in radii[:-1]]
+    finest = solve(radii[-1])
+    summaries.append(summary(finest))
+    for row, head in summaries:
+        row["gap"] = abs(row["y0"] - finest.y0)
+        row["se"] = _step_one_se(head, finest.y_paths)
+    return finest, [row for row, _ in summaries]
 
 
 @dataclass(frozen=True)

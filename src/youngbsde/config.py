@@ -24,7 +24,6 @@ class Field:
     kind: type
     default: object = REQUIRED
     check: callable = None
-    help: str = ""
 
 
 def _parse_bool(raw: str) -> bool:
@@ -52,12 +51,13 @@ def _parse_value(raw: str, kind: type):
 
 
 _COMMON = {
-    "seed": Field(int, 0, lambda v: v >= 0, "master seed"),
-    "workers": Field(int, 1, lambda v: v >= 1, "worker pool size"),
+    "seed": Field(int, 0, lambda v: v >= 0),
+    "workers": Field(int, 1, lambda v: v >= 1),
 }
 
 _positive = lambda v: v > 0
 _nonneg = lambda v: v >= 0
+_nonempty = lambda v: len(v) > 0
 
 
 SCHEMAS: dict[str, dict[str, Field]] = {
@@ -70,7 +70,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "space_min": Field(float, 0.25),
         "space_max": Field(float, 2.0),
         "space_points": Field(int, 8, lambda v: v >= 1),
-        "jitter": Field(float, -1.0, None, "max jitter; negative = ladder"),
+        "jitter": Field(float, -1.0),  # max jitter; negative = full ladder
     },
     "young-integral": {
         "integrand": Field(str, "sin"),
@@ -114,7 +114,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "samples": Field(int, 10000, _positive),
     },
     "nonlinear-bsde": {
-        "reaction_rate": Field(float, 0.0, None, "f = rate * y"),
+        "reaction_rate": Field(float, 0.0),  # f = rate * y
         "g": Field(str, "zero"),
         "terminal": Field(str, "identity"),
         "driver_space": Field(str, "cos"),
@@ -140,7 +140,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "steps": Field(int, 128, lambda v: v >= 1),
         "samples": Field(int, 10000, _positive),
         "eval_time": Field(float, 0.0, _nonneg),
-        "eval_xs": Field(tuple, (-1.0, 0.0, 1.0)),
+        "eval_xs": Field(tuple, (-1.0, 0.0, 1.0), _nonempty),
     },
     "localization-error": {
         "terminal": Field(str, "identity"),
@@ -157,7 +157,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "samples": Field(int, 20000, _positive),
         "radii": Field(tuple, (1.5, 2.0, 2.5, 3.0)),
         "reference_radius": Field(float, 4.0, _positive),
-        "eval_xs": Field(tuple, (0.0,)),
+        "eval_xs": Field(tuple, (0.0,), _nonempty),
         "min_detectable_z": Field(float, 0.0, _nonneg),
     },
     "hurst-region": {

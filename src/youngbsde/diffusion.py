@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .paths import SamplePath, TimeGrid
 from .regression import line_fit
 from .rng import hash64
@@ -49,7 +49,6 @@ class DiffusionSpec:
     bound: float
     dim: int
     ellipticity: float = 0.0
-    name: str = ""
 
     def __post_init__(self):
         if self.bound <= 0 or self.dim < 1:
@@ -242,27 +241,6 @@ def exit_tail_decay(spec: DiffusionSpec, x0, radii, grid: TimeGrid,
     return ExitDecayFit(slope=slope, intercept=intercept, r_squared=r2,
                         radii=kept, probabilities=probs_arr,
                         standard_errors=np.asarray(ses), dropped=dropped)
-
-
-def export_batch_csv(batch: PathBatch, path, max_cells: int = 2_000_000):
-    """Debug dump of a batch as (sample, time index, coordinates) rows.
-
-    Refuses batches whose flat size exceeds max_cells; trim the batch first.
-    """
-    from .csvio import write_csv
-
-    cells = batch.samples * len(batch.grid) * (batch.dim + 2)
-    if cells > max_cells:
-        raise ResourceError(
-            f"batch export would write {cells} cells, above the guard "
-            f"{max_cells}; reduce samples or raise max_cells")
-    header = ["sample", "time_index", "time"] + [f"x{k}" for k in
-                                                 range(batch.dim)]
-    rows = []
-    for s in range(batch.samples):
-        for i, t in enumerate(batch.grid.times):
-            rows.append([s, i, t, *batch.paths[s, i, :]])
-    return write_csv(path, header, rows)
 
 
 def sample_pvar(batch: PathBatch, p: float, mode: str = "refinement-limit"

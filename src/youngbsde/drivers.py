@@ -3,15 +3,14 @@ families, grid interpolation, weighted-seminorm estimation, CSV round trip.
 
 Conventions
 -----------
-* Every driver is normalized so eta(0, x) = 0 (recentring at construction);
-  time increments eta(t1,x) - eta(t0,x) are unaffected by the recentring and
-  are evaluated through the raw field to save work in hot loops.
+* A driver's raw field fn(t, x) is batched: t of shape (K,) and x of shape
+  (K, d) give (K,) or (K, M) (the channel axis may be omitted when M == 1).
+* Every driver is normalized so eta(0, x) = 0: at_pairs, the one value
+  evaluation, returns fn(t, x) - fn(0, x) whatever the raw field does at
+  t = 0.  Time increments eta(t1,x) - eta(t0,x) do not see the recentring,
+  so increment_pairs evaluates the raw field at the two endpoints only.
 * A separable driver v(x) * (a(t) - a(0)) keeps its factors: its increments
   evaluate v once per point, and its time-mollification mollifies a alone.
-* The raw evaluation callable obeys "pairs semantics": called with a scalar t
-  and one point x of shape (d,) it returns (M,); called with t of shape (K,)
-  and x of shape (K, d) it returns (K, M) (channel axis may be omitted when
-  M == 1).
 """
 
 from __future__ import annotations
@@ -40,19 +39,14 @@ __all__ = [
 ]
 
 MOLLIFIER_QUADRATURE_POINTS = 129
+# most quotient pairs of each family estimate_seminorm evaluates; larger
+# families are uniformly subsampled
+_PAIR_BUDGET = 1_000_000
 
 
-def _as_channels(out: np.ndarray, k: int | None, channels: int) -> np.ndarray:
-    """Coerce a raw evaluation result to (M,) or (K, M)."""
+def _as_channels(out: np.ndarray, k: int, channels: int) -> np.ndarray:
+    """Coerce a raw evaluation result to (K, M)."""
     out = np.asarray(out, dtype=float)
-    if k is None:
-        if out.ndim == 0:
-            out = out[None]
-        if out.shape != (channels,):
-            raise DomainError(
-                f"driver returned shape {out.shape}, expected ({channels},)"
-            )
-        return out
     if out.ndim == 1:
         out = out[:, None]
     if out.shape != (k, channels):
@@ -66,6 +60,7 @@ def _as_channels(out: np.ndarray, k: int | None, channels: int) -> np.ndarray:
 class SpaceTimeDriver:
     """Evaluable field eta(t, x) with declared regularity metadata.
 
+    fn is the raw field in the batched form of the module conventions.
     tau, lam are the time/space Hoelder exponents and beta the polynomial
     spatial weight the caller declares for the field; they are metadata used
     by the calculus layer, never re-derived from samples.
@@ -77,8 +72,6 @@ class SpaceTimeDriver:
     tau: float = 1.0
     lam: float = 1.0
     beta: float = 0.0
-    kind: str = "custom"
-    prenormalized: bool = False
     payload: dict = field(default_factory=dict, repr=False)
     # (v, a, a(0)) of a separable field v(x) * (a(t) - a(0)), else None;
     # set by make_separable_driver
@@ -93,22 +86,12 @@ class SpaceTimeDriver:
 
     # -- evaluation ------------------------------------------------------
 
-    def at(self, t: float, x) -> np.ndarray:
-        """eta(t, x) for one point, shape (M,)."""
-        x = np.asarray(x, dtype=float).reshape(self.dim)
-        val = _as_channels(self.fn(float(t), x), None, self.channels)
-        if self.prenormalized:
-            return val
-        base = _as_channels(self.fn(0.0, x), None, self.channels)
-        return val - base
-
     def at_pairs(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """eta(t_k, x_k) for paired arrays, shape (K, M)."""
+        """eta(t_k, x_k) = fn(t_k, x_k) - fn(0, x_k) for paired arrays,
+        shape (K, M)."""
         t = np.asarray(t, dtype=float).ravel()
         x = np.asarray(x, dtype=float).reshape(t.size, self.dim)
         val = _as_channels(self.fn(t, x), t.size, self.channels)
-        if self.prenormalized:
-            return val
         base = _as_channels(self.fn(np.zeros_like(t), x), t.size, self.channels)
         return val - base
 
@@ -130,9 +113,6 @@ class SpaceTimeDriver:
         lo = _as_channels(self.fn(t0, x), t0.size, self.channels)
         return hi - lo
 
-    def __call__(self, t, x) -> np.ndarray:
-        return self.at(t, x)
-
 
 def _space_factor(v, x: np.ndarray) -> np.ndarray:
     vx = np.asarray(v(x), dtype=float)
@@ -150,16 +130,11 @@ def make_separable_driver(v, a, dim: int = 1, channels: int = 1,
     a0 = float(np.asarray(a(np.zeros(1)))[0])
 
     def fn(t, x):
-        tv = np.atleast_1d(np.asarray(t, dtype=float))
-        xv = np.asarray(x, dtype=float)
-        single = xv.ndim == 1
-        out = (_space_factor(v, xv.reshape(-1, dim))
-               * (np.asarray(a(tv), dtype=float) - a0)[:, None])
-        return out[0] if single else out
+        return (_space_factor(v, x)
+                * (np.asarray(a(t), dtype=float) - a0)[:, None])
 
     return SpaceTimeDriver(fn=fn, dim=dim, channels=channels, tau=tau,
-                           lam=lam, beta=beta, kind="analytic-separable",
-                           prenormalized=True, _factors=(v, a, a0))
+                           lam=lam, beta=beta, _factors=(v, a, a0))
 
 
 def zero_driver(dim: int = 1, channels: int = 1) -> SpaceTimeDriver:
@@ -240,28 +215,24 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
         smooth = make_separable_driver(
             v, a_smooth, dim=driver.dim, channels=driver.channels,
             tau=driver.tau, lam=driver.lam, beta=driver.beta)
-        return replace(smooth, kind="mollified", payload=payload)
+        return replace(smooth, payload=payload)
 
     base_fn = driver.fn
 
     def fn(t, x):
-        tv = np.atleast_1d(np.asarray(t, dtype=float))
-        xv = np.asarray(x, dtype=float)
-        single = xv.ndim == 1
-        xv = xv.reshape(-1, driver.dim)
-        acc = np.zeros((tv.size, driver.channels))
-        base0 = _as_channels(base_fn(np.zeros(tv.size), xv), tv.size,
+        acc = np.zeros((t.size, driver.channels))
+        base0 = _as_channels(base_fn(np.zeros(t.size), x), t.size,
                              driver.channels)
         for u, w in zip(nodes, weights):
-            s, sign = _reflect_into(tv - delta * u, horizon)
-            raw = _as_channels(base_fn(s, xv), tv.size, driver.channels)
+            s, sign = _reflect_into(t - delta * u, horizon)
+            raw = _as_channels(base_fn(s, x), t.size, driver.channels)
             # odd reflection is a point reflection through (0, eta(0, x))
             acc += w * (sign[:, None] * (raw - base0) + base0)
-        return acc[0] if single else acc
+        return acc
 
     return SpaceTimeDriver(fn=fn, dim=driver.dim, channels=driver.channels,
                            tau=driver.tau, lam=driver.lam, beta=driver.beta,
-                           kind="mollified", payload=payload)
+                           payload=payload)
 
 
 # -- seminorm estimation ---------------------------------------------------
@@ -282,9 +253,6 @@ class SeminormEstimate:
     beta: float
     components_weighted: tuple[float, float, float]
     components_unweighted: tuple[float, float, float]
-    n_time: int
-    n_space: int
-    pairs_sampled: dict
 
 
 def _pair_indices(count_a: int, count_b: int | None, budget: int,
@@ -310,8 +278,7 @@ def _pair_indices(count_a: int, count_b: int | None, budget: int,
 
 
 def estimate_seminorm(driver: SpaceTimeDriver, time_grid, space_grid,
-                      beta: float, tau: float, lam: float,
-                      pair_budget: int = 1_000_000) -> SeminormEstimate:
+                      beta: float, tau: float, lam: float) -> SeminormEstimate:
     """Estimate the weighted/unweighted driver seminorms on a sampled grid.
 
     Maximizes the three quotient families (rectangular increment, pure time
@@ -337,27 +304,23 @@ def estimate_seminorm(driver: SpaceTimeDriver, time_grid, space_grid,
     weight_single = 1.0 + xnorm ** (beta + lam)
     xdist = np.linalg.norm(xs[:, None, :] - xs[None, :, :], axis=-1)
 
-    counts = {}
-
     # time quotients: pairs (s < t) crossed with single points x
-    ti, tj = _pair_indices(n_t, None, max(1, pair_budget // max(n_x, 1)), 11)
+    ti, tj = _pair_indices(n_t, None, max(1, _PAIR_BUDGET // max(n_x, 1)), 11)
     dt_tau = (t[tj] - t[ti])[:, None] ** tau
     tnum = np.linalg.norm(vals[tj] - vals[ti], axis=-1)  # (P_t, n_x)
     time_unw = float(np.max(tnum / dt_tau))
     time_w = float(np.max(tnum / (dt_tau * weight_single[None, :])))
-    counts["time"] = ti.size * n_x
 
     # space quotients: single times crossed with pairs (x != y)
-    xi, xj = _pair_indices(n_x, None, max(1, pair_budget // max(n_t, 1)), 13)
+    xi, xj = _pair_indices(n_x, None, max(1, _PAIR_BUDGET // max(n_t, 1)), 13)
     snum = np.linalg.norm(vals[:, xj] - vals[:, xi], axis=-1)  # (n_t, P_x)
     sden = xdist[xi, xj][None, :] ** lam
     space_unw = float(np.max(snum / sden))
     space_w = float(np.max(snum / (sden * weight_pair[xi, xj][None, :])))
-    counts["space"] = xi.size * n_t
 
     # rectangular quotients: time pairs crossed with space pairs
     pt, px = ti.size, xi.size
-    ri, rj = _pair_indices(pt, px, pair_budget, 17)
+    ri, rj = _pair_indices(pt, px, _PAIR_BUDGET, 17)
     rect = (vals[tj[ri]][np.arange(ri.size), xj[rj]]
             - vals[ti[ri]][np.arange(ri.size), xj[rj]]
             - vals[tj[ri]][np.arange(ri.size), xi[rj]]
@@ -366,7 +329,6 @@ def estimate_seminorm(driver: SpaceTimeDriver, time_grid, space_grid,
     rden = (t[tj[ri]] - t[ti[ri]]) ** tau * xdist[xi[rj], xj[rj]] ** lam
     rect_unw = float(np.max(rnum / rden))
     rect_w = float(np.max(rnum / (rden * weight_pair[xi[rj], xj[rj]])))
-    counts["rectangular"] = ri.size
 
     return SeminormEstimate(
         weighted=rect_w + time_w + space_w,
@@ -374,19 +336,21 @@ def estimate_seminorm(driver: SpaceTimeDriver, time_grid, space_grid,
         tau=tau, lam=lam, beta=beta,
         components_weighted=(rect_w, time_w, space_w),
         components_unweighted=(rect_unw, time_unw, space_unw),
-        n_time=n_t, n_space=n_x, pairs_sampled=counts,
     )
 
 
 # -- grid-sampled drivers and CSV round trip -------------------------------
 
 def make_grid_driver(times: np.ndarray, space_axes: list[np.ndarray],
-                     values: np.ndarray, tau: float, lam: float, beta: float,
-                     kind: str = "sampled-sheet") -> SpaceTimeDriver:
+                     values: np.ndarray, tau: float, lam: float, beta: float
+                     ) -> SpaceTimeDriver:
     """Driver interpolating grid samples multilinearly in (t, x).
 
     Queries outside the sampled hull are clamped to the boundary (constant
-    extension).  The t=0 slice is subtracted so eta(0, x) = 0 exactly.
+    extension), so before the first sampled time the field holds the first
+    slice.  eta(0, x) = 0 comes from the recentring in at_pairs, on any time
+    axis.  An axis that starts at t = 0 also has its first slice subtracted
+    from the stored values, which then vanish at t = 0 as saved to CSV.
     """
     times = np.asarray(times, dtype=float).ravel()
     space_axes = [np.asarray(ax, dtype=float).ravel() for ax in space_axes]
@@ -411,20 +375,13 @@ def make_grid_driver(times: np.ndarray, space_axes: list[np.ndarray],
     const = float(values.reshape(-1)[0]) if interp is None else 0.0
 
     def fn(t, x):
-        tv = np.atleast_1d(np.asarray(t, dtype=float))
-        xv = np.asarray(x, dtype=float)
-        single = xv.ndim == 1
-        xv = xv.reshape(-1, dim)
         if interp is None:
-            out = np.full(tv.size, const)
-        else:
-            pts = np.column_stack([tv, xv])
-            pts = np.clip(pts, lows, highs)
-            out = interp(pts[:, keep])
-        return out[0] if single else out
+            return np.full(t.size, const)
+        pts = np.clip(np.column_stack([t, x]), lows, highs)
+        return interp(pts[:, keep])
 
     drv = SpaceTimeDriver(fn=fn, dim=dim, channels=1, tau=tau, lam=lam,
-                          beta=beta, kind=kind, prenormalized=True)
+                          beta=beta)
     drv.payload.update(times=times, space_axes=space_axes, values=values)
     return drv
 

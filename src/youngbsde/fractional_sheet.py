@@ -42,7 +42,6 @@ class SheetSpec:
     h: np.ndarray
     grid: TimeGrid
     space_axes: list = field(default_factory=list)
-    cholesky_limit: int = CHOLESKY_LIMIT
 
     def __post_init__(self):
         h = np.atleast_1d(np.asarray(self.h, dtype=float))
@@ -58,10 +57,10 @@ class SheetSpec:
         for ax in axes:
             if ax.size > 1 and not np.all(np.diff(ax) > 0):
                 raise DomainError("space axes must be strictly increasing")
-        if self.total_points > self.cholesky_limit:
+        if self.total_points > CHOLESKY_LIMIT:
             raise ResourceError(
                 f"grid has {self.total_points} points, above the Cholesky "
-                f"limit {self.cholesky_limit}"
+                f"limit {CHOLESKY_LIMIT}"
             )
 
     @property
@@ -128,10 +127,11 @@ def sample_sheet(spec: SheetSpec, seed: int, jitter: float | None = None
     """Draw one sheet realization and wrap it as a grid-sampled driver.
 
     The Gaussian vector has the exact grid covariance up to the jitter added
-    for factorization; the t=0 slice is forced to zero, pinning the driver
-    normalization.  The declared regularity is a conservative estimate
-    (tau just below H0, lam just below min H, beta the leftover spatial
-    roughness budget) and is flagged as such.
+    for factorization.  The driver is normalized to eta(0, x) = 0 by the
+    recentring of make_grid_driver, whether or not the time grid starts at
+    0.  The declared regularity is a conservative estimate (tau just below
+    H0, lam just below min H, beta the leftover spatial roughness budget)
+    and is flagged as such.
     """
     cov = covariance_matrix(spec)
     chol, used_jitter = _cholesky_with_jitter(cov, max_jitter=jitter)
@@ -144,8 +144,7 @@ def sample_sheet(spec: SheetSpec, seed: int, jitter: float | None = None
     lam = max(min(hmin - 0.01, 1.0), 1e-3)
     beta = max(float(np.sum(spec.h)) - lam, 0.0)
     driver = make_grid_driver(spec.grid.times, spec.space_axes, values,
-                              tau=tau, lam=lam, beta=beta,
-                              kind="sampled-sheet")
+                              tau=tau, lam=lam, beta=beta)
     driver.payload.update(h0=spec.h0, h=spec.h, seed=seed,
                           jitter=used_jitter)
     return driver

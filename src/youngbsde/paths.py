@@ -48,10 +48,10 @@ class TimeGrid:
             raise DomainError("horizon must be positive")
 
     @classmethod
-    def uniform(cls, horizon: float, steps: int, start: float = 0.0) -> "TimeGrid":
+    def uniform(cls, horizon: float, steps: int) -> "TimeGrid":
         if steps < 1:
             raise DomainError("need at least one step")
-        return cls(np.linspace(start, horizon, steps + 1), horizon)
+        return cls(np.linspace(0.0, horizon, steps + 1), horizon)
 
     def __len__(self) -> int:
         return self.times.size

@@ -85,15 +85,11 @@ class PdeProblem:
 
 @dataclass
 class PdeSolutionTable:
-    """Point estimates u(t, x) with Monte Carlo errors and provenance."""
+    """Point estimates u(t, x) with Monte Carlo errors."""
 
     points: list
     values: np.ndarray
     standard_errors: np.ndarray
-    radius: float
-    mollify_delta: float | None
-    samples: int
-    seed: int
 
 
 def fk_point_estimate(diffusion: DiffusionSpec, driver: SpaceTimeDriver,
@@ -154,8 +150,7 @@ def solve_linear_young_pde(terminal, diffusion: DiffusionSpec,
                                                float(t), x, horizon, steps,
                                                samples, hash64(seed, j))
     return PdeSolutionTable(points=list(eval_points), values=values,
-                            standard_errors=ses, radius=math.inf,
-                            mollify_delta=None, samples=samples, seed=seed)
+                            standard_errors=ses)
 
 
 def _fourth_order_d1(fn, xs: np.ndarray, h: float) -> np.ndarray:
@@ -171,8 +166,7 @@ def _fourth_order_d2(fn, xs: np.ndarray, h: float) -> np.ndarray:
 def weak_solution_residual(times: np.ndarray, xs: np.ndarray,
                            u_values: np.ndarray, terminal, phi,
                            diffusion: DiffusionSpec,
-                           driver: SpaceTimeDriver,
-                           phi_derivatives=None) -> float:
+                           driver: SpaceTimeDriver) -> float:
     """Residual of the distributional identity satisfied by a linear Young
     PDE solution against a compactly supported test function (d = 1).
 
@@ -181,8 +175,8 @@ def weak_solution_residual(times: np.ndarray, xs: np.ndarray,
 
     The table u_values has shape (len(times), len(xs)) with times[0] = t and
     times[-1] = T.  The inner time integral of the driver term is the
-    classical left-point Young sum per space node; L*phi comes from supplied
-    (phi', phi'') or high-order finite differences of the closed-form phi.
+    classical left-point Young sum per space node; L*phi comes from
+    high-order finite differences of the closed-form phi.
     A small residual is evidence, not proof.
     """
     if diffusion.dim != 1:
@@ -210,21 +204,10 @@ def weak_solution_residual(times: np.ndarray, xs: np.ndarray,
         return diffusion.drift_at(0.0, x.reshape(-1, 1))[:, 0]
 
     h_fd = max(float(xs[1] - xs[0]) * 0.5, 1e-6)
-    if phi_derivatives is not None:
-        d1, d2 = phi_derivatives
-        phi_d1 = np.asarray(d1(xs), dtype=float)
-        phi_d2 = np.asarray(d2(xs), dtype=float)
-        a_phi_d2 = (sigma_sq(xs) * phi_d2
-                    + 2 * _fourth_order_d1(sigma_sq, xs, h_fd) * phi_d1
-                    + _fourth_order_d2(sigma_sq, xs, h_fd) * phi_vals)
-        b_phi_d1 = (drift(xs) * phi_d1
-                    + _fourth_order_d1(drift, xs, h_fd) * phi_vals)
-    else:
-        a_phi = lambda x: sigma_sq(x) * np.asarray(phi(x), dtype=float)
-        b_phi = lambda x: drift(x) * np.asarray(phi(x), dtype=float)
-        a_phi_d2 = _fourth_order_d2(a_phi, xs, h_fd)
-        b_phi_d1 = _fourth_order_d1(b_phi, xs, h_fd)
-    lstar_phi = 0.5 * a_phi_d2 - b_phi_d1
+    a_phi = lambda x: sigma_sq(x) * np.asarray(phi(x), dtype=float)
+    b_phi = lambda x: drift(x) * np.asarray(phi(x), dtype=float)
+    lstar_phi = (0.5 * _fourth_order_d2(a_phi, xs, h_fd)
+                 - _fourth_order_d1(b_phi, xs, h_fd))
 
     term_now = np.trapezoid(u_values[0] * phi_vals, xs)
     terminal_vals = np.asarray(terminal(xs.reshape(-1, 1)),
@@ -277,10 +260,7 @@ def solve_young_pde_double_approximation(problem: PdeProblem, deltas, radii,
             ses[:, mi, j] = [row["y0_standard_error"] for row in table]
     finest = PdeSolutionTable(points=list(eval_points),
                               values=values[-1, -1],
-                              standard_errors=ses[-1, -1],
-                              radius=float(radii[-1]),
-                              mollify_delta=float(deltas[-1]),
-                              samples=samples, seed=seed)
+                              standard_errors=ses[-1, -1])
     gap_to_finest = np.max(
         np.abs(values - values[-1, -1][None, None, :]), axis=2)
     radius_steps = np.max(np.abs(np.diff(values, axis=0)), axis=2)

@@ -52,7 +52,7 @@ def _brownian(dim: int) -> DiffusionSpec:
         return np.zeros_like(x)
 
     return DiffusionSpec(sigma=sigma, drift=drift, bound=float(np.sqrt(dim)),
-                         dim=dim, ellipticity=1.0, name="brownian")
+                         dim=dim, ellipticity=1.0)
 
 
 def _brownian_halfvol(dim: int) -> DiffusionSpec:
@@ -65,7 +65,7 @@ def _brownian_halfvol(dim: int) -> DiffusionSpec:
         return np.zeros_like(x)
 
     return DiffusionSpec(sigma=sigma, drift=drift, bound=1.0, dim=dim,
-                         ellipticity=0.25, name="brownian-halfvol")
+                         ellipticity=0.25)
 
 
 def _ou_truncated(dim: int) -> DiffusionSpec:
@@ -79,7 +79,7 @@ def _ou_truncated(dim: int) -> DiffusionSpec:
 
     return DiffusionSpec(sigma=sigma, drift=drift,
                          bound=float(np.sqrt(dim)) + 1e-9, dim=dim,
-                         ellipticity=1.0, name="ou-truncated")
+                         ellipticity=1.0)
 
 
 def _drift_only(dim: int) -> DiffusionSpec:
@@ -90,7 +90,7 @@ def _drift_only(dim: int) -> DiffusionSpec:
         return np.ones_like(x)
 
     return DiffusionSpec(sigma=sigma, drift=drift, bound=float(np.sqrt(dim)),
-                         dim=dim, ellipticity=0.0, name="drift-only")
+                         dim=dim, ellipticity=0.0)
 
 
 DIFFUSIONS = {

@@ -15,7 +15,7 @@ form is available as an exact mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,7 +169,6 @@ class FlowPath:
     matrices: np.ndarray
     mode: str = "euler"
     error_estimate: float | None = None
-    payload: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrices, dtype=float)
@@ -288,11 +287,12 @@ def solve_flow(alpha, driver: SpaceTimeDriver, x: SamplePath,
                     matrices=matrices, mode="euler", error_estimate=err)
 
 
-def flow_inverse(flow: FlowPath, cond_threshold: float = 1e12) -> FlowPath:
-    """Per-time matrix inverse; fails loudly on near-singular states."""
+def flow_inverse(flow: FlowPath) -> FlowPath:
+    """Per-time matrix inverse; fails loudly on near-singular states
+    (condition number above 1e12)."""
     conds = np.linalg.cond(flow.matrices)
     worst = int(np.argmax(conds))
-    if conds[worst] > cond_threshold:
+    if conds[worst] > 1e12:
         raise NumericalError(
             f"flow not invertible at t={flow.times[worst]:g} "
             f"(condition number {conds[worst]:.3e})")

@@ -217,12 +217,12 @@ class TestTowerRule:
         assert abs(e1 - e2) <= max(3 * se, 1e-10)
 
     def test_terminal_time_empty_interval(self):
+        # starting at the last grid point leaves no step to sum over
         batch = brownian_batch(500)
         a = np.ones((500, 33))
         b = np.ones((500, 33))
-        e1, e2, se = tower_rule_defect(a, b, TIME_DRIVER, batch,
-                                       t_index=32)
-        assert e1 == 0.0 and e2 == 0.0
+        with pytest.raises(DomainError, match="t_index 32"):
+            tower_rule_defect(a, b, TIME_DRIVER, batch, t_index=32)
 
 
 class TestLocalizedSolver:

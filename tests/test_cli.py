@@ -192,6 +192,29 @@ class TestCliExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "precondition"
 
+    @pytest.mark.parametrize("kind", ["pde-fk", "localization-error"])
+    def test_empty_eval_xs_is_2(self, tmp_path, capsys, kind):
+        cfg = self._write(tmp_path, f"kind = {kind}\neval_xs =\n"
+                                    "samples = 50\nsteps = 4\n")
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "eval_xs" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("t_index, code", [(7, 0), (8, 3), (40, 3)])
+    def test_tower_rule_t_index_must_leave_a_step(self, tmp_path, capsys,
+                                                  t_index, code):
+        cfg = self._write(tmp_path, "kind = tower-rule\nsteps = 8\n"
+                                    f"samples = 200\nt_index = {t_index}\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == code
+        if code:
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["error"] == "precondition"
+            assert "t_index" in err["message"]
+            assert not list(out.glob("*.csv"))
+
     def test_numerical_error_is_4(self, tmp_path, capsys):
         # jitter capped at zero cannot factor the singular t=0 block
         cfg = self._write(tmp_path,

@@ -178,26 +178,6 @@ class TestExitTailDecay:
                             [1.0, 1.5, 2.0], GRID, 50, seed=1)
 
 
-class TestExport:
-    def test_round_trip_rows(self, tmp_path):
-        from youngbsde.diffusion import export_batch_csv
-
-        batch = simulate(constant_spec(0.0, 1.0), [0.0],
-                         TimeGrid.uniform(1.0, 2), 2, seed=1)
-        p = export_batch_csv(batch, tmp_path / "b.csv")
-        lines = p.read_text().splitlines()
-        assert lines[0] == "sample,time_index,time,x0"
-        assert len(lines) == 1 + 2 * 3
-
-    def test_size_guard(self, tmp_path):
-        from youngbsde.diffusion import export_batch_csv
-        from youngbsde.errors import ResourceError
-
-        batch = simulate(constant_spec(0.0, 1.0), [0.0], GRID, 10, seed=1)
-        with pytest.raises(ResourceError):
-            export_batch_csv(batch, tmp_path / "b.csv", max_cells=10)
-
-
 class TestPvarSurrogate:
     def test_bounded_as_samples_grow(self):
         spec = constant_spec(1.0, 0.0)

@@ -9,6 +9,8 @@ from youngbsde.drivers import (estimate_seminorm, load_sampled_driver,
                                make_grid_driver, make_separable_driver,
                                mollify_time, save_sampled_driver, zero_driver)
 from youngbsde.errors import DomainError
+from youngbsde.fractional_sheet import SheetSpec, sample_sheet
+from youngbsde.paths import TimeGrid
 
 
 def cos_driver(amplitude=1.0):
@@ -20,20 +22,21 @@ class TestSeparableDriver:
     def test_unit_space_linear_time(self):
         drv = make_separable_driver(lambda x: np.ones(x.shape[0]),
                                     lambda t: t)
-        assert drv.at(0.3, [5.0])[0] == pytest.approx(0.3)
+        assert drv.at_pairs([0.3], [5.0])[0, 0] == pytest.approx(0.3)
 
     def test_linear_space_quadratic_time(self):
         drv = make_separable_driver(lambda x: x[:, 0], lambda t: t**2)
-        assert drv.at(1.0, [2.0])[0] == pytest.approx(2.0)
+        assert drv.at_pairs([1.0], [2.0])[0, 0] == pytest.approx(2.0)
 
     def test_cosine_space(self):
-        assert cos_driver().at(0.5, [0.0])[0] == pytest.approx(0.5)
+        assert cos_driver().at_pairs([0.5], [0.0])[0, 0] == \
+            pytest.approx(0.5)
 
     def test_normalized_at_zero(self):
         drv = make_separable_driver(lambda x: x[:, 0], lambda t: t + 3.0)
         # a(0) != 0 is subtracted away
-        assert drv.at(0.0, [4.0])[0] == pytest.approx(0.0)
-        assert drv.at(1.0, [4.0])[0] == pytest.approx(4.0)
+        assert drv.at_pairs([0.0], [4.0])[0, 0] == pytest.approx(0.0)
+        assert drv.at_pairs([1.0], [4.0])[0, 0] == pytest.approx(4.0)
 
     def test_pairs_evaluation(self):
         drv = cos_driver()
@@ -56,11 +59,12 @@ class TestMollify:
                                     lambda t: t)
         smooth = mollify_time(drv, delta=0.05, horizon=1.0)
         for t in (0.1, 0.4, 0.8):
-            assert smooth.at(t, [0.0])[0] == pytest.approx(t, abs=1e-12)
+            assert smooth.at_pairs([t], [0.0])[0, 0] == \
+                pytest.approx(t, abs=1e-12)
 
     def test_zero_driver_stays_zero(self):
         smooth = mollify_time(zero_driver(), delta=0.1, horizon=1.0)
-        assert smooth.at(0.6, [1.0])[0] == 0.0
+        assert smooth.at_pairs([0.6], [1.0])[0, 0] == 0.0
 
     def test_kink_smoothed(self):
         drv = make_separable_driver(lambda x: np.ones(x.shape[0]),
@@ -68,7 +72,8 @@ class TestMollify:
         delta = 0.1
         smooth = mollify_time(drv, delta=delta, horizon=1.0)
         # strictly above the kink tip after recentring
-        assert smooth.at(0.5, [0.0])[0] > drv.at(0.5, [0.0])[0]
+        assert smooth.at_pairs([0.5], [0.0])[0, 0] > \
+            drv.at_pairs([0.5], [0.0])[0, 0]
         # uniform closeness O(delta) on the grid, oracle via 10x quadrature
         fine = mollify_time(drv, delta=delta, horizon=1.0,
                             quadrature_points=1291)
@@ -88,8 +93,8 @@ class TestMollify:
         x = [0.0]
         derivs = []
         for h in (1e-3, 5e-4, 2.5e-4):
-            derivs.append((smooth.at(0.3 + h, x)[0]
-                           - smooth.at(0.3, x)[0]) / h)
+            derivs.append((smooth.at_pairs([0.3 + h], x)[0, 0]
+                           - smooth.at_pairs([0.3], x)[0, 0]) / h)
         # Richardson ratio: successive finite differences converge
         assert abs(derivs[2] - derivs[1]) <= abs(derivs[1] - derivs[0]) + 1e-9
 
@@ -114,7 +119,6 @@ class TestMollify:
     def test_separable_stays_separable(self):
         smooth = mollify_time(cos_driver(), delta=0.1, horizon=1.0)
         assert smooth._factors is not None
-        assert smooth.kind == "mollified"
         assert smooth.payload == {"delta": 0.1, "quadrature_points": 129}
         grid = make_grid_driver(np.linspace(0, 1, 3), [np.array([0.0, 1.0])],
                                 np.arange(6.0).reshape(3, 2), tau=0.5,
@@ -209,6 +213,32 @@ class TestSeparableProperties:
         t1 = t0 + lag
         assert np.array_equal(drv.increment_pairs(t0, t1, xs),
                               drv.fn(t1, xs) - drv.fn(t0, xs))
+
+
+class TestNormalization:
+    @settings(max_examples=25, deadline=None)
+    @given(start=st.one_of(st.just(0.0),
+                           st.floats(0.0, 0.5, exclude_min=True)),
+           values=st.lists(st.floats(-5.0, 5.0), min_size=9, max_size=9),
+           offset=st.floats(0.5, 5.0), delta=st.floats(0.005, 0.45),
+           seed=st.integers(0, 2**32), xs=st.lists(points, min_size=1,
+                                                   max_size=6))
+    def test_every_driver_vanishes_at_time_zero(self, start, values, offset,
+                                                delta, seed, xs):
+        # grid axes may start after t = 0; a(0) = offset is nonzero
+        times = np.linspace(start, 1.0, 3)
+        axis = np.array([-1.0, 0.0, 1.0])
+        grid = make_grid_driver(times, [axis], np.reshape(values, (3, 3)),
+                                tau=1.0, lam=1.0, beta=0.0)
+        sheet = sample_sheet(
+            SheetSpec(0.75, [0.75], TimeGrid(times, 1.0), [axis]), seed)
+        separable = make_separable_driver(lambda y: np.cos(y[:, 0]),
+                                          lambda t: t + offset)
+        t, x = np.zeros(len(xs)), np.array(xs)[:, None]
+        for drv in (grid, sheet, separable,
+                    mollify_time(separable, delta, 1.0),
+                    mollify_time(grid, delta, 1.0)):
+            assert np.all(drv.at_pairs(t, x) == 0.0)
 
 
 class TestSeminorm:
@@ -307,7 +337,8 @@ class TestCsvRoundTrip:
         values = np.arange(6, dtype=float).reshape(3, 2)
         drv = make_grid_driver(times, axes, values, tau=0.5, lam=0.5,
                                beta=0.0)
-        assert drv.at(0.5, [5.0])[0] == drv.at(0.5, [1.0])[0]
+        assert drv.at_pairs([0.5], [5.0])[0, 0] == \
+            drv.at_pairs([0.5], [1.0])[0, 0]
 
     def test_header_only_file_rejected(self, tmp_path):
         target = tmp_path / "header.csv"

@@ -68,7 +68,7 @@ class TestSampling:
         spec = SheetSpec(0.75, [0.75], TimeGrid(np.array([0.0]), 1.0),
                          [np.linspace(0.5, 1.5, 4)])
         drv = sample_sheet(spec, seed=1)
-        assert drv.at(0.0, [1.0])[0] == 0.0
+        assert drv.at_pairs([0.0], [1.0])[0, 0] == 0.0
 
     def test_seed_determinism(self):
         spec = spec_1d()
@@ -85,7 +85,7 @@ class TestSampling:
 
     def test_normalized_at_zero(self):
         drv = sample_sheet(spec_1d(), seed=3)
-        assert abs(drv.at(0.0, [1.3])[0]) == 0.0
+        assert abs(drv.at_pairs([0.0], [1.3])[0, 0]) == 0.0
 
     def test_self_similarity_variance_ratio(self):
         # Var B(t, x) ~ t^{2 H0} along fixed x
