@@ -2,10 +2,9 @@
 
 Two routes are implemented:
 
-* the explicit flow/change-of-measure formula for linear equations,
-  Y_t = E_t[((Gamma^t_T)^T xi + int_t^T Gamma^t_s f_s ds) M_T] / M_t,
-  with Gamma the matrix Young flow of the coefficient process and M the
-  exponential martingale of the drift change;
+* the scalar Feynman-Kac formula at t = 0 for linear equations,
+  Y_0 = E[exp(int_0^T alpha eta(dr, X_r)) xi M_T], with M the exponential
+  martingale of the drift change;
 
 * a localized least-squares Monte Carlo scheme for the nonlinear equation
   dY = -f(t,X,Y,Z) dt - g(Y) eta(dt,X) + Z dW stopped at the first exit of X
@@ -22,6 +21,12 @@ and keeps paths, increments, Y and Z time-major in it.  Each step's basis
 and the Cholesky factor of its ridged normal matrix are built once per
 radius; every Picard sweep solves its Z and Y fits with that factor.  Y and
 Z are returned in sample order.
+
+Each solver reports, besides y0, one value per sample whose mean is y0:
+the payoff of the linear formula, and the pathwise sum of datum and
+driver terms of the localized scheme.  A standard error is always the
+spread of those values over sqrt(samples); a paired standard error is the
+spread of their per-sample difference between two solves on one batch.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ from .errors import DomainError, NumericalError
 from .paths import TimeGrid
 from .regression import (fit_predict, poly_basis, ridge_factor, ridge_fit,
                          ridge_solve)
-from .young_calculus import (FLOW_OVERFLOW_GUARD, euler_flow_batch,
-                             step_increments)
+from .young_calculus import FLOW_OVERFLOW_GUARD, step_increments
 
 __all__ = [
     "LinearBsdeSpec",
@@ -99,17 +103,25 @@ def _stacked_increments(driver: SpaceTimeDriver, times: np.ndarray,
     return np.stack(steps, axis=1)
 
 
+def _standard_error(values: np.ndarray) -> float:
+    """Standard error of the mean of per-sample values; 0 for fewer than
+    two samples."""
+    if values.size < 2:
+        return 0.0
+    return float(np.std(values, ddof=1) / math.sqrt(values.size))
+
+
 # -- linear equations -------------------------------------------------------
 
 @dataclass
 class LinearBsdeSpec:
-    """Coefficients of the linear equation
-    Y_t = xi + sum_i int alpha^i Y eta_i(dr, X) + int (Z G + f) dr - int Z dW.
+    """Coefficients of the scalar linear equation
+    Y_t = xi + sum_i int alpha^i Y eta_i(dr, X) + int Z G dr - int Z dW.
 
-    alpha(t, x:(S,d)) -> (S,) for N = M = 1, or (S, M, N, N) in general;
-    f(t, x) -> (S, N) or None; drift_change(t, x) -> (S, d) or None;
-    terminal(paths (S, m, d)) -> (S, N) evaluated on whole simulated paths.
-    Declared bounds are spot-checked on every visited state.
+    alpha(t, x:(S,d)) -> (S,) for one driver channel, or (S, M);
+    drift_change(t, x) -> (S, d) or None; terminal(paths (S, m, d)) -> (S,)
+    evaluated on whole simulated paths.  Declared bounds are spot-checked on
+    every visited state.
     """
 
     alpha: callable
@@ -117,18 +129,13 @@ class LinearBsdeSpec:
     driver: SpaceTimeDriver
     diffusion: DiffusionSpec
     x0: np.ndarray
-    f: callable = None
     drift_change: callable = None
-    n_dim: int = 1
     alpha_bound: float | None = None
     drift_change_bound: float | None = None
 
     def alpha_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.alpha(t, x), dtype=float)
-        S = x.shape[0]
-        if out.ndim == 1:
-            out = out[:, None, None, None]
-        out = out.reshape(S, self.driver.channels, self.n_dim, self.n_dim)
+        out = np.asarray(self.alpha(t, x), dtype=float).reshape(
+            x.shape[0], self.driver.channels)
         if self.alpha_bound is not None:
             worst = float(np.max(np.abs(out)))
             if worst > self.alpha_bound * (1 + 1e-12):
@@ -150,99 +157,42 @@ class LinearBsdeSpec:
                     f"{worst:g} > {self.drift_change_bound:g} at t={t:g}")
         return out
 
-    def f_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self.f is None:
-            return np.zeros((x.shape[0], self.n_dim))
-        return np.asarray(self.f(t, x), dtype=float).reshape(
-            x.shape[0], self.n_dim)
-
 
 def solve_linear_bsde(spec: LinearBsdeSpec, grid: TimeGrid, samples: int,
-                      seed: int, eval_times=(0.0,), basis_degree: int = 2,
-                      batch: PathBatch | None = None) -> "BsdeSolution":
-    """Evaluate the explicit linear-equation formula at the requested times.
-
-    At t = 0 the conditional expectation is the plain Monte Carlo mean; at
-    interior times it is a polynomial regression on the state.  The control
+                      seed: int) -> "BsdeSolution":
+    """Y_0 of the linear equation by the Feynman-Kac formula at t = 0,
+        Y_0 = E[exp(int alpha eta(dr, X)) xi M_T],
+    with M the exponential martingale of the drift change: the mean of one
+    payoff per sample, whose spread gives the standard error.  The control
     process Z is not produced by this formula; Z estimation belongs to the
     regression pathway of the localized solver and any Z here is None.
     """
-    if batch is None:
-        batch = simulate(spec.diffusion, spec.x0, grid, samples, seed)
+    batch = simulate(spec.diffusion, spec.x0, grid, samples, seed)
     times = batch.grid.times
-    m = times.size
-    S = batch.samples
-    dts = np.diff(times)
-    n = spec.n_dim
+    S, m = batch.samples, times.size
 
-    alpha = np.empty((S, m, spec.driver.channels, n, n))
-    for i in range(m):
-        alpha[:, i] = spec.alpha_at(times[i], batch.paths[:, i, :])
+    alpha = np.stack([spec.alpha_at(times[i], batch.paths[:, i, :])
+                      for i in range(m)], axis=1)
     deta = _stacked_increments(spec.driver, times, batch.paths)
-
-    if n == 1:
-        exponent = np.concatenate(
-            [np.zeros((S, 1)),
-             np.cumsum(np.sum(alpha[:, :-1, :, 0, 0] * deta, axis=2), axis=1)],
-            axis=1)
-        if np.max(exponent) > np.log(FLOW_OVERFLOW_GUARD):
-            raise NumericalError("linear flow exponent overflow")
-        flow = np.exp(exponent)[:, :, None, None]
-    else:
-        flow = euler_flow_batch(alpha[:, :-1], deta)
+    exponent = np.concatenate(
+        [np.zeros((S, 1)),
+         np.cumsum(np.sum(alpha[:, :-1] * deta, axis=2), axis=1)], axis=1)
+    if np.max(exponent) > np.log(FLOW_OVERFLOW_GUARD):
+        raise NumericalError("linear flow exponent overflow")
 
     g_vals = np.empty((S, m - 1, batch.dim))
     for i in range(m - 1):
         g_vals[:, i] = spec.drift_change_at(times[i], batch.paths[:, i, :])
-    weight_T, weight_path = girsanov_weight(g_vals, batch.increments, dts)
+    weight_T, _ = girsanov_weight(g_vals, batch.increments, np.diff(times))
 
-    xi = np.asarray(spec.terminal(batch.paths), dtype=float).reshape(S, n)
-    f_vals = np.empty((S, m, n))
-    for i in range(m):
-        f_vals[:, i] = spec.f_at(times[i], batch.paths[:, i, :])
-
-    values = {}
-    coeff_table = {}
-    y0_se = float("nan")
-    for t in eval_times:
-        k = int(np.argmin(np.abs(times - t)))
-        if n == 1:
-            rel_flow = np.exp(exponent - exponent[:, k:k + 1])
-            core = rel_flow[:, -1] * xi[:, 0]
-            drift = np.sum(rel_flow[:, k:-1] * f_vals[:, k:-1, 0]
-                           * dts[None, k:], axis=1)
-            payoff = (core + drift) * weight_T
-            payoff = payoff[:, None]
-        else:
-            inv_k = np.linalg.inv(flow[:, k])
-            gamma_T = np.einsum("sij,sjk->sik", flow[:, -1], inv_k)
-            core = np.einsum("sji,sj->si", gamma_T, xi)
-            drift = np.zeros((S, n))
-            for i in range(k, m - 1):
-                gamma_i = np.einsum("sij,sjk->sik", flow[:, i], inv_k)
-                drift += np.einsum("sij,sj->si", gamma_i,
-                                   f_vals[:, i]) * dts[i]
-            payoff = (core + drift) * weight_T[:, None]
-        if k == 0:
-            per_sample = np.repeat(payoff.mean(axis=0, keepdims=True), S,
-                                   axis=0)
-            coeffs = None
-            if S > 1:
-                y0_se = float(payoff[:, 0].std(ddof=1) / math.sqrt(S))
-        else:
-            basis = poly_basis(batch.paths[:, k, :], basis_degree)
-            fitted, coeffs = fit_predict(basis, payoff)
-            per_sample = fitted.reshape(S, n) / weight_path[:, k:k + 1]
-        values[float(times[k])] = per_sample
-        coeff_table[float(times[k])] = coeffs
-
-    t0 = float(times[0])
-    y0 = float(values[t0][:, 0].mean()) if t0 in values else None
-    return BsdeSolution(y0=y0, y_at_times=values,
-                        y_coefficients=coeff_table, z_coefficients=None,
-                        y_paths=None, z_paths=None, radius=math.inf,
-                        picard_iterations=0, picard_gaps=[], converged=True,
-                        terminal_defect=0.0, y0_standard_error=y0_se)
+    xi = np.asarray(spec.terminal(batch.paths), dtype=float).reshape(S)
+    payoff = np.exp(exponent[:, -1]) * xi * weight_T
+    return BsdeSolution(y0=float(payoff.mean()), y_coefficients=None,
+                        z_coefficients=None, y_paths=None, z_paths=None,
+                        radius=math.inf, picard_iterations=0, picard_gaps=[],
+                        converged=True, terminal_defect=0.0,
+                        y0_samples=payoff,
+                        y0_standard_error=_standard_error(payoff))
 
 
 def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
@@ -276,9 +226,7 @@ def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
     lhs = np.sum(a_values[:, k:-1] * b_values[:, k:-1] * deta[:, k:], axis=1)
     rhs = np.sum(a_hat[:, k:-1] * b_values[:, k:-1] * deta[:, k:], axis=1)
     est1, est2 = float(lhs.mean()), float(rhs.mean())
-    combined_se = float(np.std(lhs - rhs, ddof=1) / math.sqrt(S)) if S > 1 \
-        else 0.0
-    return est1, est2, combined_se
+    return est1, est2, _standard_error(lhs - rhs)
 
 
 def _stop_index(exit_report, m: int) -> np.ndarray:
@@ -286,23 +234,6 @@ def _stop_index(exit_report, m: int) -> np.ndarray:
     horizon."""
     return np.where(exit_report.exit_index == NO_EXIT, m - 1,
                     exit_report.exit_index)
-
-
-def _step_one_se(y_paths: np.ndarray,
-                 reference: np.ndarray | None = None) -> float:
-    """Standard error of Y_0 from an (S, m) backward solution, or of its
-    paired difference with a reference solve on the same batch.
-
-    Every solve starts from one deterministic x0, so the fitted t=0 values
-    agree up to roundoff and their spread says nothing; the spread at grid
-    step 1 is the noise scale.  0 for one sample or a one-point grid.
-    """
-    S, m = y_paths.shape
-    if S < 2 or m < 2:
-        return 0.0
-    values = y_paths[:, 1] if reference is None \
-        else y_paths[:, 1] - reference[:, 1]
-    return float(np.std(values, ddof=1) / math.sqrt(S))
 
 
 # -- nonlinear localized equations ------------------------------------------
@@ -411,7 +342,6 @@ class BsdeSolution:
     """Estimated backward solution and solver diagnostics."""
 
     y0: float
-    y_at_times: dict
     y_coefficients: object
     z_coefficients: object
     y_paths: np.ndarray | None
@@ -421,7 +351,11 @@ class BsdeSolution:
     picard_gaps: list
     converged: bool
     terminal_defect: float
-    y0_standard_error: float = float("nan")
+    # one value per sample, in sample order, whose mean is y0 (up to the
+    # Picard tolerance for the localized solver); its spread is the
+    # standard error
+    y0_samples: np.ndarray
+    y0_standard_error: float
     exit_probability: float = 0.0
     max_abs_y: float = float("nan")
 
@@ -440,6 +374,12 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
     at their boundary datum.  The previous Picard iterate enters f and the
     Young term; iteration stops when the sup-grid change drops below the
     Picard tolerance.  Non-convergence is flagged on the result, not raised.
+
+    Every basis has an intercept, so each fit's mean is its targets' mean
+    and y0 is the mean of the pathwise sum
+        P = datum + sum_{i < stop} (f_i dt_i + g(Y_i) . deta_i)
+    of the last sweep; y0_samples holds P and the standard error is its
+    spread.
     """
     picard = picard or PicardConfig()
     x0_norm = float(np.linalg.norm(np.asarray(problem.x0, dtype=float)))
@@ -477,9 +417,11 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
     gaps = []
     converged = False
     iterations = 0
+    pathwise = y[-1]  # P of the last sweep: the datum before any sweep
     for iteration in range(picard.max_iterations):
         iterations = iteration + 1
         y_new = y.copy()
+        pathwise = y[-1].copy()
         for i in range(m - 2, -1, -1):
             n = n_active[i]
             if n == 0:
@@ -494,8 +436,10 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
             g_val = np.asarray(problem.g(y[i, :n]), dtype=float)
             if g_val.ndim == 1:
                 g_val = g_val[:, None]
-            target = (y_new[i + 1, :n] + f_val * dts[i]
-                      + np.sum(g_val * deta[i, :n], axis=1))
+            drive = f_val * dts[i]
+            young = np.sum(g_val * deta[i, :n], axis=1)
+            target = y_new[i + 1, :n] + drive + young
+            pathwise[:n] += drive + young
             y_coeffs[i] = ridge_solve(factor, basis, target)
             y_new[i, :n] = basis @ y_coeffs[i]
         gap = float(np.max(np.abs(y_new - y)))
@@ -512,14 +456,15 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
     z_paths[order] = z.transpose(1, 0, 2)
     terminal_defect = float(np.max(np.abs(
         y_paths[np.arange(S), stop_index] - datum)))
-    y0 = float(y_paths[:, 0].mean())
+    y0_samples = np.empty(S)
+    y0_samples[order] = pathwise
     return BsdeSolution(
-        y0=y0, y_at_times={float(times[0]): y_paths[:, 0]},
-        y_coefficients=y_coeffs, z_coefficients=z_coeffs, y_paths=y_paths,
-        z_paths=z_paths, radius=float(radius), picard_iterations=iterations,
+        y0=float(y_paths[:, 0].mean()), y_coefficients=y_coeffs,
+        z_coefficients=z_coeffs, y_paths=y_paths, z_paths=z_paths,
+        radius=float(radius), picard_iterations=iterations,
         picard_gaps=gaps, converged=converged,
-        terminal_defect=terminal_defect,
-        y0_standard_error=_step_one_se(y_paths),
+        terminal_defect=terminal_defect, y0_samples=y0_samples,
+        y0_standard_error=_standard_error(y0_samples),
         exit_probability=exit_report.probability,
         max_abs_y=float(np.max(np.abs(y_paths))))
 
@@ -564,8 +509,7 @@ def martingale_residual(problem: BsdeProblem, solution: BsdeSolution,
         mean[i] = float(res.mean())
         # the projection part of the mean vanishes identically (normal
         # equations), so the estimator fluctuates only through the zdw term
-        se[i] = float(zdw.std(ddof=1) / math.sqrt(zdw.size)) \
-            if zdw.size > 1 else 0.0
+        se[i] = _standard_error(zdw)
     return {"mean": mean, "se": se}
 
 
@@ -580,10 +524,11 @@ def solve_bsde_with_localization(problem: BsdeProblem, radii, grid: TimeGrid,
 
     Returns the largest-radius solution as the whole-space estimate plus one
     table row per radius: y0 with its own standard error, the gap to the
-    largest radius with its paired standard error, the exit probability and
-    max |Y|.  The radii are checked before any simulation.  Only the finest
-    solution is kept whole: each coarser one shrinks to its row before the
-    next solve runs.
+    largest radius with its paired standard error (the spread of the
+    per-sample difference of y0_samples), the exit probability and max |Y|.
+    The radii are checked before any simulation.  Only the finest solution
+    is kept whole: each coarser one shrinks to its row and its y0_samples
+    before the next solve runs.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or not np.all(np.diff(radii) > 0):
@@ -600,18 +545,17 @@ def solve_bsde_with_localization(problem: BsdeProblem, radii, grid: TimeGrid,
                                     picard=picard, batch=batch)
 
     def summary(sol):
-        # the row scalars, and Y at steps 0 and 1 for the paired SE
         return ({"radius": sol.radius, "y0": sol.y0,
                  "y0_standard_error": sol.y0_standard_error,
                  "exit_probability": sol.exit_probability,
-                 "max_abs_y": sol.max_abs_y}, sol.y_paths[:, :2].copy())
+                 "max_abs_y": sol.max_abs_y}, sol.y0_samples)
 
     summaries = [summary(solve(r)) for r in radii[:-1]]
     finest = solve(radii[-1])
     summaries.append(summary(finest))
-    for row, head in summaries:
+    for row, y0_samples in summaries:
         row["gap"] = abs(row["y0"] - finest.y0)
-        row["se"] = _step_one_se(head, finest.y_paths)
+        row["se"] = _standard_error(y0_samples - finest.y0_samples)
     return finest, [row for row, _ in summaries]
 
 

@@ -125,7 +125,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "horizon": Field(float, 1.0, _positive),
         "steps": Field(int, 64, lambda v: v >= 1),
         "samples": Field(int, 10000, _positive),
-        "radii": Field(tuple, (2.0, 3.0, 4.0, 6.0)),
+        "radii": Field(tuple, (2.0, 3.0, 4.0, 6.0), _nonempty),
         "basis_degree": Field(int, 2, lambda v: 0 <= v <= 6),
         "picard_tol": Field(float, 1e-6, _positive),
         "picard_max": Field(int, 50, _positive),
@@ -155,7 +155,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "horizon": Field(float, 1.0, _positive),
         "steps": Field(int, 64, lambda v: v >= 1),
         "samples": Field(int, 20000, _positive),
-        "radii": Field(tuple, (1.5, 2.0, 2.5, 3.0)),
+        "radii": Field(tuple, (1.5, 2.0, 2.5, 3.0), _nonempty),
         "reference_radius": Field(float, 4.0, _positive),
         "eval_xs": Field(tuple, (0.0,), _nonempty),
         "min_detectable_z": Field(float, 0.0, _nonneg),
@@ -185,7 +185,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "horizon": Field(float, 1.0, _positive),
         "steps": Field(int, 256, lambda v: v >= 1),
         "samples": Field(int, 100000, _positive),
-        "radii": Field(tuple, (1.0, 1.5, 2.0, 2.5)),
+        "radii": Field(tuple, (1.0, 1.5, 2.0, 2.5), _nonempty),
     },
 }
 

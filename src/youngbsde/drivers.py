@@ -16,7 +16,7 @@ Conventions
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -199,7 +199,6 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
     nodes = np.linspace(-1.0, 1.0, quadrature_points)
     weights = _simpson_weights(quadrature_points) * bump_kernel(nodes)
     weights = weights / weights.sum()
-    payload = {"delta": delta, "quadrature_points": quadrature_points}
 
     if driver._factors is not None:
         v, a, a0 = driver._factors
@@ -212,10 +211,9 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
             raw = np.asarray(a(s.ravel()), dtype=float).reshape(s.shape) - a0
             return ((sign * raw) @ weights)[inverse]
 
-        smooth = make_separable_driver(
+        return make_separable_driver(
             v, a_smooth, dim=driver.dim, channels=driver.channels,
             tau=driver.tau, lam=driver.lam, beta=driver.beta)
-        return replace(smooth, payload=payload)
 
     base_fn = driver.fn
 
@@ -231,8 +229,7 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
         return acc
 
     return SpaceTimeDriver(fn=fn, dim=driver.dim, channels=driver.channels,
-                           tau=driver.tau, lam=driver.lam, beta=driver.beta,
-                           payload=payload)
+                           tau=driver.tau, lam=driver.lam, beta=driver.beta)
 
 
 # -- seminorm estimation ---------------------------------------------------

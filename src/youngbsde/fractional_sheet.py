@@ -145,8 +145,7 @@ def sample_sheet(spec: SheetSpec, seed: int, jitter: float | None = None
     beta = max(float(np.sum(spec.h)) - lam, 0.0)
     driver = make_grid_driver(spec.grid.times, spec.space_axes, values,
                               tau=tau, lam=lam, beta=beta)
-    driver.payload.update(h0=spec.h0, h=spec.h, seed=seed,
-                          jitter=used_jitter)
+    driver.payload["jitter"] = used_jitter
     return driver
 
 

@@ -11,16 +11,11 @@ from scipy.linalg.lapack import dpotrs
 
 from .errors import NumericalError
 
-__all__ = ["poly_basis", "basis_size", "ridge_factor", "ridge_solve",
-           "ridge_fit", "fit_predict", "line_fit"]
+__all__ = ["poly_basis", "ridge_factor", "ridge_solve", "ridge_fit",
+           "fit_predict", "line_fit"]
 
 _RIDGE = 1e-8
 _RIDGE_CEILING = 1e-2
-
-
-def basis_size(dim: int, degree: int) -> int:
-    return sum(1 for d in range(degree + 1)
-               for _ in combinations_with_replacement(range(dim), d))
 
 
 def poly_basis(x: np.ndarray, degree: int) -> np.ndarray:

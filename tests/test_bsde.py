@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from youngbsde import bsde
 from youngbsde.bsde import (BsdeProblem, LinearBsdeSpec, PicardConfig,
-                            _step_one_se, exponential_moment_diagnostic,
+                            exponential_moment_diagnostic,
                             girsanov_weight, martingale_residual,
                             solve_bsde_with_localization,
                             solve_linear_bsde, solve_localized_bsde,
@@ -17,7 +17,8 @@ from youngbsde.diffusion import DiffusionSpec, first_exit, simulate
 from youngbsde.drivers import make_separable_driver, zero_driver
 from youngbsde.errors import DomainError, NumericalError
 from youngbsde.paths import SamplePath, TimeGrid
-from youngbsde.regression import basis_size, poly_basis, ridge_fit
+from youngbsde.pde_fk import fk_point_estimate
+from youngbsde.regression import poly_basis, ridge_fit
 from youngbsde.registry import diffusion_by_name, driver_by_names
 from youngbsde.young_calculus import solve_flow, young_sum_batch
 
@@ -175,20 +176,23 @@ class TestLinearSolver:
         sol = solve_linear_bsde(spec, GRID, 50000, seed=13)
         assert abs(sol.y0 - c) <= 3 * sol.y0_standard_error
 
-    def test_interior_time_regression(self):
+    @pytest.mark.parametrize("seed", range(5))
+    def test_is_the_feynman_kac_point_estimate(self, seed):
+        # alpha = 1 and no drift change: the linear payoff is the FK
+        # payoff h(X_T) exp(sum deta) on the same simulated paths
+        driver = driver_by_names("cos", "linear", amplitude=0.5)
+        h = lambda x: np.cos(x[:, 0]) + 2.0
         spec = LinearBsdeSpec(
-            alpha=lambda t, x: np.zeros(x.shape[0]),
-            terminal=lambda p: p[:, -1, 0], driver=TIME_DRIVER,
-            diffusion=BROWNIAN, x0=np.array([0.0]))
-        sol = solve_linear_bsde(spec, GRID, 20000, seed=11,
-                                eval_times=(0.0, 0.5))
-        y_half = sol.y_at_times[0.5][:, 0]
-        batch = brownian_batch(20000, seed=11)
-        x_half = batch.paths[:, GRID.index_of(0.5), 0]
-        # martingale: Y_{1/2} = X_{1/2} lies in the regression span; the
-        # residual is pure coefficient noise, largest at the state tails
-        assert np.mean(np.abs(y_half - x_half)) <= 0.02
-        assert np.max(np.abs(y_half - x_half)) <= 0.1
+            alpha=lambda t, x: np.ones(x.shape[0]),
+            terminal=lambda p: h(p[:, -1, :]), driver=driver,
+            diffusion=BROWNIAN, x0=np.array([0.3]))
+        sol = solve_linear_bsde(spec, GRID, 3000, seed=seed)
+        value, se = fk_point_estimate(BROWNIAN, driver, h, 0.0, [0.3], 1.0,
+                                      32, 3000, seed)
+        assert sol.y0 == value
+        # the FK variance divides by S, the solver's by S - 1
+        assert sol.y0_standard_error == pytest.approx(
+            se * math.sqrt(3000 / 2999), rel=0, abs=1e-12)
 
     def test_alpha_bound_enforced(self):
         spec = LinearBsdeSpec(
@@ -355,7 +359,7 @@ class TestPrefixOrderedSolver:
         # agree to 1e-11.  With fewer, the normal equations are nearly
         # singular and only the 1e-8 ridge bounds their condition number,
         # by about p / 1e-8: either fit is then accurate to eps * p / 1e-8
-        p = basis_size(dim, degree)
+        p = math.comb(dim + degree, degree)
         active = (np.count_nonzero(ref.stop_index > i)
                   for i in range(grid.times.size - 1))
         tol = 1e-11 if all(n == 0 or n >= 2 * p for n in active) \
@@ -445,11 +449,11 @@ class TestPrefixOrderedSolver:
 
 
 class TestStandardError:
-    # the lorentz-driver problem of criterion 11 at a small size; at a
-    # deterministic start the fitted t=0 values differ only by roundoff,
-    # which gave a standard error of 3.5e-18 (single radius, seed 2) and a
-    # paired one of 5.5e-20 (radius 1.5 of the sweep, seed 1) before the
-    # step-1 rule
+    # the lorentz-driver problem of criterion 11 at a small size.  At a
+    # deterministic start the fitted t=0 values differ only by roundoff
+    # (a spread of 3.5e-18 at seed 2), and the spread of Y at step 1 is
+    # too small by about sqrt(steps): the standard error is the spread of
+    # the pathwise sum whose mean is y0
     GRID32 = TimeGrid.uniform(1.0, 32)
 
     @staticmethod
@@ -460,18 +464,61 @@ class TestStandardError:
             driver=driver_by_names("lorentz", "linear"), diffusion=BROWNIAN,
             x0=np.array([0.0]), lipschitz_f=1e-9)
 
-    def test_single_solve_uses_step_one_spread(self):
-        sol = solve_localized_bsde(self.problem(), 3.0, self.GRID32, 4000,
-                                   seed=2)
-        step1 = np.std(sol.y_paths[:, 1], ddof=1) / math.sqrt(4000)
-        assert sol.y0_standard_error == step1
+    def test_single_solve_uses_pathwise_spread(self):
+        problem = self.problem()
+        sol = solve_localized_bsde(problem, 3.0, self.GRID32, 4000, seed=2)
+        # f = 0 and g = 1: the pathwise sum is the stopped state plus the
+        # driver increments before the stop, whatever the fitted Y
+        batch = simulate(BROWNIAN, [0.0], self.GRID32, 4000, 2)
+        stop = bsde._stop_index(first_exit(batch, 3.0), 33)
+        deta = bsde._stacked_increments(problem.driver, self.GRID32.times,
+                                        batch.paths)[:, :, 0]
+        before_stop = np.arange(32)[None, :] < stop[:, None]
+        pathwise = (batch.paths[np.arange(4000), stop, 0]
+                    + np.sum(deta * before_stop, axis=1))
+        np.testing.assert_allclose(sol.y0_samples, pathwise, rtol=0,
+                                   atol=1e-12)
+        assert abs(sol.y0_samples.mean() - sol.y0) <= 1e-6
+        assert sol.y0_standard_error == \
+            np.std(sol.y0_samples, ddof=1) / math.sqrt(4000)
         assert sol.y0_standard_error > 1e-3
 
-    def test_sweep_uses_paired_step_one_spread(self):
+    def test_sweep_uses_paired_pathwise_spread(self):
         finest, table = solve_bsde_with_localization(
             self.problem(), [1.5, 2.0, 3.0], self.GRID32, 4000, seed=1)
         assert table[-1]["se"] == 0.0
         assert all(row["se"] > 1e-6 for row in table[:-1])
+
+    def test_calibrated_over_seeds(self):
+        # a nonlinear problem at 1000 samples x 16 steps over 30 seeds: the
+        # seed-to-seed spread of y0, and of the paired difference between
+        # radii 1.5 and 2.5, over the median reported standard error.  The
+        # pathwise rule gives 1.25 and 1.44; the step-1 spread gave 3.9 and
+        # 12.0
+        problem = BsdeProblem(
+            f=lambda t, x, y, z: 0.5 * np.sin(y) + 0.2 * z[:, 0],
+            g=lambda y: np.tanh(np.asarray(y, dtype=float)).reshape(-1, 1),
+            terminal=lambda x: x[:, 0],
+            driver=driver_by_names("linear", "linear"), diffusion=BROWNIAN,
+            x0=np.array([0.0]), lipschitz_f=0.5)
+        grid = TimeGrid.uniform(1.0, 16)
+        y0, se, diff, diff_se = [], [], [], []
+        for seed in range(30):
+            finest, table = solve_bsde_with_localization(
+                problem, [1.5, 2.5], grid, 1000, seed)
+            y0.append(finest.y0)
+            se.append(finest.y0_standard_error)
+            diff.append(table[0]["y0"] - finest.y0)
+            diff_se.append(table[0]["se"])
+        assert 0.5 <= np.std(y0, ddof=1) / np.median(se) <= 2.5
+        assert 0.5 <= np.std(diff, ddof=1) / np.median(diff_se) <= 2.5
+
+    def test_no_sweep_leaves_the_datum(self):
+        sol = solve_localized_bsde(self.problem(), 3.0, self.GRID32, 200,
+                                   seed=2,
+                                   picard=PicardConfig(max_iterations=0))
+        assert not sol.converged
+        np.testing.assert_array_equal(sol.y0_samples, sol.y_paths[:, -1])
 
     def test_one_point_grid_is_the_terminal_datum(self):
         problem = self.problem()
@@ -561,7 +608,8 @@ class TestLocalizationSweep:
             assert row["y0"] == sol.y0
             assert row["y0_standard_error"] == sol.y0_standard_error
             assert row["gap"] == abs(sol.y0 - finest.y0)
-            assert row["se"] == _step_one_se(sol.y_paths, finest.y_paths)
+            assert row["se"] == np.std(sol.y0_samples - finest.y0_samples,
+                                       ddof=1) / math.sqrt(300)
             assert row["exit_probability"] == sol.exit_probability
         # without a batch the sweep simulates the same one from its seed
         _, own = solve_bsde_with_localization(problem, radii, self.GRID8,

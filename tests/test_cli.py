@@ -183,14 +183,16 @@ class TestCliExitCodes:
         assert err["error"] == "config" and "workers" in err["message"]
         assert not (tmp_path / "o").exists()
 
-    def test_empty_radii_is_3(self, tmp_path, capsys):
-        cfg = self._write(tmp_path,
-                          "kind = localization-error\nradii =\n"
-                          "samples = 50\nsteps = 4\n")
+    @pytest.mark.parametrize("kind", ["nonlinear-bsde", "localization-error",
+                                      "exit-decay"])
+    def test_empty_radii_is_2(self, tmp_path, capsys, kind):
+        cfg = self._write(tmp_path, f"kind = {kind}\nradii =\n"
+                                    "samples = 50\nsteps = 4\n")
         assert main(["run", "--config", cfg,
-                     "--out", str(tmp_path / "o")]) == 3
+                     "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "precondition"
+        assert err["error"] == "config" and "radii" in err["message"]
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("kind", ["pde-fk", "localization-error"])
     def test_empty_eval_xs_is_2(self, tmp_path, capsys, kind):

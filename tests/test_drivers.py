@@ -119,7 +119,6 @@ class TestMollify:
     def test_separable_stays_separable(self):
         smooth = mollify_time(cos_driver(), delta=0.1, horizon=1.0)
         assert smooth._factors is not None
-        assert smooth.payload == {"delta": 0.1, "quadrature_points": 129}
         grid = make_grid_driver(np.linspace(0, 1, 3), [np.array([0.0, 1.0])],
                                 np.arange(6.0).reshape(3, 2), tau=0.5,
                                 lam=0.5, beta=0.0)
