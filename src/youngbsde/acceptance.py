@@ -215,7 +215,7 @@ def _c07_girsanov_tower(out: Path):
         fn = drift_change_function(name, amp)
         g_vals = np.stack([fn(grid.times[i], batch.paths[:, i, :])
                            for i in range(32)], axis=1)
-        m_t, _ = girsanov_weight(g_vals, batch.increments, dts)
+        m_t = girsanov_weight(g_vals, batch.increments, dts)
         z = abs(m_t.mean() - 1.0) / (m_t.std(ddof=1) / math.sqrt(m_t.size))
         ok &= z <= 3.0
         details.append(f"E[M_T]({name}) off by {z:.2f} SE")

@@ -8,19 +8,19 @@ Two routes are implemented:
 
 * a localized least-squares Monte Carlo scheme for the nonlinear equation
   dY = -f(t,X,Y,Z) dt - g(Y) eta(dt,X) + Z dW stopped at the first exit of X
-  from a centered ball, with the Young term frozen at the previous Picard
-  iterate and exited samples absorbed at their boundary datum.
+  from a centered ball, with exited samples absorbed at their boundary datum.
 
 Conditional expectations are global polynomial regressions on the state
 restricted to not-yet-exited samples.  Z carries the documented O(sqrt(dt))
 bias of the Brownian-increment regression representation.
 
-The localized solver sorts its samples once, stably, by descending stop
-index, so the samples still active at each step are a prefix of that order,
-and keeps paths, increments, Y and Z time-major in it.  Each step's basis
-and the Cholesky factor of its ridged normal matrix are built once per
-radius; every Picard sweep solves its Z and Y fits with that factor.  Y and
-Z are returned in sample order.
+The localized scheme is backward triangular: Y_i depends only on Y_{i+1},
+on Z_i (a fit of Y_{i+1}) and on itself.  So the solver makes one backward
+pass.  At each step it builds the basis of the active samples and the
+Cholesky factor of its ridged normal matrix once, fits Z_i once from
+Y_{i+1}, and iterates the Y_i fit in place (a per-step Picard fixed point)
+with that factor.  This has the fixed point of a global Picard iteration
+over the whole horizon.
 
 Each solver reports, besides y0, one value per sample whose mean is y0:
 the payoff of the linear formula, and the pathwise sum of datum and
@@ -63,13 +63,13 @@ _EXP_GUARD = 700.0
 
 
 def girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
-                    dts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Discrete exponential martingale of a drift-change process.
+                    dts: np.ndarray) -> np.ndarray:
+    """Terminal value M_T, shape (S,), of the discrete exponential
+    martingale of a drift-change process; strictly positive, M_0 = 1.
 
     g_values holds the process at left grid points, shape (S, steps, d);
-    increments are the Brownian increments of the same shape.  Returns
-    (M_T of shape (S,), running M of shape (S, steps + 1)); strictly
-    positive, M_0 = 1.
+    increments are the Brownian increments of the same shape.  Raises
+    NumericalError when the running log M exceeds the overflow guard.
     """
     g_values = np.asarray(g_values, dtype=float)
     increments = np.asarray(increments, dtype=float)
@@ -83,14 +83,7 @@ def girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
     if np.max(log_path) > _EXP_GUARD:
         raise NumericalError("exponential martingale overflow; the "
                              "drift-change process is too large")
-    weights = np.exp(log_path)
-    return weights[:, -1], weights
-
-
-def _time_major(a: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """Samples-first array a (S, steps, ...) as a contiguous steps-first
-    array with its samples in the given order."""
-    return np.ascontiguousarray(np.swapaxes(a[order], 0, 1))
+    return np.exp(log_path[:, -1])
 
 
 def _stacked_increments(driver: SpaceTimeDriver, times: np.ndarray,
@@ -183,7 +176,7 @@ def solve_linear_bsde(spec: LinearBsdeSpec, grid: TimeGrid, samples: int,
     g_vals = np.empty((S, m - 1, batch.dim))
     for i in range(m - 1):
         g_vals[:, i] = spec.drift_change_at(times[i], batch.paths[:, i, :])
-    weight_T, _ = girsanov_weight(g_vals, batch.increments, np.diff(times))
+    weight_T = girsanov_weight(g_vals, batch.increments, np.diff(times))
 
     xi = np.asarray(spec.terminal(batch.paths), dtype=float).reshape(S)
     payoff = np.exp(exponent[:, -1]) * xi * weight_T
@@ -314,6 +307,15 @@ class BsdeProblem:
         return np.asarray(self.terminal(stopped), dtype=float).reshape(-1)
 
 
+def _young_term(problem: BsdeProblem, y: np.ndarray,
+                deta: np.ndarray) -> np.ndarray:
+    """g(y) . deta per sample; g may return (S,) for one channel."""
+    g_val = np.asarray(problem.g(y), dtype=float)
+    if g_val.ndim == 1:
+        g_val = g_val[:, None]
+    return np.sum(g_val * deta, axis=1)
+
+
 def _cross_fitted_control(basis: np.ndarray, y_next: np.ndarray,
                           dw: np.ndarray, dt: float) -> np.ndarray:
     """Two-fold cross-fitted Z values on the given rows (deterministic
@@ -333,6 +335,10 @@ def _cross_fitted_control(basis: np.ndarray, y_next: np.ndarray,
 
 @dataclass
 class PicardConfig:
+    """Per-step fixed point of the localized solver: each step iterates its
+    Y fit until one iteration moves it by less than tolerance (sup over the
+    step's active samples), for at most max_iterations iterations."""
+
     tolerance: float = 1e-6
     max_iterations: int = 50
 
@@ -347,12 +353,15 @@ class BsdeSolution:
     y_paths: np.ndarray | None
     z_paths: np.ndarray | None
     radius: float
+    # localized solver: the largest per-step iteration count, each visited
+    # step's final gap (last step first), and whether every one of those
+    # gaps is below the tolerance
     picard_iterations: int
     picard_gaps: list
     converged: bool
     terminal_defect: float
     # one value per sample, in sample order, whose mean is y0 (up to the
-    # Picard tolerance for the localized solver); its spread is the
+    # ridge's shrinkage for the localized solver); its spread is the
     # standard error
     y0_samples: np.ndarray
     y0_standard_error: float
@@ -366,20 +375,23 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
                          batch: PathBatch | None = None) -> BsdeSolution:
     """Backward induction with regression conditional expectations on the
     equation stopped at the first exit from the centered ball of the given
-    radius.
+    radius, in one backward pass.
 
-    Per backward step the regression target is
-        Y_{i+1} + f(t_i, X_i, Y^prev_i, Z_i) dt + g(Y^prev_i) . deta_i,
-    restricted to samples still inside the ball; exited samples stay frozen
-    at their boundary datum.  The previous Picard iterate enters f and the
-    Young term; iteration stops when the sup-grid change drops below the
-    Picard tolerance.  Non-convergence is flagged on the result, not raised.
+    At step i, from the last step back to the first, only samples still
+    inside the ball (stop index > i) are fitted; exited samples stay frozen
+    at their boundary datum.  The step's basis and ridge factor are built
+    once.  Z_i is fitted once from Y_{i+1}; Y_i solves the fixed point
+        Y_i = P_i[Y_{i+1} + f(t_i, X_i, Y_i, Z_i) dt + g(Y_i) . deta_i],
+    iterated from Y_{i+1} with the same factor until the sup change of one
+    iteration (the step's gap) drops below the Picard tolerance, or for at
+    most max_iterations iterations.  Non-convergence is flagged on the
+    result, not raised.
 
     Every basis has an intercept, so each fit's mean is its targets' mean
     and y0 is the mean of the pathwise sum
         P = datum + sum_{i < stop} (f_i dt_i + g(Y_i) . deta_i)
-    of the last sweep; y0_samples holds P and the standard error is its
-    spread.
+    of each step's last target; y0_samples holds P and the standard error
+    is its spread.
     """
     picard = picard or PicardConfig()
     x0_norm = float(np.linalg.norm(np.asarray(problem.x0, dtype=float)))
@@ -395,78 +407,63 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
     exit_report = first_exit(batch, radius)
     stop_index = _stop_index(exit_report, m)
     datum = problem.terminal_at(batch, stop_index)
-    # samples by descending stop index, ties in sample order: the samples
-    # still active at step i, those with stop index > i, are the prefix
-    # [:n_active[i]]
-    order = np.argsort(-stop_index, kind="stable")
-    n_active = S - np.cumsum(np.bincount(stop_index, minlength=m))[:-1]
-    x = _time_major(batch.paths, order)
-    dw = _time_major(batch.increments, order)
-    deta = _time_major(
-        _stacked_increments(problem.driver, times, batch.paths), order)
-    bases = [poly_basis(x[i, :n], basis_degree) if n else None
-             for i, n in enumerate(n_active)]
-    factors = [ridge_factor(b) if b is not None else None for b in bases]
+    # time-major, so each step's active rows are gathered from one block
+    x = np.ascontiguousarray(np.swapaxes(batch.paths, 0, 1))
+    dw = np.ascontiguousarray(np.swapaxes(batch.increments, 0, 1))
 
     # exited samples keep their datum in y and zero in z: only active rows
     # are ever written
-    y = np.tile(datum[order], (m, 1))
+    y = np.tile(datum, (m, 1))
     z = np.zeros((m - 1, S, batch.dim))
     y_coeffs = [None] * (m - 1)
     z_coeffs = [None] * (m - 1)
+    pathwise = datum.copy()
     gaps = []
-    converged = False
     iterations = 0
-    pathwise = y[-1]  # P of the last sweep: the datum before any sweep
-    for iteration in range(picard.max_iterations):
-        iterations = iteration + 1
-        y_new = y.copy()
-        pathwise = y[-1].copy()
-        for i in range(m - 2, -1, -1):
-            n = n_active[i]
-            if n == 0:
-                continue
-            basis, factor = bases[i], factors[i]
-            z_coeffs[i] = ridge_solve(
-                factor, basis, y_new[i + 1, :n, None] * dw[i, :n] / dts[i])
-            z_fit = basis @ z_coeffs[i]
-            z[i, :n] = z_fit
-            f_val = np.asarray(problem.f(times[i], x[i, :n], y[i, :n], z_fit),
+    for i in range(m - 2, -1, -1):
+        active = np.flatnonzero(stop_index > i)
+        n = active.size
+        if n == 0:
+            continue
+        x_i = x[i, active]
+        basis = poly_basis(x_i, basis_degree)
+        factor = ridge_factor(basis)
+        y_next = y[i + 1, active]
+        z_coeffs[i] = ridge_solve(factor, basis,
+                                  y_next[:, None] * dw[i, active] / dts[i])
+        z_fit = basis @ z_coeffs[i]
+        z[i, active] = z_fit
+        deta = problem.driver.increment_pairs(
+            np.full(n, times[i]), np.full(n, times[i + 1]), x_i)
+        y_i, step, gap, k = y_next, 0.0, math.inf, 0
+        for k in range(1, picard.max_iterations + 1):
+            f_val = np.asarray(problem.f(times[i], x_i, y_i, z_fit),
                                dtype=float)
-            g_val = np.asarray(problem.g(y[i, :n]), dtype=float)
-            if g_val.ndim == 1:
-                g_val = g_val[:, None]
-            drive = f_val * dts[i]
-            young = np.sum(g_val * deta[i, :n], axis=1)
-            target = y_new[i + 1, :n] + drive + young
-            pathwise[:n] += drive + young
-            y_coeffs[i] = ridge_solve(factor, basis, target)
-            y_new[i, :n] = basis @ y_coeffs[i]
-        gap = float(np.max(np.abs(y_new - y)))
+            step = f_val * dts[i] + _young_term(problem, y_i, deta)
+            y_coeffs[i] = ridge_solve(factor, basis, y_next + step)
+            y_fit = basis @ y_coeffs[i]
+            gap = float(np.max(np.abs(y_fit - y_i)))
+            y_i = y_fit
+            if gap < picard.tolerance:
+                break
+        y[i, active] = y_i
+        pathwise[active] += step
         gaps.append(gap)
-        y = y_new
-        if gap < picard.tolerance:
-            converged = True
-            break
+        iterations = max(iterations, k)
 
-    # back to sample order, so the reductions below sum as the batch does
-    y_paths = np.empty((S, m))
-    y_paths[order] = y.T
-    z_paths = np.empty((S, m - 1, batch.dim))
-    z_paths[order] = z.transpose(1, 0, 2)
+    y_paths, z_paths = y.T, z.transpose(1, 0, 2)
     terminal_defect = float(np.max(np.abs(
         y_paths[np.arange(S), stop_index] - datum)))
-    y0_samples = np.empty(S)
-    y0_samples[order] = pathwise
     return BsdeSolution(
-        y0=float(y_paths[:, 0].mean()), y_coefficients=y_coeffs,
+        y0=float(y[0].mean()), y_coefficients=y_coeffs,
         z_coefficients=z_coeffs, y_paths=y_paths, z_paths=z_paths,
         radius=float(radius), picard_iterations=iterations,
-        picard_gaps=gaps, converged=converged,
-        terminal_defect=terminal_defect, y0_samples=y0_samples,
-        y0_standard_error=_standard_error(y0_samples),
+        picard_gaps=gaps,
+        converged=all(gap < picard.tolerance for gap in gaps),
+        terminal_defect=terminal_defect, y0_samples=pathwise,
+        y0_standard_error=_standard_error(pathwise),
         exit_probability=exit_report.probability,
-        max_abs_y=float(np.max(np.abs(y_paths))))
+        max_abs_y=float(np.max(np.abs(y))))
 
 
 def martingale_residual(problem: BsdeProblem, solution: BsdeSolution,
@@ -496,16 +493,13 @@ def martingale_residual(problem: BsdeProblem, solution: BsdeSolution,
         f_val = np.asarray(
             problem.f(times[i], batch.paths[active, i, :], y[active, i],
                       z[active, i, :]), dtype=float)
-        g_val = np.asarray(problem.g(y[active, i]), dtype=float)
-        if g_val.ndim == 1:
-            g_val = g_val[:, None]
         z_cross = _cross_fitted_control(
             poly_basis(batch.paths[active, i, :], basis_degree),
             y[active, i + 1], batch.increments[active, i, :], dts[i])
         zdw = np.sum(z_cross * batch.increments[active, i, :], axis=1)
         res = y[active, i] - (
             y[active, i + 1] + f_val * dts[i]
-            + np.sum(g_val * deta[active, i, :], axis=1)) + zdw
+            + _young_term(problem, y[active, i], deta[active, i, :])) + zdw
         mean[i] = float(res.mean())
         # the projection part of the mean vanishes identically (normal
         # equations), so the estimator fluctuates only through the zdw term

@@ -30,7 +30,6 @@ __all__ = [
     "young_sum_fixed_partition",
     "step_increments",
     "young_sum_batch",
-    "euler_flow_batch",
     "solve_flow",
     "flow_inverse",
     "flow_product_defect",
@@ -141,7 +140,7 @@ def step_increments(driver: SpaceTimeDriver, times: np.ndarray,
     """Left-point driver increments along a path batch, one grid step at a
     time: yields eta(t_{i+1}, X_i) - eta(t_i, X_i), shape (S, M), for
     i = 0 .. m-2.  paths has shape (S, m, d).  Callers sum, weight, stack or
-    accumulate the steps; nothing else evaluates a driver along a batch."""
+    accumulate the steps."""
     S, m, _ = paths.shape
     for i in range(m - 1):
         yield driver.increment_pairs(np.full(S, times[i]),
@@ -211,20 +210,19 @@ def _coerce_alpha(alpha: np.ndarray, m: int, channels: int) -> np.ndarray:
     return a
 
 
-def euler_flow_batch(alpha: np.ndarray, deta: np.ndarray) -> np.ndarray:
-    """Explicit Euler flow per sample from the identity,
-    Gamma_{i+1} = Gamma_i + sum_ch alpha[s,i,ch]^T Gamma_i deta[s,i,ch];
-    alpha is (S, steps, M, N, N), deta is (S, steps, M).  Returns
-    (S, steps + 1, N, N)."""
-    S, steps, channels = deta.shape
+def _euler_flow(alpha: np.ndarray, deta: np.ndarray) -> np.ndarray:
+    """Explicit Euler flow from the identity,
+    Gamma_{i+1} = Gamma_i + sum_ch alpha[i,ch]^T Gamma_i deta[i,ch];
+    alpha is (steps, M, N, N), deta is (steps, M).  Returns
+    (steps + 1, N, N)."""
+    steps = deta.shape[0]
     n = alpha.shape[-1]
-    out = np.empty((S, steps + 1, n, n))
-    out[:, 0] = np.eye(n)
+    out = np.empty((steps + 1, n, n))
+    out[0] = np.eye(n)
     for i in range(steps):
-        step = np.einsum("scji,sjk,sc->sik", alpha[:, i], out[:, i],
-                         deta[:, i])
-        out[:, i + 1] = out[:, i] + step
-        if np.max(np.abs(out[:, i + 1])) > FLOW_OVERFLOW_GUARD:
+        step = np.einsum("cji,jk,c->ik", alpha[i], out[i], deta[i])
+        out[i + 1] = out[i] + step
+        if np.max(np.abs(out[i + 1])) > FLOW_OVERFLOW_GUARD:
             raise NumericalError(
                 f"flow magnitude exceeded {FLOW_OVERFLOW_GUARD:g} at step "
                 f"{i + 1}; the step size is too coarse for these coefficients"
@@ -272,7 +270,7 @@ def solve_flow(alpha, driver: SpaceTimeDriver, x: SamplePath,
         raise DomainError(f"unknown flow mode {mode!r}")
 
     deta = driver.increment_pairs(sub_t[:-1], sub_t[1:], sub_x[:-1])
-    matrices = euler_flow_batch(sub_a[None, :-1], deta[None])[0]
+    matrices = _euler_flow(sub_a[:-1], deta)
     err = None
     if richardson:
         fine_t, fine_x = _refine(sub_t, sub_x)
@@ -281,7 +279,7 @@ def solve_flow(alpha, driver: SpaceTimeDriver, x: SamplePath,
         fine_a[1::2] = 0.5 * (sub_a[:-1] + sub_a[1:])
         fine_deta = driver.increment_pairs(fine_t[:-1], fine_t[1:],
                                            fine_x[:-1])
-        fine = euler_flow_batch(fine_a[None, :-1], fine_deta[None])[0]
+        fine = _euler_flow(fine_a[:-1], fine_deta)
         err = float(np.max(np.abs(fine[-1] - matrices[-1])))
     return FlowPath(base_time=float(sub_t[0]), times=sub_t,
                     matrices=matrices, mode="euler", error_estimate=err)

@@ -105,15 +105,13 @@ class TestGirsanov:
     def test_zero_process_unit_weight(self):
         batch = brownian_batch(100)
         g = np.zeros_like(batch.increments)
-        m_t, path = girsanov_weight(g, batch.increments,
-                                    np.diff(GRID.times))
+        m_t = girsanov_weight(g, batch.increments, np.diff(GRID.times))
         assert np.all(m_t == 1.0)
-        assert np.all(path == 1.0)
 
     def test_deterministic_process_lognormal(self):
         batch = brownian_batch(50000)
         g = np.full_like(batch.increments, 0.4)
-        m_t, _ = girsanov_weight(g, batch.increments, np.diff(GRID.times))
+        m_t = girsanov_weight(g, batch.increments, np.diff(GRID.times))
         log_m = np.log(m_t)
         # log M_T ~ N(-q/2, q) with q = int |G|^2 dt
         q = 0.16
@@ -126,8 +124,8 @@ class TestGirsanov:
         b1, b2 = brownian_batch(64, seed=3), brownian_batch(64, seed=3)
         g1 = 0.3 * np.cos(b1.paths[:, :-1, :])
         g2 = 0.3 * np.cos(b2.paths[:, :-1, :])
-        m1, _ = girsanov_weight(g1, b1.increments, np.diff(GRID.times))
-        m2, _ = girsanov_weight(g2, b2.increments, np.diff(GRID.times))
+        m1 = girsanov_weight(g1, b1.increments, np.diff(GRID.times))
+        m2 = girsanov_weight(g2, b2.increments, np.diff(GRID.times))
         np.testing.assert_array_equal(m1, m2)
 
 
@@ -279,17 +277,25 @@ class TestLocalizedSolver:
                                       batch.paths)[:, 0]).mean()
         assert sol.y0 == pytest.approx(explicit, abs=1e-7)
 
-    def test_picard_gaps_decrease(self):
+    def test_one_gap_per_active_step(self):
+        # the fixed point is solved step by step: one final gap for every
+        # step with an active sample, each below the tolerance
         driver = driver_by_names("cos", "linear")
         problem = BsdeProblem(
             f=lambda t, x, y, z: 0.2 * y,
             g=lambda y: np.tanh(y).reshape(-1, 1),
             terminal=lambda x: x[:, 0], driver=driver, diffusion=BROWNIAN,
             x0=np.array([0.0]), lipschitz_f=0.21)
-        sol = solve_localized_bsde(problem, 5.0, GRID, 5000, seed=9)
-        gaps = sol.picard_gaps
+        picard = PicardConfig(tolerance=1e-9, max_iterations=50)
+        sol = solve_localized_bsde(problem, 1.0, GRID, 5000, seed=9,
+                                   picard=picard)
+        stop = bsde._stop_index(first_exit(brownian_batch(5000, seed=9),
+                                           1.0), GRID.times.size)
         assert sol.converged
-        assert all(b <= a for a, b in zip(gaps[1:-1], gaps[2:]))
+        assert len(sol.picard_gaps) == np.count_nonzero(
+            [np.any(stop > i) for i in range(GRID.times.size - 1)])
+        assert all(gap < picard.tolerance for gap in sol.picard_gaps)
+        assert 1 <= sol.picard_iterations <= picard.max_iterations
 
     def test_martingale_residual_within_band(self):
         problem = BsdeProblem(
@@ -324,11 +330,12 @@ class TestLocalizedSolver:
                 coefficient_bound=1.0)
 
 
-class TestPrefixOrderedSolver:
-    """The solver sorts its samples by stop index and reuses one basis and
-    one ridge factor per step in every Picard sweep.  It must agree with the
-    masked loop in sample order, and every fit must still be the ridge_fit
-    of that step's active rows."""
+class TestOnePassSolver:
+    """The solver makes one backward pass: each step builds one basis and
+    one ridge factor on its active rows and iterates its own Y fit to the
+    tolerance.  Its fixed point must be that of the global Picard sweeps
+    of the masked reference loop, and every fit must still be the
+    ridge_fit of that step's active rows."""
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(1, 2),
@@ -348,17 +355,20 @@ class TestPrefixOrderedSolver:
             x0=np.zeros(dim), lipschitz_f=0.3)
         grid = TimeGrid([0.0], 1.0) if steps == 0 \
             else TimeGrid.uniform(1.0, steps)
+        # both iterate to the same fixed point, one step or one sweep at a
+        # time; a tolerance far below the fit tolerance compares the points
+        picard = PicardConfig(tolerance=1e-13, max_iterations=200)
         ref = _reference_localized_bsde(problem, radius, grid, samples, seed,
-                                        basis_degree=degree)
+                                        basis_degree=degree, picard=picard)
         sol = solve_localized_bsde(problem, radius, grid, samples, seed,
-                                   basis_degree=degree)
-        assert sol.picard_iterations == ref.picard_iterations
-        assert sol.converged == ref.converged
-        # the solver sums B^T B over the same rows in another order.  With
-        # at least 2p active rows at every step (p basis columns) the fits
-        # agree to 1e-11.  With fewer, the normal equations are nearly
-        # singular and only the 1e-8 ridge bounds their condition number,
-        # by about p / 1e-8: either fit is then accurate to eps * p / 1e-8
+                                   basis_degree=degree, picard=picard)
+        assert ref.converged and sol.converged
+        # the solver solves the normal equations by Cholesky, the reference
+        # by LU.  With at least 2p active rows at every step (p basis
+        # columns) the fits agree to 1e-11.  With fewer, the normal
+        # equations are nearly singular and only the 1e-8 ridge bounds
+        # their condition number, by about p / 1e-8: either fit is then
+        # accurate to eps * p / 1e-8
         p = math.comb(dim + degree, degree)
         active = (np.count_nonzero(ref.stop_index > i)
                   for i in range(grid.times.size - 1))
@@ -386,20 +396,19 @@ class TestPrefixOrderedSolver:
     @staticmethod
     def fits_match_ridge_fit(problem, radius, grid, samples, seed, degree):
         """Assert that each step's final Z and Y coefficients equal ridge_fit
-        on that step's active rows, taken in the solver's prefix order, and
-        return the active counts.  Needs f = 0 and g = 1, so the Y target
-        does not involve the previous Picard iterate."""
+        on that step's active rows, in sample order, and return the active
+        counts.  Needs f = 0 and g = 1, so the Y target does not involve the
+        previous iterate."""
         batch = simulate(problem.diffusion, problem.x0, grid, samples, seed)
         sol = solve_localized_bsde(problem, radius, grid, samples, seed,
                                    basis_degree=degree, batch=batch)
         times = grid.times
         stop = bsde._stop_index(first_exit(batch, radius), times.size)
-        order = np.argsort(-stop, kind="stable")
         deta = bsde._stacked_increments(problem.driver, times, batch.paths)
         dts = np.diff(times)
         counts = []
         for i in range(times.size - 1):
-            rows = order[:np.count_nonzero(stop > i)]
+            rows = np.flatnonzero(stop > i)
             if rows.size == 0:
                 continue
             basis = poly_basis(batch.paths[rows, i], degree)
