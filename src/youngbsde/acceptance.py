@@ -31,11 +31,11 @@ from .fd import crank_nicolson_terminal_value
 from .fractional_sheet import (SheetSpec, covariance_matrix,
                                hurst_region_grid, sample_sheet_batch)
 from .paths import SamplePath, TimeGrid, p_variation, p_variation_brute_force
-from .pde_fk import (NonLipschitzProblem, fk_point_estimate,
-                     localization_error_experiment)
+from .pde_fk import (NonLipschitzProblem, localization_error_experiment,
+                     solve_linear_young_pde)
 from .registry import (diffusion_by_name, driver_by_names,
                        drift_change_function)
-from .rng import hash64, stream
+from .rng import stream
 from .young_calculus import (flow_product_defect, nonlinear_young_integral,
                              solve_flow, young_sum_fixed_partition)
 
@@ -238,16 +238,15 @@ def _c07_girsanov_tower(out: Path):
 
 def _c08_classical_bsde(out: Path):
     rate = 0.1
+    problem = BsdeProblem(
+        f=lambda t, x, y, z: rate * y, g=lambda y: np.zeros((np.size(y), 1)),
+        terminal=lambda x: x[:, 0], driver=zero_driver(),
+        coefficient_bound=1.0, lipschitz_f=0.2)
     details, ok = [], True
     for x0 in (0.5, 1.0):
-        problem = BsdeProblem(
-            f=lambda t, x, y, z: rate * y,
-            g=lambda y: np.zeros((np.size(y), 1)),
-            terminal=lambda x: x[:, 0], driver=zero_driver(),
-            diffusion=_brownian(), x0=np.array([x0]),
-            coefficient_bound=1.0, lipschitz_f=0.2)
-        sol = solve_localized_bsde(problem, 6.0, TimeGrid.uniform(1.0, 64),
-                                   100000, seed=22)
+        batch = simulate(_brownian(), [x0], TimeGrid.uniform(1.0, 64),
+                         100000, seed=22)
+        sol = solve_localized_bsde(problem, 6.0, batch)
         target = math.exp(rate) * x0
         rel = abs(sol.y0 - target) / target
         ok &= rel <= 0.02
@@ -259,15 +258,16 @@ def _c08_classical_bsde(out: Path):
 # -- criterion 9 -------------------------------------------------------------
 
 def _c09_linear_pde_vs_fd(out: Path):
-    driver = driver_by_names("cos", "linear")
     oracle = crank_nicolson_terminal_value(
         lambda x: np.ones_like(x), lambda x: np.ones_like(x),
         lambda x: np.zeros_like(x), np.cos, 1.0, 8.0, 2000, 2000)
+    xs = (-1.0, 0.0, 1.0)
+    table = solve_linear_young_pde(
+        lambda xa: np.ones(xa.shape[0]), _brownian(),
+        driver_by_names("cos", "linear"), [(0.0, [x]) for x in xs], 1.0,
+        200000, seed=9, steps=128)
     details, ok = [], True
-    for j, x in enumerate((-1.0, 0.0, 1.0)):
-        u, _ = fk_point_estimate(_brownian(), driver,
-                                 lambda xa: np.ones(xa.shape[0]), 0.0, [x],
-                                 1.0, 128, 200000, hash64(9, j))
+    for x, u in zip(xs, table.values):
         ref = float(oracle.at(0.0, x)[0])
         rel = abs(u - ref) / abs(ref)
         ok &= rel <= 0.05
@@ -308,10 +308,10 @@ def _c11_cauchy_property(out: Path):
     problem = BsdeProblem(
         f=lambda t, x, y, z: np.zeros(x.shape[0]),
         g=lambda y: np.ones((np.size(y), 1)), terminal=lambda x: x[:, 0],
-        driver=driver, diffusion=_brownian(), x0=np.array([0.0]),
-        coefficient_bound=1.0, lipschitz_f=1e-6)
+        driver=driver, coefficient_bound=1.0, lipschitz_f=1e-6)
     finest, table = solve_bsde_with_localization(
-        problem, [1.5, 2.0, 2.5, 3.0, 4.0], grid, 100000, seed=10)
+        problem, [1.5, 2.0, 2.5, 3.0, 4.0],
+        simulate(_brownian(), [0.0], grid, 100000, seed=10))
     y0s = [row["y0"] for row in table]
     gaps = [abs(a - b) for a, b in zip(y0s[:-1], y0s[1:])]
     violations = sum(1 for a, b in zip(gaps[:-1], gaps[1:]) if b > a)

@@ -22,6 +22,10 @@ Y_{i+1}, and iterates the Y_i fit in place (a per-step Picard fixed point)
 with that factor.  This has the fixed point of a global Picard iteration
 over the whole horizon.
 
+Every solver takes the path batch it solves on and none simulates: the
+equation types carry coefficients only, and one batch serves a whole sweep
+of radii.
+
 Each solver reports, besides y0, one value per sample whose mean is y0:
 the payoff of the linear formula, and the pathwise sum of datum and
 driver terms of the localized scheme.  A standard error is always the
@@ -37,10 +41,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .diffusion import NO_EXIT, DiffusionSpec, PathBatch, first_exit, simulate
+from .diffusion import PathBatch, first_exit
+# bench/tracer.py wraps simulate as bound in this module
+from .diffusion import simulate  # noqa: F401
 from .drivers import SpaceTimeDriver
 from .errors import DomainError, NumericalError
-from .paths import TimeGrid
 from .regression import (fit_predict, poly_basis, ridge_factor, ridge_fit,
                          ridge_solve)
 from .young_calculus import FLOW_OVERFLOW_GUARD, step_increments
@@ -114,14 +119,12 @@ class LinearBsdeSpec:
     alpha(t, x:(S,d)) -> (S,) for one driver channel, or (S, M);
     drift_change(t, x) -> (S, d) or None; terminal(paths (S, m, d)) -> (S,)
     evaluated on whole simulated paths.  Declared bounds are spot-checked on
-    every visited state.
+    every visited state of the batch a solve is given.
     """
 
     alpha: callable
     terminal: callable
     driver: SpaceTimeDriver
-    diffusion: DiffusionSpec
-    x0: np.ndarray
     drift_change: callable = None
     alpha_bound: float | None = None
     drift_change_bound: float | None = None
@@ -151,16 +154,16 @@ class LinearBsdeSpec:
         return out
 
 
-def solve_linear_bsde(spec: LinearBsdeSpec, grid: TimeGrid, samples: int,
-                      seed: int) -> "BsdeSolution":
+def solve_linear_bsde(spec: LinearBsdeSpec, batch: PathBatch
+                      ) -> "BsdeSolution":
     """Y_0 of the linear equation by the Feynman-Kac formula at t = 0,
         Y_0 = E[exp(int alpha eta(dr, X)) xi M_T],
-    with M the exponential martingale of the drift change: the mean of one
-    payoff per sample, whose spread gives the standard error.  The control
-    process Z is not produced by this formula; Z estimation belongs to the
-    regression pathway of the localized solver and any Z here is None.
+    on the given path batch, with M the exponential martingale of the drift
+    change: the mean of one payoff per sample, whose spread gives the
+    standard error.  The control process Z is not produced by this formula;
+    Z estimation belongs to the regression pathway of the localized solver
+    and any Z here is None.
     """
-    batch = simulate(spec.diffusion, spec.x0, grid, samples, seed)
     times = batch.grid.times
     S, m = batch.samples, times.size
 
@@ -183,8 +186,7 @@ def solve_linear_bsde(spec: LinearBsdeSpec, grid: TimeGrid, samples: int,
     return BsdeSolution(y0=float(payoff.mean()), y_coefficients=None,
                         z_coefficients=None, y_paths=None, z_paths=None,
                         radius=math.inf, picard_iterations=0, picard_gaps=[],
-                        converged=True, terminal_defect=0.0,
-                        y0_samples=payoff,
+                        converged=True, y0_samples=payoff,
                         y0_standard_error=_standard_error(payoff))
 
 
@@ -222,13 +224,6 @@ def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
     return est1, est2, _standard_error(lhs - rhs)
 
 
-def _stop_index(exit_report, m: int) -> np.ndarray:
-    """Grid index at which each sample stops: its first exit, else the
-    horizon."""
-    return np.where(exit_report.exit_index == NO_EXIT, m - 1,
-                    exit_report.exit_index)
-
-
 # -- nonlinear localized equations ------------------------------------------
 
 def _contract_cloud(dim: int) -> SimpleNamespace:
@@ -261,7 +256,7 @@ def _check_secant(message: str, change, distance, bound) -> None:
 def _check_coefficients(problem) -> None:
     """The declared bound on g and its first two derivatives, and the
     Lipschitz constant of f in (y, z), on the contract cloud."""
-    c = _contract_cloud(problem.diffusion.dim)
+    c = _contract_cloud(problem.driver.dim)
     h = 1e-4
     g0 = np.asarray(problem.g(c.y), dtype=float)
     g_up = np.asarray(problem.g(c.y + h), dtype=float)
@@ -286,15 +281,15 @@ class BsdeProblem:
     f(t, x:(S,d), y:(S,), z:(S,d)) -> (S,); g(y:(S,)) -> (S, M) with g, its
     gradient and curvature bounded by coefficient_bound and f Lipschitz in
     (y, z) with constant lipschitz_f (both checked by secants on the
-    contract cloud at construction); terminal h(x:(S,d)) -> (S,).
+    contract cloud at construction); terminal h(x:(S,d)) -> (S,).  The
+    start point and the forward dynamics are those of the batch a solve is
+    given.
     """
 
     f: callable
     g: callable
     terminal: callable
     driver: SpaceTimeDriver
-    diffusion: DiffusionSpec
-    x0: np.ndarray
     coefficient_bound: float = 1.0
     lipschitz_f: float = 1.0
 
@@ -359,7 +354,6 @@ class BsdeSolution:
     picard_iterations: int
     picard_gaps: list
     converged: bool
-    terminal_defect: float
     # one value per sample, in sample order, whose mean is y0 (up to the
     # ridge's shrinkage for the localized solver); its spread is the
     # standard error
@@ -369,13 +363,20 @@ class BsdeSolution:
     max_abs_y: float = float("nan")
 
 
-def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
-                         samples: int, seed: int, basis_degree: int = 2,
-                         picard: PicardConfig | None = None,
-                         batch: PathBatch | None = None) -> BsdeSolution:
+def _check_radii(radii: np.ndarray, batch: PathBatch) -> None:
+    """Every radius must exceed the norm of the batch's start point."""
+    x0_norm = float(np.linalg.norm(batch.paths[0, 0]))
+    if np.any(radii <= x0_norm):
+        raise DomainError(f"localization radius must exceed |x0| = "
+                          f"{x0_norm:g}; got {radii.tolist()}")
+
+
+def solve_localized_bsde(problem: BsdeProblem, radius: float,
+                         batch: PathBatch, basis_degree: int = 2,
+                         picard: PicardConfig | None = None) -> BsdeSolution:
     """Backward induction with regression conditional expectations on the
     equation stopped at the first exit from the centered ball of the given
-    radius, in one backward pass.
+    radius, in one backward pass over the given path batch.
 
     At step i, from the last step back to the first, only samples still
     inside the ball (stop index > i) are fitted; exited samples stay frozen
@@ -394,18 +395,13 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
     is its spread.
     """
     picard = picard or PicardConfig()
-    x0_norm = float(np.linalg.norm(np.asarray(problem.x0, dtype=float)))
-    if radius <= x0_norm:
-        raise DomainError(
-            f"localization radius {radius:g} must exceed |x0| = {x0_norm:g}")
-    if batch is None:
-        batch = simulate(problem.diffusion, problem.x0, grid, samples, seed)
+    _check_radii(np.array([radius]), batch)
     times = batch.grid.times
     S, m = batch.samples, times.size
     dts = np.diff(times)
 
     exit_report = first_exit(batch, radius)
-    stop_index = _stop_index(exit_report, m)
+    stop_index = exit_report.stop_index
     datum = problem.terminal_at(batch, stop_index)
     # time-major, so each step's active rows are gathered from one block
     x = np.ascontiguousarray(np.swapaxes(batch.paths, 0, 1))
@@ -451,16 +447,13 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float, grid: TimeGrid,
         gaps.append(gap)
         iterations = max(iterations, k)
 
-    y_paths, z_paths = y.T, z.transpose(1, 0, 2)
-    terminal_defect = float(np.max(np.abs(
-        y_paths[np.arange(S), stop_index] - datum)))
     return BsdeSolution(
         y0=float(y[0].mean()), y_coefficients=y_coeffs,
-        z_coefficients=z_coeffs, y_paths=y_paths, z_paths=z_paths,
+        z_coefficients=z_coeffs, y_paths=y.T, z_paths=z.transpose(1, 0, 2),
         radius=float(radius), picard_iterations=iterations,
         picard_gaps=gaps,
         converged=all(gap < picard.tolerance for gap in gaps),
-        terminal_defect=terminal_defect, y0_samples=pathwise,
+        y0_samples=pathwise,
         y0_standard_error=_standard_error(pathwise),
         exit_probability=exit_report.probability,
         max_abs_y=float(np.max(np.abs(y))))
@@ -481,7 +474,7 @@ def martingale_residual(problem: BsdeProblem, solution: BsdeSolution,
     times = batch.grid.times
     m = times.size
     dts = np.diff(times)
-    stop_index = _stop_index(first_exit(batch, solution.radius), m)
+    stop_index = first_exit(batch, solution.radius).stop_index
     deta = _stacked_increments(problem.driver, times, batch.paths)
     y, z = solution.y_paths, solution.z_paths
     mean = np.zeros(m - 1)
@@ -507,36 +500,29 @@ def martingale_residual(problem: BsdeProblem, solution: BsdeSolution,
     return {"mean": mean, "se": se}
 
 
-def solve_bsde_with_localization(problem: BsdeProblem, radii, grid: TimeGrid,
-                                 samples: int, seed: int,
-                                 basis_degree: int = 2,
-                                 picard: PicardConfig | None = None,
-                                 batch: PathBatch | None = None
+def solve_bsde_with_localization(problem: BsdeProblem, radii,
+                                 batch: PathBatch, basis_degree: int = 2,
+                                 picard: PicardConfig | None = None
                                  ) -> tuple[BsdeSolution, list]:
-    """Sweep strictly increasing localization radii on one shared path batch
+    """Sweep strictly increasing localization radii on the given path batch
     (common random numbers) and report the decay of |Y^{n_k}_0 - Y^{n_K}_0|.
 
     Returns the largest-radius solution as the whole-space estimate plus one
     table row per radius: y0 with its own standard error, the gap to the
     largest radius with its paired standard error (the spread of the
     per-sample difference of y0_samples), the exit probability and max |Y|.
-    The radii are checked before any simulation.  Only the finest solution
-    is kept whole: each coarser one shrinks to its row and its y0_samples
+    The radii are checked before any solve.  Only the finest solution is
+    kept whole: each coarser one shrinks to its row and its y0_samples
     before the next solve runs.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0 or not np.all(np.diff(radii) > 0):
         raise DomainError("radii must be strictly increasing")
-    x0_norm = float(np.linalg.norm(np.asarray(problem.x0, dtype=float)))
-    if np.any(radii <= x0_norm):
-        raise DomainError(f"all radii must exceed |x0| = {x0_norm:g}")
-    if batch is None:
-        batch = simulate(problem.diffusion, problem.x0, grid, samples, seed)
+    _check_radii(radii, batch)
 
     def solve(radius):
-        return solve_localized_bsde(problem, radius, grid, samples, seed,
-                                    basis_degree=basis_degree,
-                                    picard=picard, batch=batch)
+        return solve_localized_bsde(problem, radius, batch,
+                                    basis_degree=basis_degree, picard=picard)
 
     def summary(sol):
         return ({"radius": sol.radius, "y0": sol.y0,
@@ -579,7 +565,7 @@ def exponential_moment_diagnostic(alpha_values: np.ndarray,
     cums = np.concatenate(
         [np.zeros((S, 1)), np.cumsum(alpha_values[:, :-1] * deta, axis=1)],
         axis=1)
-    stop = _stop_index(first_exit(batch, radius), m)
+    stop = first_exit(batch, radius).stop_index
     end_value = cums[np.arange(S), stop]
     best_log, best_t = -np.inf, float(times[0])
     for j in range(m):

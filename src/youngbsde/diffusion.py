@@ -29,10 +29,7 @@ __all__ = [
     "first_exit",
     "exit_tail_decay",
     "sample_pvar",
-    "NO_EXIT",
 ]
-
-NO_EXIT = -1
 
 
 @dataclass(frozen=True)
@@ -113,11 +110,12 @@ class PathBatch:
 
 @dataclass(frozen=True)
 class ExitReport:
-    """Per-sample first-exit data for one radius."""
+    """Per-sample first-exit data for one radius: the grid index at which
+    each sample stops (its first exit, else the last index) and the
+    fraction stopped before the horizon."""
 
     radius: float
-    exit_index: np.ndarray
-    exit_time: np.ndarray
+    stop_index: np.ndarray
     probability: float
     standard_error: float
 
@@ -188,21 +186,18 @@ def simulate(spec: DiffusionSpec, x0, grid: TimeGrid, samples: int,
 
 
 def first_exit(batch: PathBatch, radius: float) -> ExitReport:
-    """First grid index with |X| > radius per sample (NO_EXIT sentinel when
-    the path stays inside); the exit time is capped at the horizon."""
+    """First grid index with |X| > radius per sample, else the last index;
+    the probability is the fraction of samples stopped before the
+    horizon."""
     if radius <= 0:
         raise DomainError("exit radius must be positive")
-    norms = np.linalg.norm(batch.paths, axis=2)
-    outside = norms > radius
-    any_exit = outside.any(axis=1)
-    first = np.where(any_exit, outside.argmax(axis=1), NO_EXIT)
-    times = batch.grid.times
-    exit_time = np.where(any_exit, times[np.maximum(first, 0)], times[-1])
-    exited_before_horizon = any_exit & (exit_time < times[-1])
-    p = float(np.mean(exited_before_horizon))
+    stopped = np.linalg.norm(batch.paths, axis=2) > radius
+    stopped[:, -1] = True  # every sample stops at the horizon at the latest
+    stop = stopped.argmax(axis=1)
+    p = float(np.mean(stop < stopped.shape[1] - 1))
     se = math.sqrt(max(p * (1 - p), 0.0) / batch.samples)
-    return ExitReport(radius=float(radius), exit_index=first,
-                      exit_time=exit_time, probability=p, standard_error=se)
+    return ExitReport(radius=float(radius), stop_index=stop, probability=p,
+                      standard_error=se)
 
 
 def exit_tail_decay(spec: DiffusionSpec, x0, radii, grid: TimeGrid,

@@ -146,11 +146,12 @@ def _run_linear_bsde(cfg, out: Path) -> RunResult:
         else (lambda t, x: np.ones(x.shape[0]))
     spec = LinearBsdeSpec(
         alpha=alpha_fn, terminal=lambda paths: terminal(paths[:, -1, :]),
-        driver=driver, diffusion=diffusion, x0=np.array([v["x0"]]),
+        driver=driver,
         drift_change=drift_change_function(v["drift_change"],
                                            v["drift_change_amplitude"]),
         alpha_bound=1.0)
-    sol = solve_linear_bsde(spec, grid, v["samples"], v["seed"])
+    batch = simulate(diffusion, [v["x0"]], grid, v["samples"], v["seed"])
+    sol = solve_linear_bsde(spec, batch)
     path = write_csv(out / "linear_solution.csv",
                      ["time", "y0", "standard_error", "samples"],
                      [[0.0, sol.y0, sol.y0_standard_error, v["samples"]]])
@@ -167,15 +168,14 @@ def _run_nonlinear_bsde(cfg, out: Path) -> RunResult:
     rate = v["reaction_rate"]
     problem = BsdeProblem(
         f=lambda t, x, y, z: rate * y, g=y_coefficient_function(v["g"]),
-        terminal=terminal, driver=driver, diffusion=diffusion,
-        x0=np.array([v["x0"]]), coefficient_bound=1.0,
+        terminal=terminal, driver=driver, coefficient_bound=1.0,
         lipschitz_f=max(abs(rate), 1e-9))
     picard = PicardConfig(tolerance=v["picard_tol"],
                           max_iterations=v["picard_max"])
-    batch = simulate(diffusion, problem.x0, grid, v["samples"], v["seed"])
+    batch = simulate(diffusion, [v["x0"]], grid, v["samples"], v["seed"])
     finest, table = solve_bsde_with_localization(
-        problem, v["radii"], grid, v["samples"], v["seed"],
-        basis_degree=v["basis_degree"], picard=picard, batch=batch)
+        problem, v["radii"], batch, basis_degree=v["basis_degree"],
+        picard=picard)
     f1 = write_csv(out / "localization_decay.csv",
                    ["radius", "y0", "gap_to_finest", "standard_error",
                     "exit_probability", "max_abs_y"],

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import (_EXP_GUARD, BsdeProblem, PicardConfig, _check_coefficients,
-                   _check_secant, _contract_cloud,
+                   _check_secant, _contract_cloud, _standard_error,
                    solve_bsde_with_localization)
 # bench/tracer.py wraps solve_localized_bsde as bound in this module
 from .bsde import solve_localized_bsde  # noqa: F401
@@ -75,10 +75,9 @@ class PdeProblem:
             - np.asarray(self.terminal(c.x + c.dx), dtype=float),
             np.linalg.norm(c.dx, axis=1), self.lipschitz_terminal)
 
-    def bsde_problem(self, driver: SpaceTimeDriver, x0) -> BsdeProblem:
+    def bsde_problem(self, driver: SpaceTimeDriver) -> BsdeProblem:
         return BsdeProblem(
             f=self.f, g=self.g, terminal=self.terminal, driver=driver,
-            diffusion=self.diffusion, x0=np.asarray(x0, dtype=float),
             coefficient_bound=self.coefficient_bound,
             lipschitz_f=self.lipschitz_f)
 
@@ -95,11 +94,9 @@ class PdeSolutionTable:
 def fk_point_estimate(diffusion: DiffusionSpec, driver: SpaceTimeDriver,
                       terminal, t: float, x, horizon: float, steps: int,
                       samples: int, point_seed: int) -> tuple[float, float]:
-    """Feynman-Kac estimate at one (t, x): chunked fresh simulations, global
-    per-sample stream indices, weight = exp(pathwise driver integral).
-
-    The variance comes from sums shifted by the first chunk's mean, so a
-    large common offset in the payoff does not cancel it away."""
+    """Feynman-Kac estimate at one (t, x) and its standard error: chunked
+    fresh simulations, global per-sample stream indices, weight =
+    exp(pathwise driver integral).  Only each chunk's payoffs are kept."""
     if t > horizon + 1e-12:
         raise DomainError(f"evaluation time {t} beyond the horizon {horizon}")
     if abs(t - horizon) < 1e-12:
@@ -107,8 +104,8 @@ def fk_point_estimate(diffusion: DiffusionSpec, driver: SpaceTimeDriver,
                                         .reshape(1, -1)))[0])
         return val, 0.0
     grid = TimeGrid(np.linspace(t, horizon, steps + 1), horizon)
-    total, acc, shift, acc_dev, acc_dev_sq = 0, 0.0, None, 0.0, 0.0
-    while total < samples:
+    payoffs = []
+    for total in range(0, samples, _FK_CHUNK):
         chunk = min(_FK_CHUNK, samples - total)
         batch = simulate(diffusion, x, grid, chunk, point_seed,
                          sample_offset=total)
@@ -118,18 +115,11 @@ def fk_point_estimate(diffusion: DiffusionSpec, driver: SpaceTimeDriver,
             raise NumericalError(
                 f"Feynman-Kac weight overflow: pathwise driver integral "
                 f"{float(np.max(log_weight)):g} above {_EXP_GUARD:g}")
-        payoff = np.asarray(terminal(batch.paths[:, -1, :]),
-                            dtype=float).reshape(-1) * np.exp(log_weight)
-        acc += float(payoff.sum())
-        if shift is None:
-            shift = float(payoff.mean())
-        dev = payoff - shift
-        acc_dev += float(dev.sum())
-        acc_dev_sq += float(np.sum(dev * dev))
-        total += chunk
-    dev_mean = acc_dev / total
-    var = max(acc_dev_sq / total - dev_mean * dev_mean, 0.0)
-    return acc / total, math.sqrt(var / total)
+        payoffs.append(np.asarray(terminal(batch.paths[:, -1, :]),
+                                  dtype=float).reshape(-1)
+                       * np.exp(log_weight))
+    payoff = np.concatenate(payoffs)
+    return float(payoff.mean()), _standard_error(payoff)
 
 
 def solve_linear_young_pde(terminal, diffusion: DiffusionSpec,
@@ -237,44 +227,38 @@ def solve_young_pde_double_approximation(problem: PdeProblem, deltas, radii,
 
     Sampling noise is keyed by (seed, evaluation point) only, so every
     (radius, mollification) pair shares paths and the convergence table is a
-    common-random-number comparison.
+    common-random-number comparison.  The diagnostics hold the values and
+    standard errors, shape (radii, widths, points), and the largest change
+    between successive radii, shape (radii - 1, widths).
     """
     deltas = list(deltas)
     radii = list(radii)
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise DomainError("mollification widths must decrease")
-    mollified = [mollify_time(problem.driver, delta, problem.horizon)
-                 for delta in deltas]
+    problems = [problem.bsde_problem(
+        mollify_time(problem.driver, delta, problem.horizon))
+        for delta in deltas]
     values = np.empty((len(radii), len(deltas), len(eval_points)))
     ses = np.empty_like(values)
     for j, (t, x) in enumerate(eval_points):
         grid = TimeGrid(np.linspace(float(t), problem.horizon, steps + 1),
                         problem.horizon)
         batch = simulate(problem.diffusion, x, grid, samples, hash64(seed, j))
-        for mi, driver in enumerate(mollified):
+        for mi, sub_problem in enumerate(problems):
             _, table = solve_bsde_with_localization(
-                problem.bsde_problem(driver, x), radii, grid, samples,
-                batch.seed, basis_degree=basis_degree, picard=picard,
-                batch=batch)
+                sub_problem, radii, batch, basis_degree=basis_degree,
+                picard=picard)
             values[:, mi, j] = [row["y0"] for row in table]
             ses[:, mi, j] = [row["y0_standard_error"] for row in table]
     finest = PdeSolutionTable(points=list(eval_points),
                               values=values[-1, -1],
                               standard_errors=ses[-1, -1])
-    gap_to_finest = np.max(
-        np.abs(values - values[-1, -1][None, None, :]), axis=2)
-    radius_steps = np.max(np.abs(np.diff(values, axis=0)), axis=2)
-    delta_steps = np.max(np.abs(np.diff(values, axis=1)), axis=2)
-    diagnostics = {
-        "radii": radii,
-        "deltas": deltas,
+    return finest, {
         "values": values,
         "standard_errors": ses,
-        "gap_to_finest": gap_to_finest,
-        "radius_stabilization": radius_steps,
-        "delta_stabilization": delta_steps,
+        "radius_stabilization": np.max(np.abs(np.diff(values, axis=0)),
+                                       axis=2),
     }
-    return finest, diagnostics
 
 
 # -- localization error for non-Lipschitz reactions -------------------------
@@ -322,12 +306,11 @@ class NonLipschitzProblem:
         return (np.asarray(self.f0(t, x, y, z), dtype=float)
                 + np.asarray(self.big_f0(t, x, y, z), dtype=float))
 
-    def bsde_problem(self, x0) -> BsdeProblem:
-        dim = self.diffusion.dim
+    def bsde_problem(self) -> BsdeProblem:
         return BsdeProblem(
             f=self.reaction, g=lambda y: np.zeros((np.size(y), 1)),
-            terminal=self.terminal, driver=zero_driver(dim=dim),
-            diffusion=self.diffusion, x0=np.asarray(x0, dtype=float),
+            terminal=self.terminal,
+            driver=zero_driver(dim=self.diffusion.dim),
             coefficient_bound=1.0, lipschitz_f=float("inf"))
 
 
@@ -359,12 +342,13 @@ def localization_error_experiment(problem: NonLipschitzProblem, radii,
     """Fit the decay of |u^n(0,x) - u^ref(0,x)| in n^2 on common random
     numbers, per evaluation point.
 
-    The whole-space solution is operationalized as the run at
-    reference_radius (default: beyond the largest requested radius).  Radii
-    whose gap is exactly zero are saturated (no sample distinguishes the
-    balls) and are excluded from the log fit; a positive min_detectable_z
-    additionally drops radii whose gap is below that multiple of its paired
-    standard error, with a warning.
+    Each point's batch is simulated from hash64(seed, point index), and
+    all its radii are solved on it.  The whole-space solution is
+    operationalized as the run at reference_radius (default: beyond the
+    largest requested radius).  Radii whose gap is exactly zero are
+    saturated (no sample distinguishes the balls) and are excluded from the
+    log fit; a positive min_detectable_z additionally drops radii whose gap
+    is below that multiple of its paired standard error, with a warning.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     if radii.size == 0:
@@ -374,6 +358,7 @@ def localization_error_experiment(problem: NonLipschitzProblem, radii,
     if reference_radius <= radii[-1]:
         raise DomainError("reference radius must exceed the largest radius")
     grid = TimeGrid.uniform(problem.horizon, steps)
+    bsde_problem = problem.bsde_problem()
     n_pts = len(eval_xs)
     gaps = np.empty((n_pts, radii.size))
     gap_ses = np.empty_like(gaps)
@@ -385,9 +370,11 @@ def localization_error_experiment(problem: NonLipschitzProblem, radii,
 
     for j, x in enumerate(eval_xs):
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+        batch = simulate(problem.diffusion, x_arr, grid, samples,
+                         hash64(seed, j))
         ref, table = solve_bsde_with_localization(
-            problem.bsde_problem(x_arr), np.append(radii, reference_radius),
-            grid, samples, hash64(seed, j), basis_degree=basis_degree)
+            bsde_problem, np.append(radii, reference_radius), batch,
+            basis_degree=basis_degree)
         ref_values[j] = ref.y0
         usable_x, usable_y = [], []
         for k, row in enumerate(table[:-1]):

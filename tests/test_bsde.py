@@ -32,6 +32,14 @@ def brownian_batch(samples=20000, seed=5, grid=GRID, x0=0.0):
     return simulate(BROWNIAN, [x0], grid, samples, seed)
 
 
+def assert_datum_at_stop(problem, sol, batch):
+    """Each sample's Y at its stop index is its boundary datum exactly."""
+    stop = first_exit(batch, sol.radius).stop_index
+    np.testing.assert_array_equal(
+        sol.y_paths[np.arange(batch.samples), stop],
+        problem.terminal_at(batch, stop))
+
+
 def _reference_ridge_fit(basis, targets):
     """Ridge least squares by an LU solve of the ridged normal equations,
     escalating the ridge tenfold on failure; independent of the Cholesky
@@ -52,17 +60,16 @@ def _reference_ridge_fit(basis, targets):
     raise NumericalError("reference normal equations unsolvable")
 
 
-def _reference_localized_bsde(problem, radius, grid, samples, seed,
-                              basis_degree=2, picard=None):
+def _reference_localized_bsde(problem, radius, batch, basis_degree=2,
+                              picard=None):
     """The localized Picard scheme as a masked loop in sample order: every
     sweep gathers each step's active rows, builds their basis and solves
     the normal equations afresh."""
     picard = picard or PicardConfig()
-    batch = simulate(problem.diffusion, problem.x0, grid, samples, seed)
     times = batch.grid.times
     S, m = batch.samples, times.size
     dts = np.diff(times)
-    stop_index = bsde._stop_index(first_exit(batch, radius), m)
+    stop_index = first_exit(batch, radius).stop_index
     datum = problem.terminal_at(batch, stop_index)
     deta = bsde._stacked_increments(problem.driver, times, batch.paths)
     y = np.tile(datum[:, None], (1, m))
@@ -96,9 +103,7 @@ def _reference_localized_bsde(problem, radius, grid, samples, seed,
             break
     return SimpleNamespace(
         y_paths=y, z_paths=z, picard_iterations=iterations,
-        converged=converged, stop_index=stop_index,
-        terminal_defect=float(np.max(np.abs(
-            y[np.arange(S), stop_index] - datum))))
+        converged=converged, stop_index=stop_index)
 
 
 class TestGirsanov:
@@ -133,18 +138,16 @@ class TestLinearSolver:
     def test_martingale_case(self):
         spec = LinearBsdeSpec(
             alpha=lambda t, x: np.zeros(x.shape[0]),
-            terminal=lambda p: p[:, -1, 0], driver=TIME_DRIVER,
-            diffusion=BROWNIAN, x0=np.array([0.3]))
-        sol = solve_linear_bsde(spec, GRID, 20000, seed=11)
+            terminal=lambda p: p[:, -1, 0], driver=TIME_DRIVER)
+        sol = solve_linear_bsde(spec, brownian_batch(20000, seed=11, x0=0.3))
         assert abs(sol.y0 - 0.3) <= 3 * sol.y0_standard_error
 
     def test_unit_coefficient_time_driver(self):
         # alpha = 1, eta = t, xi = 1: the flow is e^T exactly
         spec = LinearBsdeSpec(
             alpha=lambda t, x: np.ones(x.shape[0]),
-            terminal=lambda p: np.ones(p.shape[0]), driver=TIME_DRIVER,
-            diffusion=BROWNIAN, x0=np.array([0.0]))
-        sol = solve_linear_bsde(spec, GRID, 500, seed=1)
+            terminal=lambda p: np.ones(p.shape[0]), driver=TIME_DRIVER)
+        sol = solve_linear_bsde(spec, brownian_batch(500, seed=1))
         assert sol.y0 == pytest.approx(math.e, rel=1e-12)
 
     def test_kac_potential_against_finite_differences(self):
@@ -153,10 +156,9 @@ class TestLinearSolver:
         driver = driver_by_names("cos", "linear")
         spec = LinearBsdeSpec(
             alpha=lambda t, x: np.ones(x.shape[0]),
-            terminal=lambda p: np.ones(p.shape[0]), driver=driver,
-            diffusion=BROWNIAN, x0=np.array([0.0]))
-        sol = solve_linear_bsde(spec, TimeGrid.uniform(1.0, 64), 50000,
-                                seed=7)
+            terminal=lambda p: np.ones(p.shape[0]), driver=driver)
+        sol = solve_linear_bsde(spec, brownian_batch(
+            50000, seed=7, grid=TimeGrid.uniform(1.0, 64)))
         oracle = crank_nicolson_terminal_value(
             lambda x: np.ones_like(x), lambda x: np.ones_like(x),
             lambda x: np.zeros_like(x), np.cos, 1.0, 8.0, 1200, 600)
@@ -169,9 +171,8 @@ class TestLinearSolver:
         spec = LinearBsdeSpec(
             alpha=lambda t, x: np.zeros(x.shape[0]),
             terminal=lambda p: p[:, -1, 0], driver=TIME_DRIVER,
-            diffusion=BROWNIAN, x0=np.array([0.0]),
             drift_change=lambda t, x: np.full_like(x, c))
-        sol = solve_linear_bsde(spec, GRID, 50000, seed=13)
+        sol = solve_linear_bsde(spec, brownian_batch(50000, seed=13))
         assert abs(sol.y0 - c) <= 3 * sol.y0_standard_error
 
     @pytest.mark.parametrize("seed", range(5))
@@ -182,23 +183,20 @@ class TestLinearSolver:
         h = lambda x: np.cos(x[:, 0]) + 2.0
         spec = LinearBsdeSpec(
             alpha=lambda t, x: np.ones(x.shape[0]),
-            terminal=lambda p: h(p[:, -1, :]), driver=driver,
-            diffusion=BROWNIAN, x0=np.array([0.3]))
-        sol = solve_linear_bsde(spec, GRID, 3000, seed=seed)
+            terminal=lambda p: h(p[:, -1, :]), driver=driver)
+        sol = solve_linear_bsde(spec, brownian_batch(3000, seed=seed, x0=0.3))
         value, se = fk_point_estimate(BROWNIAN, driver, h, 0.0, [0.3], 1.0,
                                       32, 3000, seed)
         assert sol.y0 == value
-        # the FK variance divides by S, the solver's by S - 1
-        assert sol.y0_standard_error == pytest.approx(
-            se * math.sqrt(3000 / 2999), rel=0, abs=1e-12)
+        assert sol.y0_standard_error == se
 
     def test_alpha_bound_enforced(self):
         spec = LinearBsdeSpec(
             alpha=lambda t, x: np.full(x.shape[0], 2.0),
             terminal=lambda p: np.ones(p.shape[0]), driver=TIME_DRIVER,
-            diffusion=BROWNIAN, x0=np.array([0.0]), alpha_bound=1.0)
+            alpha_bound=1.0)
         with pytest.raises(DomainError, match="bound"):
-            solve_linear_bsde(spec, GRID, 50, seed=1)
+            solve_linear_bsde(spec, brownian_batch(50, seed=1))
 
 
 class TestTowerRule:
@@ -232,22 +230,22 @@ class TestLocalizedSolver:
         problem = BsdeProblem(
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.zeros((np.size(y), 1)),
-            terminal=lambda x: x[:, 0], driver=zero_driver(),
-            diffusion=BROWNIAN, x0=np.array([2.0]))
+            terminal=lambda x: x[:, 0], driver=zero_driver())
         with pytest.raises(DomainError, match="radius"):
-            solve_localized_bsde(problem, 1.5, GRID, 100, seed=1)
+            solve_localized_bsde(problem, 1.5,
+                                 brownian_batch(100, seed=1, x0=2.0))
 
     def test_conditional_expectation_only(self):
         problem = BsdeProblem(
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.zeros((np.size(y), 1)),
             terminal=lambda x: x[:, 0], driver=zero_driver(),
-            diffusion=BROWNIAN, x0=np.array([0.0]), lipschitz_f=1e-9)
-        sol = solve_localized_bsde(problem, 6.0, GRID, 20000, seed=3)
+            lipschitz_f=1e-9)
         batch = brownian_batch(20000, seed=3)
+        sol = solve_localized_bsde(problem, 6.0, batch)
         direct = batch.paths[:, -1, 0].mean()
         assert sol.y0 == pytest.approx(direct, abs=1e-9)
-        assert sol.terminal_defect == 0.0
+        assert_datum_at_stop(problem, sol, batch)
 
     def test_classical_linear_oracle(self):
         rate = 0.1
@@ -255,10 +253,9 @@ class TestLocalizedSolver:
             f=lambda t, x, y, z: rate * y,
             g=lambda y: np.zeros((np.size(y), 1)),
             terminal=lambda x: x[:, 0], driver=zero_driver(),
-            diffusion=BROWNIAN, x0=np.array([1.0]),
             lipschitz_f=rate * 1.01)
-        sol = solve_localized_bsde(problem, 6.0, TimeGrid.uniform(1.0, 64),
-                                   20000, seed=22)
+        sol = solve_localized_bsde(problem, 6.0, brownian_batch(
+            20000, seed=22, grid=TimeGrid.uniform(1.0, 64), x0=1.0))
         assert sol.y0 == pytest.approx(math.exp(rate), rel=0.02)
         assert sol.converged
 
@@ -267,11 +264,9 @@ class TestLocalizedSolver:
         problem = BsdeProblem(
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.ones((np.size(y), 1)),
-            terminal=lambda x: x[:, 0], driver=driver, diffusion=BROWNIAN,
-            x0=np.array([0.0]), lipschitz_f=1e-9)
+            terminal=lambda x: x[:, 0], driver=driver, lipschitz_f=1e-9)
         batch = brownian_batch(20000, seed=5)
-        sol = solve_localized_bsde(problem, 6.0, GRID, 20000, seed=5,
-                                   batch=batch)
+        sol = solve_localized_bsde(problem, 6.0, batch)
         explicit = (batch.paths[:, -1, 0]
                     + young_sum_batch(driver, GRID.times,
                                       batch.paths)[:, 0]).mean()
@@ -284,13 +279,11 @@ class TestLocalizedSolver:
         problem = BsdeProblem(
             f=lambda t, x, y, z: 0.2 * y,
             g=lambda y: np.tanh(y).reshape(-1, 1),
-            terminal=lambda x: x[:, 0], driver=driver, diffusion=BROWNIAN,
-            x0=np.array([0.0]), lipschitz_f=0.21)
+            terminal=lambda x: x[:, 0], driver=driver, lipschitz_f=0.21)
         picard = PicardConfig(tolerance=1e-9, max_iterations=50)
-        sol = solve_localized_bsde(problem, 1.0, GRID, 5000, seed=9,
-                                   picard=picard)
-        stop = bsde._stop_index(first_exit(brownian_batch(5000, seed=9),
-                                           1.0), GRID.times.size)
+        batch = brownian_batch(5000, seed=9)
+        sol = solve_localized_bsde(problem, 1.0, batch, picard=picard)
+        stop = first_exit(batch, 1.0).stop_index
         assert sol.converged
         assert len(sol.picard_gaps) == np.count_nonzero(
             [np.any(stop > i) for i in range(GRID.times.size - 1)])
@@ -302,10 +295,9 @@ class TestLocalizedSolver:
             f=lambda t, x, y, z: 0.1 * y,
             g=lambda y: np.zeros((np.size(y), 1)),
             terminal=lambda x: x[:, 0], driver=zero_driver(),
-            diffusion=BROWNIAN, x0=np.array([0.5]), lipschitz_f=0.11)
+            lipschitz_f=0.11)
         batch = brownian_batch(20000, seed=42, x0=0.5)
-        sol = solve_localized_bsde(problem, 6.0, GRID, 20000, seed=42,
-                                   batch=batch)
+        sol = solve_localized_bsde(problem, 6.0, batch)
         res = martingale_residual(problem, sol, batch)
         z = np.abs(res["mean"]) / np.maximum(res["se"], 1e-300)
         assert np.max(z) <= 3.5
@@ -315,10 +307,27 @@ class TestLocalizedSolver:
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.zeros((np.size(y), 1)),
             terminal=lambda x: np.abs(x[:, 0]), driver=zero_driver(),
-            diffusion=BROWNIAN, x0=np.array([0.0]), lipschitz_f=1e-9)
-        sol = solve_localized_bsde(problem, 1.0, GRID, 2000, seed=7)
-        assert sol.terminal_defect == 0.0
+            lipschitz_f=1e-9)
+        batch = brownian_batch(2000, seed=7)
+        sol = solve_localized_bsde(problem, 1.0, batch)
+        assert_datum_at_stop(problem, sol, batch)
         assert sol.exit_probability > 0.1
+
+    def test_one_channel_g_may_drop_its_axis(self):
+        # g returning (S,) is read as one channel: the same solve, bit for
+        # bit, as g returning (S, 1)
+        def problem(g):
+            return BsdeProblem(
+                f=lambda t, x, y, z: 0.2 * y, g=g, terminal=lambda x: x[:, 0],
+                driver=driver_by_names("cos", "linear"), lipschitz_f=0.21)
+
+        batch = brownian_batch(2000, seed=4)
+        flat = solve_localized_bsde(problem(lambda y: np.tanh(y)), 1.5, batch)
+        column = solve_localized_bsde(
+            problem(lambda y: np.tanh(y).reshape(-1, 1)), 1.5, batch)
+        np.testing.assert_array_equal(flat.y_paths, column.y_paths)
+        np.testing.assert_array_equal(flat.z_paths, column.z_paths)
+        np.testing.assert_array_equal(flat.y0_samples, column.y0_samples)
 
     def test_spot_check_rejects_unbounded_g(self):
         with pytest.raises(DomainError, match="declared bound"):
@@ -326,7 +335,6 @@ class TestLocalizedSolver:
                 f=lambda t, x, y, z: np.zeros(x.shape[0]),
                 g=lambda y: (2.0 * np.asarray(y)).reshape(-1, 1),
                 terminal=lambda x: x[:, 0], driver=zero_driver(),
-                diffusion=BROWNIAN, x0=np.array([0.0]),
                 coefficient_bound=1.0)
 
 
@@ -350,17 +358,17 @@ class TestOnePassSolver:
             f=lambda t, x, y, z: 0.2 * np.cos(x[:, 0]) * y + 0.1 * z[:, -1],
             g=lambda y: np.tanh(np.asarray(y, dtype=float)).reshape(-1, 1),
             terminal=lambda x: np.sum(x, axis=1),
-            driver=driver_by_names("cos", "linear", dim=dim),
-            diffusion=diffusion_by_name("brownian", dim=dim),
-            x0=np.zeros(dim), lipschitz_f=0.3)
+            driver=driver_by_names("cos", "linear", dim=dim), lipschitz_f=0.3)
         grid = TimeGrid([0.0], 1.0) if steps == 0 \
             else TimeGrid.uniform(1.0, steps)
+        batch = simulate(diffusion_by_name("brownian", dim=dim),
+                         np.zeros(dim), grid, samples, seed)
         # both iterate to the same fixed point, one step or one sweep at a
         # time; a tolerance far below the fit tolerance compares the points
         picard = PicardConfig(tolerance=1e-13, max_iterations=200)
-        ref = _reference_localized_bsde(problem, radius, grid, samples, seed,
+        ref = _reference_localized_bsde(problem, radius, batch,
                                         basis_degree=degree, picard=picard)
-        sol = solve_localized_bsde(problem, radius, grid, samples, seed,
+        sol = solve_localized_bsde(problem, radius, batch,
                                    basis_degree=degree, picard=picard)
         assert ref.converged and sol.converged
         # the solver solves the normal equations by Cholesky, the reference
@@ -378,8 +386,7 @@ class TestOnePassSolver:
                                    atol=tol)
         np.testing.assert_allclose(sol.z_paths, ref.z_paths, rtol=0,
                                    atol=tol)
-        if ref.terminal_defect == 0.0:
-            assert sol.terminal_defect == 0.0
+        assert_datum_at_stop(problem, sol, batch)
 
     def test_reference_example_has_empty_steps(self):
         # the first explicit example above, where the solver skips steps
@@ -387,23 +394,21 @@ class TestOnePassSolver:
             BsdeProblem(f=lambda t, x, y, z: np.zeros(x.shape[0]),
                         g=lambda y: np.ones((np.size(y), 1)),
                         terminal=lambda x: x[:, 0],
-                        driver=driver_by_names("cos", "linear"),
-                        diffusion=BROWNIAN, x0=np.array([0.0])),
-            0.6, TimeGrid.uniform(1.0, 12), 30, 146)
+                        driver=driver_by_names("cos", "linear")),
+            0.6, brownian_batch(30, seed=146, grid=TimeGrid.uniform(1.0, 12)))
         # every sample stops by step 9: steps 9 to 11 have none active
         assert np.max(ref.stop_index) == 9
 
     @staticmethod
-    def fits_match_ridge_fit(problem, radius, grid, samples, seed, degree):
+    def fits_match_ridge_fit(problem, radius, batch, degree):
         """Assert that each step's final Z and Y coefficients equal ridge_fit
         on that step's active rows, in sample order, and return the active
         counts.  Needs f = 0 and g = 1, so the Y target does not involve the
         previous iterate."""
-        batch = simulate(problem.diffusion, problem.x0, grid, samples, seed)
-        sol = solve_localized_bsde(problem, radius, grid, samples, seed,
-                                   basis_degree=degree, batch=batch)
-        times = grid.times
-        stop = bsde._stop_index(first_exit(batch, radius), times.size)
+        sol = solve_localized_bsde(problem, radius, batch,
+                                   basis_degree=degree)
+        times = batch.grid.times
+        stop = first_exit(batch, radius).stop_index
         deta = bsde._stacked_increments(problem.driver, times, batch.paths)
         dts = np.diff(times)
         counts = []
@@ -424,26 +429,25 @@ class TestOnePassSolver:
         return counts
 
     @staticmethod
-    def constant_g_problem(diffusion, x0):
+    def constant_g_problem():
         return BsdeProblem(
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.ones((np.size(y), 1)), terminal=lambda x: x[:, 0],
-            driver=driver_by_names("cos", "linear"), diffusion=diffusion,
-            x0=np.array([x0]), lipschitz_f=1e-9)
+            driver=driver_by_names("cos", "linear"), lipschitz_f=1e-9)
 
     def test_degree_six_on_clustered_states(self):
         narrow = DiffusionSpec(sigma=lambda t, x: np.full(x.shape[0], 1e-3),
                                drift=lambda t, x: np.zeros(x.shape[0]),
                                bound=1.0, dim=1)
-        counts = self.fits_match_ridge_fit(
-            self.constant_g_problem(narrow, 1.3), 2.0,
-            TimeGrid.uniform(1.0, 16), 300, seed=3, degree=6)
+        batch = simulate(narrow, [1.3], TimeGrid.uniform(1.0, 16), 300, 3)
+        counts = self.fits_match_ridge_fit(self.constant_g_problem(), 2.0,
+                                           batch, degree=6)
         assert counts == [300] * 16
 
     def test_two_active_samples_at_degree_two(self):
-        counts = self.fits_match_ridge_fit(
-            self.constant_g_problem(BROWNIAN, 0.0), 0.8,
-            TimeGrid.uniform(1.0, 16), 12, seed=5, degree=2)
+        batch = brownian_batch(12, seed=5, grid=TimeGrid.uniform(1.0, 16))
+        counts = self.fits_match_ridge_fit(self.constant_g_problem(), 0.8,
+                                           batch, degree=2)
         assert 2 in counts
 
     def test_nan_from_g_raises(self):
@@ -451,10 +455,9 @@ class TestOnePassSolver:
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.full((np.size(y), 1), np.nan),
             terminal=lambda x: x[:, 0],
-            driver=driver_by_names("cos", "linear"), diffusion=BROWNIAN,
-            x0=np.array([0.0]), lipschitz_f=1e-9)
+            driver=driver_by_names("cos", "linear"), lipschitz_f=1e-9)
         with pytest.raises(NumericalError, match="not finite"):
-            solve_localized_bsde(problem, 3.0, GRID, 200, seed=1)
+            solve_localized_bsde(problem, 3.0, brownian_batch(200, seed=1))
 
 
 class TestStandardError:
@@ -470,16 +473,15 @@ class TestStandardError:
         return BsdeProblem(
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.ones((np.size(y), 1)), terminal=lambda x: x[:, 0],
-            driver=driver_by_names("lorentz", "linear"), diffusion=BROWNIAN,
-            x0=np.array([0.0]), lipschitz_f=1e-9)
+            driver=driver_by_names("lorentz", "linear"), lipschitz_f=1e-9)
 
     def test_single_solve_uses_pathwise_spread(self):
         problem = self.problem()
-        sol = solve_localized_bsde(problem, 3.0, self.GRID32, 4000, seed=2)
+        batch = brownian_batch(4000, seed=2, grid=self.GRID32)
+        sol = solve_localized_bsde(problem, 3.0, batch)
         # f = 0 and g = 1: the pathwise sum is the stopped state plus the
         # driver increments before the stop, whatever the fitted Y
-        batch = simulate(BROWNIAN, [0.0], self.GRID32, 4000, 2)
-        stop = bsde._stop_index(first_exit(batch, 3.0), 33)
+        stop = first_exit(batch, 3.0).stop_index
         deta = bsde._stacked_increments(problem.driver, self.GRID32.times,
                                         batch.paths)[:, :, 0]
         before_stop = np.arange(32)[None, :] < stop[:, None]
@@ -494,7 +496,8 @@ class TestStandardError:
 
     def test_sweep_uses_paired_pathwise_spread(self):
         finest, table = solve_bsde_with_localization(
-            self.problem(), [1.5, 2.0, 3.0], self.GRID32, 4000, seed=1)
+            self.problem(), [1.5, 2.0, 3.0],
+            brownian_batch(4000, seed=1, grid=self.GRID32))
         assert table[-1]["se"] == 0.0
         assert all(row["se"] > 1e-6 for row in table[:-1])
 
@@ -508,13 +511,12 @@ class TestStandardError:
             f=lambda t, x, y, z: 0.5 * np.sin(y) + 0.2 * z[:, 0],
             g=lambda y: np.tanh(np.asarray(y, dtype=float)).reshape(-1, 1),
             terminal=lambda x: x[:, 0],
-            driver=driver_by_names("linear", "linear"), diffusion=BROWNIAN,
-            x0=np.array([0.0]), lipschitz_f=0.5)
+            driver=driver_by_names("linear", "linear"), lipschitz_f=0.5)
         grid = TimeGrid.uniform(1.0, 16)
         y0, se, diff, diff_se = [], [], [], []
         for seed in range(30):
             finest, table = solve_bsde_with_localization(
-                problem, [1.5, 2.5], grid, 1000, seed)
+                problem, [1.5, 2.5], brownian_batch(1000, seed, grid))
             y0.append(finest.y0)
             se.append(finest.y0_standard_error)
             diff.append(table[0]["y0"] - finest.y0)
@@ -523,17 +525,17 @@ class TestStandardError:
         assert 0.5 <= np.std(diff, ddof=1) / np.median(diff_se) <= 2.5
 
     def test_no_sweep_leaves_the_datum(self):
-        sol = solve_localized_bsde(self.problem(), 3.0, self.GRID32, 200,
-                                   seed=2,
+        sol = solve_localized_bsde(self.problem(), 3.0,
+                                   brownian_batch(200, seed=2,
+                                                  grid=self.GRID32),
                                    picard=PicardConfig(max_iterations=0))
         assert not sol.converged
         np.testing.assert_array_equal(sol.y0_samples, sol.y_paths[:, -1])
 
     def test_one_point_grid_is_the_terminal_datum(self):
-        problem = self.problem()
-        problem.x0 = np.array([0.5])
-        sol = solve_localized_bsde(problem, 2.0, TimeGrid([0.0], 1.0), 10,
-                                   seed=1)
+        sol = solve_localized_bsde(
+            self.problem(), 2.0,
+            brownian_batch(10, seed=1, grid=TimeGrid([0.0], 1.0), x0=0.5))
         assert sol.y0 == 0.5 and sol.y0_standard_error == 0.0
 
 
@@ -548,16 +550,16 @@ class TestLinearNonlinearConsistency:
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.asarray(y, dtype=float).reshape(-1, 1),
             terminal=lambda x: np.ones(x.shape[0]), driver=driver,
-            diffusion=BROWNIAN, x0=np.array([0.0]),
             coefficient_bound=20.0, lipschitz_f=1e-9)
-        lsmc = solve_localized_bsde(problem, 6.0, grid, 40000, seed=33,
+        lsmc = solve_localized_bsde(problem, 6.0,
+                                    brownian_batch(40000, seed=33, grid=grid),
                                     picard=PicardConfig(tolerance=1e-8,
                                                         max_iterations=80))
         spec = LinearBsdeSpec(
             alpha=lambda t, x: np.ones(x.shape[0]),
-            terminal=lambda p: np.ones(p.shape[0]), driver=driver,
-            diffusion=BROWNIAN, x0=np.array([0.0]))
-        flow = solve_linear_bsde(spec, grid, 40000, seed=3300)
+            terminal=lambda p: np.ones(p.shape[0]), driver=driver)
+        flow = solve_linear_bsde(
+            spec, brownian_batch(40000, seed=3300, grid=grid))
         combined = math.hypot(lsmc.y0_standard_error,
                               flow.y0_standard_error)
         scheme_bias = lsmc.y0 * amp**2 / (2 * 64)
@@ -567,11 +569,10 @@ class TestLinearNonlinearConsistency:
         spec = LinearBsdeSpec(
             alpha=lambda t, x: np.zeros(x.shape[0]),
             terminal=lambda p: p[:, -1, 0], driver=TIME_DRIVER,
-            diffusion=BROWNIAN, x0=np.array([0.0]),
             drift_change=lambda t, x: np.full_like(x, 2.0),
             drift_change_bound=1.0)
         with pytest.raises(DomainError, match="bound"):
-            solve_linear_bsde(spec, GRID, 50, seed=1)
+            solve_linear_bsde(spec, brownian_batch(50, seed=1))
 
     def test_flow_overflow_guard_shared_with_exact_flow(self):
         # exponent 40 t ends above log(FLOW_OVERFLOW_GUARD) ~ 27.6 but below
@@ -580,10 +581,9 @@ class TestLinearNonlinearConsistency:
         grid = TimeGrid.uniform(1.0, 8)
         spec = LinearBsdeSpec(
             alpha=lambda t, x: np.ones(x.shape[0]),
-            terminal=lambda p: np.ones(p.shape[0]), driver=driver,
-            diffusion=BROWNIAN, x0=np.array([0.0]))
+            terminal=lambda p: np.ones(p.shape[0]), driver=driver)
         with pytest.raises(NumericalError):
-            solve_linear_bsde(spec, grid, 50, seed=1)
+            solve_linear_bsde(spec, brownian_batch(50, seed=1, grid=grid))
         with pytest.raises(NumericalError):
             solve_flow(np.ones(9), driver, SamplePath(grid, np.zeros(9)),
                        mode="exact")
@@ -593,12 +593,11 @@ class TestLocalizationSweep:
     GRID8 = TimeGrid.uniform(1.0, 8)
 
     @staticmethod
-    def problem(x0=0.0):
+    def problem():
         return BsdeProblem(
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.ones((np.size(y), 1)), terminal=lambda x: x[:, 0],
-            driver=driver_by_names("lorentz", "linear"), diffusion=BROWNIAN,
-            x0=np.array([x0]), lipschitz_f=1e-9)
+            driver=driver_by_names("lorentz", "linear"), lipschitz_f=1e-9)
 
     @settings(max_examples=4, deadline=None)
     @given(seed=st.integers(0, 2**16),
@@ -607,12 +606,10 @@ class TestLocalizationSweep:
     def test_rows_match_standalone_solves(self, seed, radii):
         problem = self.problem()
         batch = simulate(BROWNIAN, [0.0], self.GRID8, 300, seed)
-        finest, table = solve_bsde_with_localization(
-            problem, radii, self.GRID8, 300, seed, batch=batch)
+        finest, table = solve_bsde_with_localization(problem, radii, batch)
         assert finest.radius == radii[-1] and len(table) == len(radii)
         for radius, row in zip(radii, table):
-            sol = solve_localized_bsde(problem, radius, self.GRID8, 300,
-                                       seed, batch=batch)
+            sol = solve_localized_bsde(problem, radius, batch)
             assert row["radius"] == radius
             assert row["y0"] == sol.y0
             assert row["y0_standard_error"] == sol.y0_standard_error
@@ -620,20 +617,18 @@ class TestLocalizationSweep:
             assert row["se"] == np.std(sol.y0_samples - finest.y0_samples,
                                        ddof=1) / math.sqrt(300)
             assert row["exit_probability"] == sol.exit_probability
-        # without a batch the sweep simulates the same one from its seed
-        _, own = solve_bsde_with_localization(problem, radii, self.GRID8,
-                                              300, seed)
-        assert own == table
 
     @pytest.mark.parametrize("radii", [[], [2.0, 2.0], [3.0, 2.5],
                                        [0.5, 3.0], [1.0, 3.0]])
     def test_radii_rejected_before_simulation(self, monkeypatch, radii):
+        # the sweep is given its batch; bad radii are rejected before any
+        # solve runs on it
+        batch = simulate(BROWNIAN, [1.0], self.GRID8, 50, 1)
         calls = []
-        monkeypatch.setattr(bsde, "simulate",
+        monkeypatch.setattr(bsde, "solve_localized_bsde",
                             lambda *args, **kwargs: calls.append(args))
         with pytest.raises(DomainError):
-            solve_bsde_with_localization(self.problem(x0=1.0), radii,
-                                         self.GRID8, 50, seed=1)
+            solve_bsde_with_localization(self.problem(), radii, batch)
         assert not calls
 
     def test_inert_when_coefficients_compact(self):
@@ -644,10 +639,10 @@ class TestLocalizationSweep:
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.ones((np.size(y), 1)),
             terminal=lambda x: np.zeros(x.shape[0]), driver=driver,
-            diffusion=diffusion_by_name("drift-only"), x0=np.array([0.0]),
             lipschitz_f=1e-9)
+        batch = simulate(diffusion_by_name("drift-only"), [0.0], GRID, 200, 1)
         finest, table = solve_bsde_with_localization(
-            problem, [2.0, 3.0, 4.0], GRID, 200, seed=1)
+            problem, [2.0, 3.0, 4.0], batch)
         gaps = [row["gap"] for row in table]
         assert all(g == 0.0 for g in gaps)
 
@@ -662,16 +657,13 @@ class TestLocalizationSweep:
         k = np.searchsorted(norms, 1.5)
         lo, hi = norms[k], norms[k + 1]
         radii = [lo + (hi - lo) / 3, lo + 2 * (hi - lo) / 3]
-        stops = [bsde._stop_index(first_exit(batch, r), GRID.times.size)
-                 for r in radii]
+        stops = [first_exit(batch, r).stop_index for r in radii]
         np.testing.assert_array_equal(stops[0], stops[1])
         assert 0 < np.count_nonzero(stops[0] < GRID.times.size - 1) < 400
-        solutions = [solve_localized_bsde(problem, r, GRID, 400, 12,
-                                          batch=batch) for r in radii]
+        solutions = [solve_localized_bsde(problem, r, batch) for r in radii]
         np.testing.assert_array_equal(solutions[0].y_paths,
                                       solutions[1].y_paths)
-        _, table = solve_bsde_with_localization(problem, radii, GRID, 400, 12,
-                                                batch=batch)
+        _, table = solve_bsde_with_localization(problem, radii, batch)
         assert table[0]["gap"] == 0.0
 
     def test_common_random_numbers_deterministic(self):
@@ -679,12 +671,11 @@ class TestLocalizationSweep:
         problem = BsdeProblem(
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.ones((np.size(y), 1)),
-            terminal=lambda x: x[:, 0], driver=driver, diffusion=BROWNIAN,
-            x0=np.array([0.0]), lipschitz_f=1e-9)
-        _, t1 = solve_bsde_with_localization(problem, [1.5, 2.5], GRID, 2000,
-                                             seed=4)
-        _, t2 = solve_bsde_with_localization(problem, [1.5, 2.5], GRID, 2000,
-                                             seed=4)
+            terminal=lambda x: x[:, 0], driver=driver, lipschitz_f=1e-9)
+        _, t1 = solve_bsde_with_localization(problem, [1.5, 2.5],
+                                             brownian_batch(2000, seed=4))
+        _, t2 = solve_bsde_with_localization(problem, [1.5, 2.5],
+                                             brownian_batch(2000, seed=4))
         assert [r["gap"] for r in t1] == [r["gap"] for r in t2]
 
     def test_growth_bound_fit_and_holdout(self):
@@ -692,15 +683,14 @@ class TestLocalizationSweep:
         # other half: |Y0(x0)| <= C (1 + |x0|^max(1, (lam+beta)/eps))
         driver = driver_by_names("lorentz", "linear")
         x0s = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])
+        problem = BsdeProblem(
+            f=lambda t, x, y, z: np.zeros(x.shape[0]),
+            g=lambda y: np.ones((np.size(y), 1)),
+            terminal=lambda x: x[:, 0], driver=driver, lipschitz_f=1e-9)
         values = []
         for x0 in x0s:
-            problem = BsdeProblem(
-                f=lambda t, x, y, z: np.zeros(x.shape[0]),
-                g=lambda y: np.ones((np.size(y), 1)),
-                terminal=lambda x: x[:, 0], driver=driver,
-                diffusion=BROWNIAN, x0=np.array([x0]), lipschitz_f=1e-9)
-            sol = solve_localized_bsde(problem, abs(x0) + 4.0, GRID, 4000,
-                                       seed=31)
+            sol = solve_localized_bsde(problem, abs(x0) + 4.0,
+                                       brownian_batch(4000, seed=31, x0=x0))
             values.append(abs(sol.y0))
         power = max(1.0, (driver.lam + driver.beta) / 0.5)
         envelope = 1.0 + np.abs(x0s) ** power

@@ -146,6 +146,25 @@ class TestCliExitCodes:
         assert err["error"] == "precondition"
         assert not list(out.glob("*.csv"))
 
+    def test_undetectable_gaps_are_dropped(self, tmp_path):
+        # the v-times-g reaction, with every gap far below the detection
+        # multiple of its paired standard error: each radius is dropped from
+        # the fit with a warning and marked saturated
+        cfg = self._write(tmp_path,
+                          "kind = localization-error\n"
+                          "reaction_kind = v-times-g\nsamples = 500\n"
+                          "steps = 8\nradii = 1.0, 1.5\n"
+                          "reference_radius = 2.5\nmin_detectable_z = 1e6\n")
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="dropped from the decay fit"):
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        header, *rows = [line.split(",") for line in
+                         (out / "decay_gaps.csv").read_text().splitlines()]
+        assert header == ["x", "radius", "gap", "standard_error",
+                          "saturated"]
+        assert len(rows) == 2
+        assert all(float(row[2]) > 0 and row[4] == "1" for row in rows)
+
     @pytest.mark.parametrize("file_lines, flags, workers", [
         ("workers = 3\n", [], 3),
         ("workers = 3\n", ["--workers", "2"], 2),

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from youngbsde.diffusion import (NO_EXIT, DiffusionSpec, exit_tail_decay,
-                                 first_exit, sample_pvar, simulate)
+from youngbsde.diffusion import (DiffusionSpec, exit_tail_decay, first_exit,
+                                 sample_pvar, simulate)
 from youngbsde.errors import DomainError
 from youngbsde.paths import TimeGrid
 from youngbsde.registry import diffusion_by_name
@@ -130,27 +130,32 @@ class TestSimulate:
 
 class TestFirstExit:
     def test_no_exit_inside_ball(self):
+        # a path that stays inside stops at the last grid index
         batch = simulate(constant_spec(0.0, 0.0), [0.5], GRID, 8, seed=1)
         report = first_exit(batch, 1.0)
-        assert np.all(report.exit_index == NO_EXIT)
-        assert np.all(report.exit_time == 1.0)
+        assert np.all(report.stop_index == GRID.times.size - 1)
         assert report.probability == 0.0
 
     def test_linear_crossing(self):
         batch = simulate(constant_spec(0.0, 2.0), [0.0], GRID, 3, seed=1)
         report = first_exit(batch, 1.0)
-        # first grid time with 2t > 1
-        crossing = GRID.times[np.argmax(GRID.times * 2.0 > 1.0)]
-        assert np.all(report.exit_time == pytest.approx(crossing))
+        # first grid index with 2t > 1
+        assert np.all(report.stop_index == np.argmax(GRID.times * 2.0 > 1.0))
+        assert report.probability == 1.0
+
+    def test_exit_at_the_horizon_is_not_before_it(self):
+        # X_t = t leaves the ball of radius 0.99 only at the last grid point
+        batch = simulate(constant_spec(0.0, 1.0), [0.0], GRID, 4, seed=1)
+        report = first_exit(batch, 0.99)
+        assert np.all(report.stop_index == GRID.times.size - 1)
+        assert report.probability == 0.0
 
     def test_monotone_in_radius(self):
         batch = simulate(constant_spec(1.0, 0.0), [0.0], GRID, 512, seed=3)
         r1 = first_exit(batch, 0.5)
         r2 = first_exit(batch, 1.0)
-        both = (r1.exit_index != NO_EXIT) & (r2.exit_index != NO_EXIT)
-        assert np.all(r1.exit_index[both] <= r2.exit_index[both])
-        assert np.all((r2.exit_index != NO_EXIT)
-                      <= (r1.exit_index != NO_EXIT))
+        assert np.all(r1.stop_index <= r2.stop_index)
+        assert 0 < r2.probability < r1.probability
 
 
 class TestExitTailDecay:

@@ -61,8 +61,8 @@ class TestLinearFeynmanKac:
         assert u == 2.25 and se == 0.0
 
     def test_standard_error_survives_large_offset(self):
-        # before the shifted sums, E[X^2] - E[X]^2 cancelled at an offset
-        # of 1e8 and reported SE 0.0100 against 0.00702 without the offset
+        # a one-pass E[X^2] - E[X]^2 cancels at an offset of 1e8 and
+        # reported SE 0.0100 against 0.00702 without the offset
         def estimate(offset):
             return fk_point_estimate(BROWNIAN, zero_driver(),
                                      lambda x: offset + x[:, 0], 0.0, [0.0],
@@ -111,8 +111,9 @@ class TestLinearFeynmanKac:
             f=lambda t, x, y, z: np.zeros(x.shape[0]),
             g=lambda y: np.ones((np.size(y), 1)),
             terminal=lambda x: np.ones(x.shape[0]), driver=driver,
-            diffusion=BROWNIAN, x0=np.array([0.0]), lipschitz_f=1e-9)
-        sol = solve_localized_bsde(problem, 6.0, grid, 40000, seed=19)
+            lipschitz_f=1e-9)
+        sol = solve_localized_bsde(
+            problem, 6.0, simulate(BROWNIAN, [0.0], grid, 40000, seed=19))
         s_idx = grid.index_of(0.5)
         x_probe = 0.3
         coeffs = sol.y_coefficients[s_idx]
@@ -353,7 +354,7 @@ def _zero_reaction(t, x, y, z):
 def _bsde(**kw):
     args = dict(f=_zero_reaction, g=lambda y: np.zeros((np.size(y), 1)),
                 terminal=lambda x: x[:, 0], driver=zero_driver(),
-                diffusion=BROWNIAN, x0=np.array([0.0]), lipschitz_f=1e-9)
+                lipschitz_f=1e-9)
     return BsdeProblem(**{**args, **kw})
 
 
@@ -408,7 +409,8 @@ class TestDeclaredConstants:
         problem = _bsde(g=lambda y: np.tanh(y).reshape(-1, 1),
                         driver=driver_by_names("cos", "linear"))
         _, table = solve_bsde_with_localization(
-            problem, [1.0, 2.0], TimeGrid.uniform(1.0, 8), 200, seed=3)
+            problem, [1.0, 2.0],
+            simulate(BROWNIAN, [0.0], TimeGrid.uniform(1.0, 8), 200, seed=3))
         assert len(table) == 2
         finest, _ = solve_young_pde_double_approximation(
             _pde(driver=driver_by_names("cos", "linear")),
