@@ -279,25 +279,29 @@ def _c09_linear_pde_vs_fd(out: Path):
 # -- criterion 10 ------------------------------------------------------------
 
 def _c10_localization_decay(out: Path):
+    # x^2 - t is a martingale, so u_R(0, 0) = E[tau_R ^ T] and the true gap
+    # to the reference ball is E[tau_4 ^ T - tau_R ^ T] > 0 at every radius
     problem = NonLipschitzProblem(
         f0=lambda t, x, y, z: np.zeros(x.shape[0]),
         big_f0=lambda t, x, y, z: np.zeros(x.shape[0]),
-        terminal=lambda x: x[:, 0], diffusion=_brownian(), horizon=1.0)
+        terminal=lambda x: x[:, 0] ** 2, diffusion=_brownian(), horizon=1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = localization_error_experiment(
-            problem, [1.5, 2.0, 2.5, 3.0], [np.array([0.0])],
+            problem, [1.0, 1.5, 2.0, 2.5], [np.array([0.0])],
             samples=200000, seed=2, steps=64, reference_radius=4.0)
         saturated = localization_error_experiment(
             problem, [7.0], [np.array([0.0])], samples=10000, seed=2,
             steps=64, reference_radius=8.0)
     slope, r2 = report.slopes[0], report.r_squared[0]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z_min = float(np.min(report.gaps[0] / report.gap_ses[0]))
     sat_zero = bool(saturated.saturated[0, 0]) \
         and saturated.gaps[0, 0] == 0.0
-    ok = slope < 0 and r2 >= 0.8 and sat_zero
+    ok = slope < 0 and r2 >= 0.8 and z_min >= 3.0 and sat_zero
     return ok, (f"log gap vs squared radius: slope {slope:.3f} (< 0), "
-                f"R^2 {r2:.3f} (>= 0.8); saturated radius reports exact "
-                f"zero: {sat_zero}")
+                f"R^2 {r2:.3f} (>= 0.8), smallest gap {z_min:.2f} paired SE "
+                f"(>= 3); saturated radius reports exact zero: {sat_zero}")
 
 
 # -- criterion 11 ------------------------------------------------------------

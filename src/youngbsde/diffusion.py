@@ -133,25 +133,31 @@ class ExitDecayFit:
     dropped: list
 
 
+_BLOCK = 1024  # samples per counter-based stream
+
+
 def _normal_increments(seed: int, samples: int, steps: int, dim: int,
                        dts: np.ndarray, offset: int) -> np.ndarray:
-    """Brownian increments, one counter-based stream per sample index.
+    """Brownian increments, one counter-based stream per block of samples.
 
-    Sample i is Philox with key hash64(seed, offset + i) and counter 0, the
-    stream `rng.stream(seed, offset + i)` gives.  One bit generator is
-    re-keyed per sample: its state is reset to the start state of a fresh
-    `Philox(key=k)` (key [k, 0], counter 0, empty buffer), so the draws are
-    the same bytes as a fresh generator per sample.
+    Sample i (global index offset + i) is row (offset + i) mod _BLOCK of
+    block (offset + i) // _BLOCK, whose draws are
+    `rng.stream(seed, block).standard_normal((_BLOCK, steps, dim))` in C
+    order.  A shorter draw is a prefix of that array, so each covering block
+    is drawn only up to the last row the batch needs, then sliced.
     """
-    keys = hash64(seed, offset + np.arange(samples))
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    start = bitgen.state  # a copy; the setter copies it back in
+    end = offset + samples
+    blocks = np.arange(offset // _BLOCK, (end - 1) // _BLOCK + 1)
     out = np.empty((samples, steps, dim))
-    for i, key in enumerate(keys):
-        start["state"]["key"][0] = key
-        bitgen.state = start
-        gen.standard_normal(out=out[i])
+    for block, key in zip(blocks.tolist(), hash64(seed, blocks)):
+        start = block * _BLOCK
+        lo, hi = max(start, offset), min(start + _BLOCK, end)
+        gen = np.random.Generator(np.random.Philox(key=int(key)))
+        if lo == start:
+            gen.standard_normal(out=out[lo - offset:hi - offset])
+        else:  # the batch starts inside this block: skip its first rows
+            out[:hi - offset] = gen.standard_normal(
+                (hi - start, steps, dim))[lo - start:]
     out *= np.sqrt(dts)[:, None]
     return out
 
@@ -161,9 +167,10 @@ def simulate(spec: DiffusionSpec, x0, grid: TimeGrid, samples: int,
     """Euler scheme X_{i+1} = X_i + b dt + sigma dW over the grid.
 
     Deterministic in (spec, grid, samples, seed); sample i depends only on
-    (seed, sample_offset + i), so chunked generation with a running offset
-    reproduces one big batch.  Raises DomainError if a visited state violates
-    the declared coefficient bound.
+    (seed, sample_offset + i) through its row of a 1024-sample stream
+    block, so chunked generation with a running offset reproduces one big
+    batch.  Raises DomainError if a visited state violates the declared
+    coefficient bound.
     """
     if samples < 1:
         raise DomainError("need at least one sample")

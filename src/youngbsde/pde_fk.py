@@ -95,7 +95,7 @@ def fk_point_estimate(diffusion: DiffusionSpec, driver: SpaceTimeDriver,
                       terminal, t: float, x, horizon: float, steps: int,
                       samples: int, point_seed: int) -> tuple[float, float]:
     """Feynman-Kac estimate at one (t, x) and its standard error: chunked
-    fresh simulations, global per-sample stream indices, weight =
+    fresh simulations, global sample indices across chunks, weight =
     exp(pathwise driver integral).  Only each chunk's payoffs are kept."""
     if t > horizon + 1e-12:
         raise DomainError(f"evaluation time {t} beyond the horizon {horizon}")

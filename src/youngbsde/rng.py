@@ -1,13 +1,14 @@
 """Deterministic parallel random streams.
 
-Every Monte Carlo sample draws from its own counter-based stream whose key
-depends only on (master seed, sample index): sample i of a batch that starts
-at sample offset `offset` is Philox with key hash64(seed, offset + i) and
-counter 0, exactly what `stream(seed, offset + i)` returns.  Batches are
-drawn by re-keying one bit generator to that state per sample (see
-`diffusion._normal_increments`).  This makes batches bit-stable under
-chunking, re-runs, and any worker scheduling, and enlarging the sample count
-never perturbs the streams already drawn.
+Monte Carlo samples draw from counter-based streams whose key depends only
+on (master seed, block index), one stream per fixed block of 1024 samples
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011):
+global sample j is row j mod 1024 of the C-order standard normals of
+`stream(seed, j // 1024)`, Philox with key hash64(seed, j // 1024) and
+counter 0 (see `diffusion._normal_increments`).  A shorter draw is a prefix
+of the full block, so batches are bit-stable under chunking, re-runs, and
+any worker scheduling, and enlarging the sample count never perturbs the
+streams already drawn.
 """
 
 from __future__ import annotations

@@ -350,7 +350,7 @@ class TestOnePassSolver:
            degree=st.integers(1, 3), radius=st.floats(0.6, 6.0),
            steps=st.integers(0, 12), samples=st.integers(2, 150))
     # every sample has left the ball of radius 0.6 before the last steps
-    @example(seed=146, dim=1, degree=2, radius=0.6, steps=12, samples=30)
+    @example(seed=959, dim=1, degree=2, radius=0.6, steps=12, samples=30)
     @example(seed=1, dim=2, degree=3, radius=2.0, steps=0, samples=20)
     def test_matches_masked_reference(self, seed, dim, degree, radius, steps,
                                       samples):
@@ -395,7 +395,7 @@ class TestOnePassSolver:
                         g=lambda y: np.ones((np.size(y), 1)),
                         terminal=lambda x: x[:, 0],
                         driver=driver_by_names("cos", "linear")),
-            0.6, brownian_batch(30, seed=146, grid=TimeGrid.uniform(1.0, 12)))
+            0.6, brownian_batch(30, seed=959, grid=TimeGrid.uniform(1.0, 12)))
         # every sample stops by step 9: steps 9 to 11 have none active
         assert np.max(ref.stop_index) == 9
 
@@ -445,7 +445,7 @@ class TestOnePassSolver:
         assert counts == [300] * 16
 
     def test_two_active_samples_at_degree_two(self):
-        batch = brownian_batch(12, seed=5, grid=TimeGrid.uniform(1.0, 16))
+        batch = brownian_batch(12, seed=2, grid=TimeGrid.uniform(1.0, 16))
         counts = self.fits_match_ridge_fit(self.constant_g_problem(), 0.8,
                                            batch, degree=2)
         assert 2 in counts

@@ -72,16 +72,20 @@ class TestSimulate:
         np.testing.assert_array_equal(a.paths, b.paths)
         np.testing.assert_array_equal(a.increments, b.increments)
 
-    @given(SEEDS, st.integers(0, 2**40), DIMS, grids(), st.integers(1, 6))
+    @given(SEEDS, st.one_of(st.integers(0, 2**40), st.integers(1018, 1030)),
+           DIMS, grids(), st.integers(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_increments_follow_reference_streams(self, seed, offset, dim,
                                                  grid, samples):
+        # global sample j is row j % 1024 of stream(seed, j // 1024)'s
+        # (1024, steps, dim) standard normals
         batch = simulate(brownian(dim), np.zeros(dim), grid, samples, seed,
                          sample_offset=offset)
         steps = grid.times.size - 1
         sqrt_dt = np.sqrt(np.diff(grid.times))[:, None]
         for i in range(samples):
-            ref = stream(seed, offset + i).standard_normal((steps, dim))
+            block, row = divmod(offset + i, 1024)
+            ref = stream(seed, block).standard_normal((1024, steps, dim))[row]
             assert np.array_equal(batch.increments[i], ref * sqrt_dt)
 
     @given(SEEDS, DIMS, grids(), st.integers(1, 8), st.integers(0, 8))
@@ -106,6 +110,20 @@ class TestSimulate:
         np.testing.assert_array_equal(whole.paths[split:], tail.paths)
         np.testing.assert_array_equal(whole.increments[split:],
                                       tail.increments)
+
+    @pytest.mark.parametrize("split", [1, 1023, 1024, 1025, 2047])
+    def test_splits_across_block_boundaries(self, split):
+        grid = TimeGrid.uniform(1.0, 3)
+        spec = brownian(2)
+        whole = simulate(spec, np.zeros(2), grid, 2600, seed=11)
+        head = simulate(spec, np.zeros(2), grid, split, seed=11)
+        tail = simulate(spec, np.zeros(2), grid, 2600 - split, seed=11,
+                        sample_offset=split)
+        np.testing.assert_array_equal(head.increments,
+                                      whole.increments[:split])
+        np.testing.assert_array_equal(tail.increments,
+                                      whole.increments[split:])
+        np.testing.assert_array_equal(tail.paths, whole.paths[split:])
 
     def test_bound_violation_raises(self):
         spec = constant_spec(2.0, 0.0, bound=1.0)

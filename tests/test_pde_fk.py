@@ -74,6 +74,19 @@ class TestLinearFeynmanKac:
         assert se_big == pytest.approx(se_plain, rel=1e-6)
         assert u_big - 1e8 == pytest.approx(u_plain, abs=1e-6)
 
+    def test_chunking_keeps_the_bytes(self, monkeypatch):
+        # a chunk size that is not a multiple of the 1024-sample stream
+        # block makes every chunk after the first start inside a block
+        driver = driver_by_names("cos", "linear")
+
+        def estimate():
+            return fk_point_estimate(BROWNIAN, driver, lambda x: x[:, 0] ** 2,
+                                     0.0, [0.3], 1.0, 8, 3000, point_seed=7)
+
+        whole = estimate()
+        monkeypatch.setattr(pde_fk, "_FK_CHUNK", 700)
+        assert estimate() == whole
+
     def test_weight_overflow_raises(self):
         driver = make_separable_driver(lambda x: np.full(x.shape[0], 800.0),
                                        lambda t: t)
