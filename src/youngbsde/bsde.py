@@ -403,9 +403,6 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
     exit_report = first_exit(batch, radius)
     stop_index = exit_report.stop_index
     datum = problem.terminal_at(batch, stop_index)
-    # time-major, so each step's active rows are gathered from one block
-    x = np.ascontiguousarray(np.swapaxes(batch.paths, 0, 1))
-    dw = np.ascontiguousarray(np.swapaxes(batch.increments, 0, 1))
 
     # exited samples keep their datum in y and zero in z: only active rows
     # are ever written
@@ -421,12 +418,13 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
         n = active.size
         if n == 0:
             continue
-        x_i = x[i, active]
+        x_i = batch.paths[active, i]
         basis = poly_basis(x_i, basis_degree)
         factor = ridge_factor(basis)
         y_next = y[i + 1, active]
         z_coeffs[i] = ridge_solve(factor, basis,
-                                  y_next[:, None] * dw[i, active] / dts[i])
+                                  y_next[:, None] * batch.increments[active, i]
+                                  / dts[i])
         z_fit = basis @ z_coeffs[i]
         z[i, active] = z_fit
         deta = problem.driver.increment_pairs(

@@ -88,8 +88,14 @@ class DiffusionSpec:
 
 @dataclass(frozen=True)
 class PathBatch:
-    """S simulated paths with their Brownian increments; fully reproducible
-    from (spec, grid, seed) and stable under enlarging S."""
+    """S simulated paths (S, m, d) with their Brownian increments
+    (S, m - 1, d); fully reproducible from (spec, grid, seed) and stable
+    under enlarging S.
+
+    `simulate` stores both step-major and holds transposed views, so
+    `paths[:, i]` is a contiguous row.  Consumers must not depend on the
+    layout: any array of these shapes gives the same results.
+    """
 
     grid: TimeGrid
     paths: np.ndarray
@@ -138,27 +144,26 @@ _BLOCK = 1024  # samples per counter-based stream
 
 def _normal_increments(seed: int, samples: int, steps: int, dim: int,
                        dts: np.ndarray, offset: int) -> np.ndarray:
-    """Brownian increments, one counter-based stream per block of samples.
+    """Brownian increments, one counter-based stream per block of samples,
+    stored step-major: shape (steps, samples, dim), C-contiguous.
 
     Sample i (global index offset + i) is row (offset + i) mod _BLOCK of
     block (offset + i) // _BLOCK, whose draws are
     `rng.stream(seed, block).standard_normal((_BLOCK, steps, dim))` in C
     order.  A shorter draw is a prefix of that array, so each covering block
-    is drawn only up to the last row the batch needs, then sliced.
+    is drawn only up to the last row the batch needs, then sliced and copied,
+    transposed, into its columns of the step-major array.
     """
     end = offset + samples
     blocks = np.arange(offset // _BLOCK, (end - 1) // _BLOCK + 1)
-    out = np.empty((samples, steps, dim))
+    out = np.empty((steps, samples, dim))
     for block, key in zip(blocks.tolist(), hash64(seed, blocks)):
         start = block * _BLOCK
         lo, hi = max(start, offset), min(start + _BLOCK, end)
         gen = np.random.Generator(np.random.Philox(key=int(key)))
-        if lo == start:
-            gen.standard_normal(out=out[lo - offset:hi - offset])
-        else:  # the batch starts inside this block: skip its first rows
-            out[:hi - offset] = gen.standard_normal(
-                (hi - start, steps, dim))[lo - start:]
-    out *= np.sqrt(dts)[:, None]
+        draws = gen.standard_normal((hi - start, steps, dim))[lo - start:]
+        out[:, lo - offset:hi - offset] = draws.swapaxes(0, 1)
+    out *= np.sqrt(dts)[:, None, None]
     return out
 
 
@@ -169,8 +174,10 @@ def simulate(spec: DiffusionSpec, x0, grid: TimeGrid, samples: int,
     Deterministic in (spec, grid, samples, seed); sample i depends only on
     (seed, sample_offset + i) through its row of a 1024-sample stream
     block, so chunked generation with a running offset reproduces one big
-    batch.  Raises DomainError if a visited state violates the declared
-    coefficient bound.
+    batch.  The paths and increments are stored step-major, so each step
+    is one contiguous (samples, dim) row; the batch holds (samples, m, dim)
+    and (samples, m - 1, dim) views of them.  Raises DomainError if a
+    visited state violates the declared coefficient bound.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
@@ -180,16 +187,16 @@ def simulate(spec: DiffusionSpec, x0, grid: TimeGrid, samples: int,
     dts = np.diff(times)
     dw = _normal_increments(seed, samples, steps, spec.dim, dts,
                             sample_offset)
-    paths = np.empty((samples, steps + 1, spec.dim))
-    paths[:, 0, :] = x0
-    state = np.broadcast_to(x0, (samples, spec.dim)).copy()
+    paths = np.empty((steps + 1, samples, spec.dim))
+    paths[0] = x0
     for i in range(steps):
-        sig = spec.sigma_at(times[i], state)
-        dri = spec.drift_at(times[i], state)
+        sig = spec.sigma_at(times[i], paths[i])
+        dri = spec.drift_at(times[i], paths[i])
         spec.check_bounds(times[i], sig, dri)
-        state = state + dri * dts[i] + np.einsum("sij,sj->si", sig, dw[:, i])
-        paths[:, i + 1, :] = state
-    return PathBatch(grid=grid, paths=paths, increments=dw, seed=seed)
+        paths[i + 1] = (paths[i] + dri * dts[i]
+                        + np.einsum("sij,sj->si", sig, dw[i]))
+    return PathBatch(grid=grid, paths=paths.swapaxes(0, 1),
+                     increments=dw.swapaxes(0, 1), seed=seed)
 
 
 def first_exit(batch: PathBatch, radius: float) -> ExitReport:
@@ -257,7 +264,10 @@ def sample_pvar(batch: PathBatch, p: float, mode: str = "refinement-limit"
     """
     if p < 1:
         raise DomainError(f"p-variation needs p >= 1, got {p}")
-    steps = np.linalg.norm(np.diff(batch.paths, axis=1), axis=2)
+    # C-contiguous (S, m - 1), so the sum's order and bytes do not depend
+    # on the batch layout
+    steps = np.ascontiguousarray(
+        np.linalg.norm(np.diff(batch.paths, axis=1), axis=2))
     if mode == "refinement-limit":
         return np.sum(steps**p, axis=1) ** (1.0 / p)
     if mode != "exact":

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -13,7 +14,8 @@ from youngbsde.bsde import (BsdeProblem, LinearBsdeSpec, PicardConfig,
                             solve_bsde_with_localization,
                             solve_linear_bsde, solve_localized_bsde,
                             tower_rule_defect)
-from youngbsde.diffusion import DiffusionSpec, first_exit, simulate
+from youngbsde.diffusion import (DiffusionSpec, first_exit, sample_pvar,
+                                 simulate)
 from youngbsde.drivers import make_separable_driver, zero_driver
 from youngbsde.errors import DomainError, NumericalError
 from youngbsde.paths import SamplePath, TimeGrid
@@ -697,6 +699,51 @@ class TestLocalizationSweep:
         fit_c = np.max(np.asarray(values)[::2] / envelope[::2])
         assert np.all(np.asarray(values)[1::2]
                       <= 1.5 * fit_c * envelope[1::2] + 1e-9)
+
+
+class TestLayout:
+    """simulate stores a batch step-major; a sample-major copy of the same
+    arrays must give every consumer the same bytes."""
+
+    @staticmethod
+    def outputs(batch, dim):
+        driver = driver_by_names("cos", "linear", dim=dim)
+        problem = BsdeProblem(
+            f=lambda t, x, y, z: 0.2 * np.cos(x[:, 0]) * y + 0.1 * z[:, -1],
+            g=lambda y: np.tanh(np.asarray(y, dtype=float)).reshape(-1, 1),
+            terminal=lambda x: np.sum(x**2, axis=1), driver=driver,
+            lipschitz_f=0.3)
+        linear = LinearBsdeSpec(
+            alpha=lambda t, x: np.cos(x[:, 0]), driver=driver,
+            terminal=lambda p: np.sum(p[:, -1, :], axis=1),
+            drift_change=lambda t, x: 0.3 * np.sin(x))
+        sol = solve_localized_bsde(problem, 1.5, batch)
+        finest, table = solve_bsde_with_localization(problem, [1.0, 2.0],
+                                                     batch)
+        residual = martingale_residual(problem, finest, batch)
+        x = batch.paths[:, :, 0]
+        return [sol.y_paths, sol.z_paths, sol.y0_samples, finest.y0_samples,
+                [[row[k] for k in sorted(row)] for row in table],
+                residual["mean"], residual["se"],
+                solve_linear_bsde(linear, batch).y0_samples,
+                tower_rule_defect(np.tile(x[:, -1:], (1, x.shape[1])), x,
+                                  driver, batch, t_index=2),
+                first_exit(batch, 1.5).stop_index, sample_pvar(batch, 2.5),
+                young_sum_batch(driver, batch.grid.times, batch.paths)]
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_sample_major_copy_gives_the_same_bytes(self, dim):
+        batch = simulate(diffusion_by_name("brownian", dim=dim),
+                         np.full(dim, 0.1), TimeGrid.uniform(1.0, 12), 1500,
+                         seed=4, sample_offset=700)
+        sample_major = dataclasses.replace(
+            batch, paths=np.ascontiguousarray(batch.paths),
+            increments=np.ascontiguousarray(batch.increments))
+        assert batch.paths[:, 3].flags.c_contiguous
+        assert sample_major.paths[3].flags.c_contiguous
+        for a, b in zip(self.outputs(batch, dim),
+                        self.outputs(sample_major, dim)):
+            assert np.array_equal(np.asarray(a), np.asarray(b))
 
 
 class TestExponentialMoment:

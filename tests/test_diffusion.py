@@ -125,6 +125,41 @@ class TestSimulate:
                                       whole.increments[split:])
         np.testing.assert_array_equal(tail.paths, whole.paths[split:])
 
+    @given(SEEDS, st.integers(1, 40), st.integers(1, 6),
+           st.sampled_from([1, 2]), st.integers(1, 2), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_step_major_layout_matches_sample_major_euler(
+            self, seed, samples, steps, dim, block, data):
+        # each step is one contiguous row, and the values are those of an
+        # Euler recursion in sample order over the reference stream rows
+        offset = block * 1024 - data.draw(st.integers(0, samples))
+        grid = TimeGrid.uniform(1.0, steps)
+        spec = DiffusionSpec(
+            sigma=lambda t, x: (1.0 + 0.3 * np.sin(x))[:, :, None]
+            * np.eye(x.shape[1]),
+            drift=lambda t, x: 0.5 * np.cos(x) - t, bound=4.0, dim=dim)
+        x0 = np.linspace(0.2, -0.3, dim)
+        batch = simulate(spec, x0, grid, samples, seed, sample_offset=offset)
+        for i in range(steps + 1):
+            assert batch.paths[:, i].flags.c_contiguous
+        for i in range(steps):
+            assert batch.increments[:, i].flags.c_contiguous
+
+        times, dts = grid.times, np.diff(grid.times)
+        normals = {b: stream(seed, b).standard_normal((1024, steps, dim))
+                   for b in {(offset + j) // 1024 for j in range(samples)}}
+        dw = np.stack([normals[(offset + j) // 1024][(offset + j) % 1024]
+                       for j in range(samples)]) * np.sqrt(dts)[:, None]
+        ref = np.empty((samples, steps + 1, dim))
+        ref[:, 0] = x0
+        for i in range(steps):
+            x = ref[:, i]
+            sig = spec.sigma_at(times[i], x)
+            ref[:, i + 1] = (x + spec.drift_at(times[i], x) * dts[i]
+                             + np.einsum("sij,sj->si", sig, dw[:, i]))
+        assert np.array_equal(batch.increments, dw)
+        assert np.array_equal(batch.paths, ref)
+
     def test_bound_violation_raises(self):
         spec = constant_spec(2.0, 0.0, bound=1.0)
         with pytest.raises(DomainError, match="bound"):
@@ -219,3 +254,13 @@ class TestPvarSurrogate:
         for i in range(5):
             assert exact[i] == pytest.approx(
                 p_variation(batch.path(i), 2.0), abs=1e-12)
+
+    def test_sums_in_sample_order_whatever_the_layout(self):
+        # the steps of a step-major batch are summed in the order of a
+        # sample-major one, so the bytes do not depend on the layout
+        batch = simulate(constant_spec(1.0, 0.0, dim=2), np.zeros(2),
+                         TimeGrid.uniform(1.0, 64), 5000, seed=3)
+        steps = np.linalg.norm(
+            np.diff(np.ascontiguousarray(batch.paths), axis=1), axis=2)
+        reference = np.sum(steps**2.5, axis=1) ** (1.0 / 2.5)
+        assert np.array_equal(sample_pvar(batch, 2.5), reference)
