@@ -24,7 +24,9 @@ over the whole horizon.
 
 Every solver takes the path batch it solves on and none simulates: the
 equation types carry coefficients only, and one batch serves a whole sweep
-of radii.
+of radii.  Every solver and diagnostic reads the driver increments from
+`PathBatch.driver_increments`, which the batch computes once per driver,
+so the radii of a sweep share one step-major array.
 
 Each solver reports, besides y0, one value per sample whose mean is y0:
 the payoff of the linear formula, and the pathwise sum of datum and
@@ -48,7 +50,7 @@ from .drivers import SpaceTimeDriver
 from .errors import DomainError, NumericalError
 from .regression import (fit_predict, poly_basis, ridge_factor, ridge_fit,
                          ridge_solve)
-from .young_calculus import FLOW_OVERFLOW_GUARD, step_increments
+from .young_calculus import FLOW_OVERFLOW_GUARD
 
 __all__ = [
     "LinearBsdeSpec",
@@ -89,16 +91,6 @@ def girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
         raise NumericalError("exponential martingale overflow; the "
                              "drift-change process is too large")
     return np.exp(log_path[:, -1])
-
-
-def _stacked_increments(driver: SpaceTimeDriver, times: np.ndarray,
-                        paths: np.ndarray) -> np.ndarray:
-    """All left-point driver increments of a batch, shape (S, m-1, M);
-    (S, 0, M) on a one-point grid."""
-    steps = list(step_increments(driver, times, paths))
-    if not steps:
-        return np.empty((paths.shape[0], 0, driver.channels))
-    return np.stack(steps, axis=1)
 
 
 def _standard_error(values: np.ndarray) -> float:
@@ -169,7 +161,7 @@ def solve_linear_bsde(spec: LinearBsdeSpec, batch: PathBatch
 
     alpha = np.stack([spec.alpha_at(times[i], batch.paths[:, i, :])
                       for i in range(m)], axis=1)
-    deta = _stacked_increments(spec.driver, times, batch.paths)
+    deta = batch.driver_increments(spec.driver).swapaxes(0, 1)
     exponent = np.concatenate(
         [np.zeros((S, 1)),
          np.cumsum(np.sum(alpha[:, :-1] * deta, axis=2), axis=1)], axis=1)
@@ -210,7 +202,9 @@ def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
                           f"of {m} points")
     a_values = np.asarray(a_values, dtype=float).reshape(S, m)
     b_values = np.asarray(b_values, dtype=float).reshape(S, m)
-    deta = _stacked_increments(driver, times, batch.paths)[:, :, 0]
+    # sample-major, so the sums over steps run in the same order whatever
+    # the layout
+    deta = np.ascontiguousarray(batch.driver_increments(driver)[:, :, 0].T)
 
     a_hat = np.empty_like(a_values)
     for i in range(m):
@@ -403,6 +397,7 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
     exit_report = first_exit(batch, radius)
     stop_index = exit_report.stop_index
     datum = problem.terminal_at(batch, stop_index)
+    deta = batch.driver_increments(problem.driver)
 
     # exited samples keep their datum in y and zero in z: only active rows
     # are ever written
@@ -415,8 +410,7 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
     iterations = 0
     for i in range(m - 2, -1, -1):
         active = np.flatnonzero(stop_index > i)
-        n = active.size
-        if n == 0:
+        if active.size == 0:
             continue
         x_i = batch.paths[active, i]
         basis = poly_basis(x_i, basis_degree)
@@ -427,13 +421,12 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
                                   / dts[i])
         z_fit = basis @ z_coeffs[i]
         z[i, active] = z_fit
-        deta = problem.driver.increment_pairs(
-            np.full(n, times[i]), np.full(n, times[i + 1]), x_i)
+        deta_i = deta[i, active]
         y_i, step, gap, k = y_next, 0.0, math.inf, 0
         for k in range(1, picard.max_iterations + 1):
             f_val = np.asarray(problem.f(times[i], x_i, y_i, z_fit),
                                dtype=float)
-            step = f_val * dts[i] + _young_term(problem, y_i, deta)
+            step = f_val * dts[i] + _young_term(problem, y_i, deta_i)
             y_coeffs[i] = ridge_solve(factor, basis, y_next + step)
             y_fit = basis @ y_coeffs[i]
             gap = float(np.max(np.abs(y_fit - y_i)))
@@ -473,7 +466,7 @@ def martingale_residual(problem: BsdeProblem, solution: BsdeSolution,
     m = times.size
     dts = np.diff(times)
     stop_index = first_exit(batch, solution.radius).stop_index
-    deta = _stacked_increments(problem.driver, times, batch.paths)
+    deta = batch.driver_increments(problem.driver)
     y, z = solution.y_paths, solution.z_paths
     mean = np.zeros(m - 1)
     se = np.zeros(m - 1)
@@ -490,7 +483,7 @@ def martingale_residual(problem: BsdeProblem, solution: BsdeSolution,
         zdw = np.sum(z_cross * batch.increments[active, i, :], axis=1)
         res = y[active, i] - (
             y[active, i + 1] + f_val * dts[i]
-            + _young_term(problem, y[active, i], deta[active, i, :])) + zdw
+            + _young_term(problem, y[active, i], deta[i, active])) + zdw
         mean[i] = float(res.mean())
         # the projection part of the mean vanishes identically (normal
         # equations), so the estimator fluctuates only through the zdw term
@@ -559,7 +552,7 @@ def exponential_moment_diagnostic(alpha_values: np.ndarray,
     times = batch.grid.times
     S, m = batch.samples, times.size
     alpha_values = np.asarray(alpha_values, dtype=float).reshape(S, m)
-    deta = _stacked_increments(driver, times, batch.paths)[:, :, 0]
+    deta = batch.driver_increments(driver)[:, :, 0].T
     cums = np.concatenate(
         [np.zeros((S, 1)), np.cumsum(alpha_values[:, :-1] * deta, axis=1)],
         axis=1)

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
-from .paths import SamplePath, TimeGrid
+from .paths import TimeGrid
 from .regression import line_fit
 from .rng import hash64
+from .young_calculus import step_increments
 
 __all__ = [
     "DiffusionSpec",
@@ -28,7 +29,6 @@ __all__ = [
     "simulate",
     "first_exit",
     "exit_tail_decay",
-    "sample_pvar",
 ]
 
 
@@ -92,15 +92,21 @@ class PathBatch:
     (S, m - 1, d); fully reproducible from (spec, grid, seed) and stable
     under enlarging S.
 
-    `simulate` stores both step-major and holds transposed views, so
-    `paths[:, i]` is a contiguous row.  Consumers must not depend on the
-    layout: any array of these shapes gives the same results.
+    `simulate` stores both step-major, read-only, and holds transposed
+    views, so `paths[:, i]` is a contiguous row.  Consumers must not depend
+    on the layout: any array of these shapes gives the same results.
+
+    `driver_increments` keeps the increments of the last driver it was
+    asked for, so every solve of a sweep on one batch reads one array.  A
+    copy made with `dataclasses.replace` starts with nothing kept.
     """
 
     grid: TimeGrid
     paths: np.ndarray
     increments: np.ndarray
     seed: int
+    _kept: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def samples(self) -> int:
@@ -110,8 +116,22 @@ class PathBatch:
     def dim(self) -> int:
         return self.paths.shape[2]
 
-    def path(self, i: int) -> SamplePath:
-        return SamplePath(self.grid, self.paths[i])
+    def driver_increments(self, driver) -> np.ndarray:
+        """Left-point increments eta(t_{i+1}, X_i) - eta(t_i, X_i) of the
+        driver along the batch, step-major and read-only: shape (m - 1, S, M),
+        (0, S, M) on a one-point grid, row i being step i of
+        `young_calculus.step_increments`.  Computed once per driver and kept
+        for the last driver only, matched by identity."""
+        if self._kept.get("driver") is not driver:
+            self._kept.clear()  # free the old array before building anew
+            times = self.grid.times
+            deta = np.empty((times.size - 1, self.samples, driver.channels))
+            for i, step in enumerate(step_increments(driver, times,
+                                                     self.paths)):
+                deta[i] = step
+            deta.flags.writeable = False
+            self._kept.update(driver=driver, deta=deta)
+        return self._kept["deta"]
 
 
 @dataclass(frozen=True)
@@ -176,8 +196,8 @@ def simulate(spec: DiffusionSpec, x0, grid: TimeGrid, samples: int,
     block, so chunked generation with a running offset reproduces one big
     batch.  The paths and increments are stored step-major, so each step
     is one contiguous (samples, dim) row; the batch holds (samples, m, dim)
-    and (samples, m - 1, dim) views of them.  Raises DomainError if a
-    visited state violates the declared coefficient bound.
+    and (samples, m - 1, dim) read-only views of them.  Raises DomainError
+    if a visited state violates the declared coefficient bound.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
@@ -195,6 +215,7 @@ def simulate(spec: DiffusionSpec, x0, grid: TimeGrid, samples: int,
         spec.check_bounds(times[i], sig, dri)
         paths[i + 1] = (paths[i] + dri * dts[i]
                         + np.einsum("sij,sj->si", sig, dw[i]))
+    paths.flags.writeable = dw.flags.writeable = False
     return PathBatch(grid=grid, paths=paths.swapaxes(0, 1),
                      increments=dw.swapaxes(0, 1), seed=seed)
 
@@ -251,28 +272,3 @@ def exit_tail_decay(spec: DiffusionSpec, x0, radii, grid: TimeGrid,
                         radii=kept, probabilities=probs_arr,
                         standard_errors=np.asarray(ses), dropped=dropped)
 
-
-def sample_pvar(batch: PathBatch, p: float, mode: str = "refinement-limit"
-                ) -> np.ndarray:
-    """Per-sample p-variation over the batch.
-
-    refinement-limit (full-partition sums) is vectorized over samples; exact
-    runs the dynamic program per sample and is meant for small batches.  The
-    sample mean of these values to a power q is the Monte Carlo stand-in for
-    the conditional p-variation moments used in the estimates: a per-sample
-    statistic, not an essential supremum.
-    """
-    if p < 1:
-        raise DomainError(f"p-variation needs p >= 1, got {p}")
-    # C-contiguous (S, m - 1), so the sum's order and bytes do not depend
-    # on the batch layout
-    steps = np.ascontiguousarray(
-        np.linalg.norm(np.diff(batch.paths, axis=1), axis=2))
-    if mode == "refinement-limit":
-        return np.sum(steps**p, axis=1) ** (1.0 / p)
-    if mode != "exact":
-        raise DomainError(f"unknown p-variation mode {mode!r}")
-    from .paths import p_variation
-
-    return np.array([p_variation(batch.path(i), p, mode="exact")
-                     for i in range(batch.samples)])

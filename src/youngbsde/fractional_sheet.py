@@ -20,7 +20,6 @@ from .rng import stream
 
 __all__ = [
     "SheetSpec",
-    "sheet_covariance",
     "covariance_matrix",
     "sample_sheet",
     "hurst_admissible",
@@ -81,18 +80,6 @@ def _fbm_factor(a: np.ndarray, b: np.ndarray, hurst: float) -> np.ndarray:
     b = np.abs(np.asarray(b, dtype=float))
     return 0.5 * (a ** (2 * hurst) + b ** (2 * hurst)
                   - np.abs(a - b) ** (2 * hurst))
-
-
-def sheet_covariance(spec: SheetSpec, point_a, point_b) -> float:
-    """E[B(t,x) B(s,y)] for points (t, x) and (s, y)."""
-    t, x = point_a
-    s, y = point_b
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    cov = _fbm_factor(t, s, spec.h0)
-    for i in range(spec.n):
-        cov *= _fbm_factor(x[i], y[i], spec.h[i])
-    return float(cov)
 
 
 def covariance_matrix(spec: SheetSpec) -> np.ndarray:

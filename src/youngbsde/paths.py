@@ -1,7 +1,7 @@
-"""Time grids, sample paths, and path seminorms.
+"""Time grids, sample paths, and the p-variation seminorm.
 
-The p-variation, Hoelder, and uniform norms computed here are the grid
-versions: suprema run over grid points only.  Sub-interval norms snap the
+The p-variation computed here is the grid version: suprema run over grid
+points only.  Sub-interval norms snap the
 requested endpoints to the nearest grid points; the induced bias is a
 documented property of the method, not corrected for.
 """
@@ -18,8 +18,6 @@ __all__ = [
     "TimeGrid",
     "SamplePath",
     "p_variation",
-    "holder_norm",
-    "uniform_norm",
     "p_variation_brute_force",
 ]
 
@@ -162,22 +160,3 @@ def p_variation_brute_force(path: SamplePath, p: float) -> float:
             sup = total
     return float(sup ** (1.0 / p))
 
-
-def holder_norm(path: SamplePath, gamma: float) -> float:
-    """max over grid pairs i<j of |g_j - g_i| / (t_j - t_i)^gamma."""
-    if not 0 < gamma <= 1:
-        raise DomainError(f"Hoelder exponent must lie in (0, 1], got {gamma}")
-    m = len(path.grid)
-    if m < 2:
-        raise DomainError("Hoelder norm needs at least 2 grid points")
-    inc = _increment_norms(path.values)
-    dt = np.abs(path.times[None, :] - path.times[:, None])
-    iu = np.triu_indices(m, k=1)
-    return float(np.max(inc[iu] / dt[iu] ** gamma))
-
-
-def uniform_norm(path: SamplePath) -> float:
-    """max Euclidean magnitude over grid points."""
-    if path.values.shape[0] == 0:
-        raise DomainError("uniform norm of an empty path")
-    return float(np.max(np.linalg.norm(path.values, axis=1)))

@@ -14,9 +14,9 @@ from youngbsde.bsde import (BsdeProblem, LinearBsdeSpec, PicardConfig,
                             solve_bsde_with_localization,
                             solve_linear_bsde, solve_localized_bsde,
                             tower_rule_defect)
-from youngbsde.diffusion import (DiffusionSpec, first_exit, sample_pvar,
-                                 simulate)
-from youngbsde.drivers import make_separable_driver, zero_driver
+from youngbsde.diffusion import DiffusionSpec, first_exit, simulate
+from youngbsde.drivers import (SpaceTimeDriver, make_separable_driver,
+                               zero_driver)
 from youngbsde.errors import DomainError, NumericalError
 from youngbsde.paths import SamplePath, TimeGrid
 from youngbsde.pde_fk import fk_point_estimate
@@ -73,7 +73,7 @@ def _reference_localized_bsde(problem, radius, batch, basis_degree=2,
     dts = np.diff(times)
     stop_index = first_exit(batch, radius).stop_index
     datum = problem.terminal_at(batch, stop_index)
-    deta = bsde._stacked_increments(problem.driver, times, batch.paths)
+    deta = batch.driver_increments(problem.driver).swapaxes(0, 1)
     y = np.tile(datum[:, None], (1, m))
     z = np.zeros((S, m - 1, batch.dim))
     converged, iterations = False, 0
@@ -411,7 +411,7 @@ class TestOnePassSolver:
                                    basis_degree=degree)
         times = batch.grid.times
         stop = first_exit(batch, radius).stop_index
-        deta = bsde._stacked_increments(problem.driver, times, batch.paths)
+        deta = batch.driver_increments(problem.driver).swapaxes(0, 1)
         dts = np.diff(times)
         counts = []
         for i in range(times.size - 1):
@@ -484,8 +484,7 @@ class TestStandardError:
         # f = 0 and g = 1: the pathwise sum is the stopped state plus the
         # driver increments before the stop, whatever the fitted Y
         stop = first_exit(batch, 3.0).stop_index
-        deta = bsde._stacked_increments(problem.driver, self.GRID32.times,
-                                        batch.paths)[:, :, 0]
+        deta = batch.driver_increments(problem.driver)[:, :, 0].T
         before_stop = np.arange(32)[None, :] < stop[:, None]
         pathwise = (batch.paths[np.arange(4000), stop, 0]
                     + np.sum(deta * before_stop, axis=1))
@@ -620,6 +619,27 @@ class TestLocalizationSweep:
                                        ddof=1) / math.sqrt(300)
             assert row["exit_probability"] == sol.exit_probability
 
+    def test_sweep_evaluates_the_driver_once(self, monkeypatch):
+        # every radius reads the increments the batch keeps: m - 1 calls of
+        # increment_pairs for the whole sweep, not one per radius and step
+        calls, solves = [], []
+        increment_pairs = SpaceTimeDriver.increment_pairs
+        solve = bsde.solve_localized_bsde
+
+        def counting(driver, *args):
+            calls.append(args[0].size)
+            return increment_pairs(driver, *args)
+
+        monkeypatch.setattr(SpaceTimeDriver, "increment_pairs", counting)
+        monkeypatch.setattr(bsde, "solve_localized_bsde",
+                            lambda *args, **kwargs: solves.append(args[1])
+                            or solve(*args, **kwargs))
+        batch = simulate(BROWNIAN, [0.0], self.GRID8, 200, 3)
+        solve_bsde_with_localization(self.problem(), [1.0, 1.5, 2.0, 3.0],
+                                     batch)
+        assert solves == [1.0, 1.5, 2.0, 3.0]
+        assert calls == [200] * 8
+
     @pytest.mark.parametrize("radii", [[], [2.0, 2.0], [3.0, 2.5],
                                        [0.5, 3.0], [1.0, 3.0]])
     def test_radii_rejected_before_simulation(self, monkeypatch, radii):
@@ -728,7 +748,7 @@ class TestLayout:
                 solve_linear_bsde(linear, batch).y0_samples,
                 tower_rule_defect(np.tile(x[:, -1:], (1, x.shape[1])), x,
                                   driver, batch, t_index=2),
-                first_exit(batch, 1.5).stop_index, sample_pvar(batch, 2.5),
+                first_exit(batch, 1.5).stop_index,
                 young_sum_batch(driver, batch.grid.times, batch.paths)]
 
     @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -1,14 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from youngbsde.diffusion import (DiffusionSpec, exit_tail_decay, first_exit,
-                                 sample_pvar, simulate)
+                                 simulate)
+from youngbsde.drivers import SpaceTimeDriver, mollify_time
 from youngbsde.errors import DomainError
+from youngbsde.fractional_sheet import SheetSpec, sample_sheet
 from youngbsde.paths import TimeGrid
-from youngbsde.registry import diffusion_by_name
+from youngbsde.registry import diffusion_by_name, driver_by_names
 from youngbsde.rng import stream
+from youngbsde.young_calculus import step_increments
 
 
 def constant_spec(sigma=1.0, drift=0.0, dim=1, bound=None):
@@ -236,31 +241,81 @@ class TestExitTailDecay:
                             [1.0, 1.5, 2.0], GRID, 50, seed=1)
 
 
-class TestPvarSurrogate:
-    def test_bounded_as_samples_grow(self):
-        spec = constant_spec(1.0, 0.0)
-        means = []
-        for s in (200, 800):
-            batch = simulate(spec, [0.0], GRID, s, seed=11)
-            means.append(float(np.mean(sample_pvar(batch, 3.0) ** 2)))
-        assert means[1] <= means[0] * 1.25
+def sample_major(batch):
+    """The same batch stored sample-major, as any caller could build it."""
+    return dataclasses.replace(
+        batch, paths=np.ascontiguousarray(batch.paths),
+        increments=np.ascontiguousarray(batch.increments))
 
-    def test_exact_mode_matches_path_module(self):
-        from youngbsde.paths import p_variation
 
-        batch = simulate(constant_spec(1.0, 0.0), [0.0],
-                         TimeGrid.uniform(1.0, 8), 5, seed=2)
-        exact = sample_pvar(batch, 2.0, mode="exact")
-        for i in range(5):
-            assert exact[i] == pytest.approx(
-                p_variation(batch.path(i), 2.0), abs=1e-12)
+class TestReadOnlyBatch:
+    def test_in_place_writes_raise(self):
+        batch = simulate(brownian(2), np.zeros(2), GRID, 8, seed=1)
+        with pytest.raises(ValueError, match="read-only"):
+            batch.paths[:, 3] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            batch.increments[0, 0, 0] += 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            batch.driver_increments(driver_by_names("cos", "linear",
+                                                    dim=2))[0] = 0.0
 
-    def test_sums_in_sample_order_whatever_the_layout(self):
-        # the steps of a step-major batch are summed in the order of a
-        # sample-major one, so the bytes do not depend on the layout
-        batch = simulate(constant_spec(1.0, 0.0, dim=2), np.zeros(2),
-                         TimeGrid.uniform(1.0, 64), 5000, seed=3)
-        steps = np.linalg.norm(
-            np.diff(np.ascontiguousarray(batch.paths), axis=1), axis=2)
-        reference = np.sum(steps**2.5, axis=1) ** (1.0 / 2.5)
-        assert np.array_equal(sample_pvar(batch, 2.5), reference)
+    def test_replaced_copy_keeps_nothing(self):
+        batch = simulate(brownian(1), [0.0], GRID, 8, seed=1)
+        driver = driver_by_names("cos", "linear")
+        kept = batch.driver_increments(driver)
+        copy = sample_major(batch)
+        assert copy.driver_increments(driver) is not kept
+        assert batch.driver_increments(driver) is kept
+
+
+# one driver of each increment path: a separable field, its mollification
+# (separable quadrature) and a sampled sheet (grid interpolation)
+_SEPARABLE = driver_by_names("cos", "linear")
+_DRIVERS = {
+    "separable": _SEPARABLE,
+    "mollified": mollify_time(_SEPARABLE, 0.05, 1.0),
+    "grid": sample_sheet(SheetSpec(0.9, [0.75],
+                                   TimeGrid(np.linspace(0, 1, 6), 1.0),
+                                   [np.linspace(-4.0, 4.0, 9)]), seed=14),
+}
+
+
+class TestDriverIncrements:
+    @given(SEEDS, st.integers(1, 30), st.integers(0, 7),
+           st.sampled_from(sorted(_DRIVERS)), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_stack_of_step_increments(self, seed, samples, steps, kind,
+                                      step_major):
+        driver = _DRIVERS[kind]
+        grid = (TimeGrid.uniform(1.0, steps) if steps
+                else TimeGrid(np.array([0.0]), 1.0))
+        batch = simulate(brownian(1), [0.1], grid, samples, seed)
+        if not step_major:
+            batch = sample_major(batch)
+        deta = batch.driver_increments(driver)
+        assert deta.shape == (steps, samples, 1)
+        if steps:
+            want = np.stack(list(step_increments(driver, grid.times,
+                                                 batch.paths)))
+            assert deta.tobytes() == want.tobytes()
+
+    def test_kept_for_the_last_driver_only(self, monkeypatch):
+        calls = []
+        original = SpaceTimeDriver.increment_pairs
+
+        def counting(driver, *args):
+            calls.append(driver)
+            return original(driver, *args)
+
+        monkeypatch.setattr(SpaceTimeDriver, "increment_pairs", counting)
+        batch = simulate(brownian(1), [0.0], GRID, 16, seed=2)
+        first, second = _DRIVERS["separable"], _DRIVERS["mollified"]
+        kept = batch.driver_increments(first)
+        assert batch.driver_increments(first) is kept
+        assert len(calls) == GRID.times.size - 1
+        # a second driver object replaces the first, even an equal copy
+        batch.driver_increments(second)
+        again = batch.driver_increments(first)
+        assert again is not kept and np.array_equal(again, kept)
+        batch.driver_increments(dataclasses.replace(first))
+        assert len(calls) == 4 * (GRID.times.size - 1)

@@ -4,9 +4,25 @@ import pytest
 from youngbsde.errors import DomainError, ResourceError
 from youngbsde.fractional_sheet import (SheetSpec, covariance_matrix,
                                         hurst_admissible, hurst_region_grid,
-                                        sample_sheet, sample_sheet_batch,
-                                        sheet_covariance)
+                                        sample_sheet, sample_sheet_batch)
 from youngbsde.paths import TimeGrid
+
+
+def fbm_covariance(a, b, hurst):
+    """(|a|^2H + |b|^2H - |a - b|^2H) / 2 for scalars."""
+    a, b = abs(float(a)), abs(float(b))
+    return 0.5 * (a ** (2 * hurst) + b ** (2 * hurst)
+                  - abs(a - b) ** (2 * hurst))
+
+
+def sheet_covariance(spec, point_a, point_b):
+    """E[B(t,x) B(s,y)] for points (t, x) and (s, y), one factor per axis:
+    the pointwise reference that covariance_matrix is checked against."""
+    (t, x), (s, y) = point_a, point_b
+    cov = fbm_covariance(t, s, spec.h0)
+    for x_k, y_k, hurst in zip(x, y, spec.h):
+        cov *= fbm_covariance(x_k, y_k, hurst)
+    return cov
 
 
 def spec_1d(h0=0.75, h=0.75, n_t=6, n_x=5, x_lo=0.25, x_hi=2.0):

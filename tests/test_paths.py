@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from youngbsde.errors import DomainError
-from youngbsde.paths import (SamplePath, TimeGrid, holder_norm, p_variation,
-                             p_variation_brute_force, uniform_norm)
+from youngbsde.paths import (SamplePath, TimeGrid, p_variation,
+                             p_variation_brute_force)
 
 
 def path_1d(values, times=None):
@@ -95,44 +95,3 @@ class TestPVariation:
                            p) ** p
         right = p_variation(path_1d(values[split:], times[split:]), p) ** p
         assert left + right <= whole + 1e-10
-
-
-class TestHolderNorm:
-    def test_linear_path(self):
-        path = path_1d(np.linspace(0, 1, 11))
-        assert holder_norm(path, 1.0) == pytest.approx(1.0)
-
-    def test_constant_path(self):
-        assert holder_norm(path_1d([2.0, 2.0, 2.0]), 0.5) == 0.0
-
-    def test_short_interval(self):
-        path = path_1d([0.0, 1.0], times=np.array([0.0, 0.25]))
-        assert holder_norm(path, 0.5) == pytest.approx(2.0)
-
-    def test_rejects_bad_exponent(self):
-        with pytest.raises(DomainError):
-            holder_norm(path_1d([0.0, 1.0]), 1.5)
-
-    @given(st.integers(3, 12), st.floats(0.2, 1.0),
-           st.integers(0, 2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_controls_oscillation(self, m, gamma, seed):
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        path = path_1d(rng.standard_normal(m))
-        osc = np.max(np.abs(path.values[:, 0][:, None]
-                            - path.values[:, 0][None, :]))
-        span = path.times[-1] - path.times[0]
-        assert holder_norm(path, gamma) * span**gamma >= osc - 1e-12
-
-
-class TestUniformNorm:
-    def test_scalar_values(self):
-        assert uniform_norm(path_1d([0.0, -3.0, 2.0])) == 3.0
-
-    def test_constant(self):
-        assert uniform_norm(path_1d([-1.5, -1.5])) == 1.5
-
-    def test_euclidean(self):
-        path = SamplePath(TimeGrid(np.array([0.0]), 1.0),
-                          np.array([[3.0, 4.0]]))
-        assert uniform_norm(path) == pytest.approx(5.0)
