@@ -1,7 +1,7 @@
-"""Time grids, sample paths, and the p-variation seminorm.
+"""Time grids, sample paths, and path norms.
 
-The p-variation computed here is the grid version: suprema run over grid
-points only.  Sub-interval norms snap the
+The p-variation and uniform norms computed here are the grid versions:
+suprema run over grid points only.  Sub-interval norms snap the
 requested endpoints to the nearest grid points; the induced bias is a
 documented property of the method, not corrected for.
 """
@@ -18,6 +18,7 @@ __all__ = [
     "TimeGrid",
     "SamplePath",
     "p_variation",
+    "uniform_norm",
     "p_variation_brute_force",
 ]
 
@@ -160,3 +161,9 @@ def p_variation_brute_force(path: SamplePath, p: float) -> float:
             sup = total
     return float(sup ** (1.0 / p))
 
+
+def uniform_norm(path: SamplePath) -> float:
+    """max Euclidean magnitude over grid points."""
+    if path.values.shape[0] == 0:
+        raise DomainError("uniform norm of an empty path")
+    return float(np.max(np.linalg.norm(path.values, axis=1)))
