@@ -17,10 +17,10 @@ bias of the Brownian-increment regression representation.
 The localized scheme is backward triangular: Y_i depends only on Y_{i+1},
 on Z_i (a fit of Y_{i+1}) and on itself.  So the solver makes one backward
 pass.  At each step it builds the basis of the active samples and the
-Cholesky factor of its ridged normal matrix once, fits Z_i once from
-Y_{i+1}, and iterates the Y_i fit in place (a per-step Picard fixed point)
-with that factor.  This has the fixed point of a global Picard iteration
-over the whole horizon.
+inverse Cholesky factor of its ridged normal matrix once, fits Z_i once
+from Y_{i+1}, and iterates the Y_i fit in place (a per-step Picard fixed
+point) with that factor, so each fit is three matrix products.  This has
+the fixed point of a global Picard iteration over the whole horizon.
 
 Every solver takes the path batch it solves on and none simulates: the
 equation types carry coefficients only, and one batch serves a whole sweep
@@ -302,7 +302,10 @@ def _young_term(problem: BsdeProblem, y: np.ndarray,
     g_val = np.asarray(problem.g(y), dtype=float)
     if g_val.ndim == 1:
         g_val = g_val[:, None]
-    return np.sum(g_val * deta, axis=1)
+    terms = g_val * deta
+    # one channel: the column itself, equal to its length-1 sum (which
+    # only turns a -0.0 into 0.0)
+    return terms[:, 0] if terms.shape[1] == 1 else np.sum(terms, axis=1)
 
 
 def _cross_fitted_control(basis: np.ndarray, y_next: np.ndarray,
@@ -374,8 +377,9 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
 
     At step i, from the last step back to the first, only samples still
     inside the ball (stop index > i) are fitted; exited samples stay frozen
-    at their boundary datum.  The step's basis and ridge factor are built
-    once.  Z_i is fitted once from Y_{i+1}; Y_i solves the fixed point
+    at their boundary datum.  The step's basis and inverse Cholesky factor
+    are built once.  Z_i is fitted once from Y_{i+1}; Y_i solves the fixed
+    point
         Y_i = P_i[Y_{i+1} + f(t_i, X_i, Y_i, Z_i) dt + g(Y_i) . deta_i],
     iterated from Y_{i+1} with the same factor until the sup change of one
     iteration (the step's gap) drops below the Picard tolerance, or for at

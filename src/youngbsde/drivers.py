@@ -19,7 +19,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import DomainError
 from .rng import stream
@@ -349,6 +348,9 @@ def make_grid_driver(times: np.ndarray, space_axes: list[np.ndarray],
     axis.  An axis that starts at t = 0 also has its first slice subtracted
     from the stored values, which then vanish at t = 0 as saved to CSV.
     """
+    # imported here so that importing the package does not load scipy
+    from scipy.interpolate import RegularGridInterpolator
+
     times = np.asarray(times, dtype=float).ravel()
     space_axes = [np.asarray(ax, dtype=float).ravel() for ax in space_axes]
     dim = len(space_axes)

@@ -11,7 +11,6 @@ truncation radius must dominate the diffusion range of the evaluation points.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import DomainError
 
@@ -43,6 +42,9 @@ def crank_nicolson_terminal_value(terminal, diffusion_sq, drift, potential,
     are vectorized callables of x.  Returns the full (t, x) table, terminal
     slice included.
     """
+    # imported here so that importing the package does not load scipy
+    from scipy.linalg import solve_banded
+
     if radius <= 0 or space_points < 3 or time_steps < 1:
         raise DomainError("bad Crank-Nicolson discretization")
     xs = np.linspace(-radius, radius, space_points)

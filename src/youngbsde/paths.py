@@ -18,7 +18,6 @@ __all__ = [
     "TimeGrid",
     "SamplePath",
     "p_variation",
-    "uniform_norm",
     "p_variation_brute_force",
 ]
 
@@ -160,10 +159,3 @@ def p_variation_brute_force(path: SamplePath, p: float) -> float:
         if total > sup:
             sup = total
     return float(sup ** (1.0 / p))
-
-
-def uniform_norm(path: SamplePath) -> float:
-    """max Euclidean magnitude over grid points."""
-    if path.values.shape[0] == 0:
-        raise DomainError("uniform norm of an empty path")
-    return float(np.max(np.linalg.norm(path.values, axis=1)))

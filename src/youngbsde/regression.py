@@ -7,7 +7,6 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.linalg.lapack import dpotrs
 
 from .errors import NumericalError
 
@@ -20,28 +19,36 @@ _RIDGE_CEILING = 1e-2
 
 def poly_basis(x: np.ndarray, degree: int) -> np.ndarray:
     """Monomials of total degree <= degree in the columns of x (S, d);
-    first column is the constant."""
+    first column is the constant.  Each monomial x_a x_b ... x_c is the
+    left-to-right product ((x_a * x_b) * ...) * x_c, built on the column of
+    its prefix x_a x_b ..."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    cols = [np.ones(x.shape[0])]
-    for d in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(x.shape[1]), d):
-            col = np.ones(x.shape[0])
-            for j in combo:
-                col = col * x[:, j]
-            cols.append(col)
-    return np.column_stack(cols)
+    combos = [combo for d in range(1, degree + 1)
+              for combo in combinations_with_replacement(range(x.shape[1]), d)]
+    out = np.empty((x.shape[0], len(combos) + 1))
+    out[:, 0] = 1.0
+    column = {}
+    for k, combo in enumerate(combos, start=1):
+        if len(combo) == 1:
+            out[:, k] = x[:, combo[0]]
+        else:
+            np.multiply(out[:, column[combo[:-1]]], x[:, combo[-1]],
+                        out=out[:, k])
+        column[combo] = k
+    return out
 
 
 def ridge_factor(basis: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of the ridged normal matrix B^T B + lambda I of
-    a basis B.
+    """Inverse W = L^-1 of the lower Cholesky factor L of the ridged normal
+    matrix B^T B + lambda I of a basis B, so that (B^T B + lambda I)^-1 is
+    W^T W.
 
     The ridge lambda is 1e-8 of the mean diagonal of B^T B, so a
     constant-state regression degrades gracefully to the sample mean.  It
-    escalates tenfold while the factorization fails or is not finite, up to
-    1e-2, then raises NumericalError.  This is the only escalation rule:
+    escalates tenfold while the factorization fails or W is not finite, up
+    to 1e-2, then raises NumericalError.  This is the only escalation rule:
     every ridge fit solves through a factor made here.
     """
     gram = basis.T @ basis
@@ -50,10 +57,10 @@ def ridge_factor(basis: np.ndarray) -> np.ndarray:
     level = _RIDGE
     while level <= _RIDGE_CEILING:
         try:
-            lower = np.linalg.cholesky(gram + level * scale * eye)
-            if np.all(np.isfinite(lower)):
-                # dpotrs would copy a C-ordered factor on every solve
-                return np.asfortranarray(lower)
+            inverse = np.linalg.inv(
+                np.linalg.cholesky(gram + level * scale * eye))
+            if np.all(np.isfinite(inverse)):
+                return inverse
         except np.linalg.LinAlgError:
             pass
         level *= 10.0
@@ -64,10 +71,10 @@ def ridge_factor(basis: np.ndarray) -> np.ndarray:
 
 def ridge_solve(factor: np.ndarray, basis: np.ndarray,
                 targets: np.ndarray) -> np.ndarray:
-    """Ridge coefficients of targets (n,) or (n, k) on basis, given
-    factor = ridge_factor(basis); raises NumericalError when they are not
-    finite, as a NaN or inf target makes them."""
-    coeffs, _ = dpotrs(factor, basis.T @ targets, lower=1)
+    """Ridge coefficients W^T W B^T targets of targets (n,) or (n, k) on
+    basis B, given factor W = ridge_factor(basis); raises NumericalError when
+    they are not finite, as a NaN or inf target makes them."""
+    coeffs = factor.T @ (factor @ (basis.T @ targets))
     if not np.isfinite(coeffs).all():
         raise NumericalError(
             f"regression coefficients not finite (n={basis.shape[0]}, "

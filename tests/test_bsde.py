@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from youngbsde import bsde
 from youngbsde.bsde import (BsdeProblem, LinearBsdeSpec, PicardConfig,
@@ -330,6 +331,26 @@ class TestLocalizedSolver:
         np.testing.assert_array_equal(flat.y_paths, column.y_paths)
         np.testing.assert_array_equal(flat.z_paths, column.z_paths)
         np.testing.assert_array_equal(flat.y0_samples, column.y0_samples)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), channels=st.integers(1, 3), flat_g=st.booleans(),
+           samples=st.integers(0, 30))
+    def test_young_term_is_the_channel_sum(self, data, channels, flat_g,
+                                           samples):
+        floats = st.floats(-1e3, 1e3, allow_nan=False)
+        y = data.draw(hnp.arrays(float, samples, elements=floats))
+        deta = data.draw(hnp.arrays(float, (samples, channels),
+                                    elements=floats))
+        weights = np.arange(1.0, channels + 1.0)
+        g = ((lambda v: np.tanh(v)) if flat_g
+             else (lambda v: np.tanh(v)[:, None] * weights))
+        g_val = np.asarray(g(y), dtype=float)
+        if g_val.ndim == 1:
+            g_val = g_val[:, None]
+        want = np.sum(g_val * deta, axis=1)
+        got = bsde._young_term(SimpleNamespace(g=g), y, deta)
+        assert got.shape == want.shape == (samples,)
+        assert np.array_equal(got, want)
 
     def test_spot_check_rejects_unbounded_g(self):
         with pytest.raises(DomainError, match="declared bound"):

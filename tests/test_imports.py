@@ -1,0 +1,25 @@
+"""Importing the package loads numpy only: scipy is imported by the
+functions that use it (the Crank-Nicolson oracle, grid-sampled drivers and
+the acceptance suite), not by any module at import time."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_import_loads_no_scipy():
+    code = ("import json, sys\n"
+            "import youngbsde, youngbsde.cli, youngbsde.experiments, "
+            "youngbsde.fd\n"
+            "print(json.dumps(sorted(k for k in sys.modules\n"
+            "                        if k.split('.')[0] == 'scipy')))")
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": path},
+                          stdout=subprocess.PIPE, text=True, check=True)
+    assert json.loads(proc.stdout) == []

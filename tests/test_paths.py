@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from youngbsde.errors import DomainError
 from youngbsde.paths import (SamplePath, TimeGrid, p_variation,
-                             p_variation_brute_force, uniform_norm)
+                             p_variation_brute_force)
 
 
 def path_1d(values, times=None):
@@ -95,16 +95,3 @@ class TestPVariation:
                            p) ** p
         right = p_variation(path_1d(values[split:], times[split:]), p) ** p
         assert left + right <= whole + 1e-10
-
-
-class TestUniformNorm:
-    def test_scalar_values(self):
-        assert uniform_norm(path_1d([0.0, -3.0, 2.0])) == 3.0
-
-    def test_constant(self):
-        assert uniform_norm(path_1d([-1.5, -1.5])) == 1.5
-
-    def test_euclidean(self):
-        path = SamplePath(TimeGrid(np.array([0.0]), 1.0),
-                          np.array([[3.0, 4.0]]))
-        assert uniform_norm(path) == pytest.approx(5.0)

@@ -1,11 +1,37 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg.lapack import dpotrs
 
 from youngbsde.errors import NumericalError
 from youngbsde.regression import (fit_predict, line_fit, poly_basis,
-                                  ridge_factor, ridge_fit)
+                                  ridge_factor, ridge_fit, ridge_solve)
+
+
+def _column_stack_basis(x, degree):
+    """The monomial basis as columns of products started from ones, each
+    taken left to right, stacked by np.column_stack."""
+    cols = [np.ones(x.shape[0])]
+    for d in range(1, degree + 1):
+        for combo in combinations_with_replacement(range(x.shape[1]), d):
+            col = np.ones(x.shape[0])
+            for j in combo:
+                col = col * x[:, j]
+            cols.append(col)
+    return np.column_stack(cols)
+
+
+def _ridged_lower(basis):
+    """Lower Cholesky factor of the normal matrix at the first ridge level,
+    1e-8 of its mean diagonal."""
+    gram = basis.T @ basis
+    scale = float(np.mean(np.diag(gram)))
+    return np.linalg.cholesky(gram + 1e-8 * scale * np.eye(len(gram)))
 
 
 class TestPolyBasis:
@@ -22,6 +48,18 @@ class TestPolyBasis:
     def test_degree_zero_is_constant(self):
         b = poly_basis(np.zeros((4, 3)), 0)
         np.testing.assert_allclose(b, np.ones((4, 1)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3), degree=st.integers(0, 3),
+           samples=st.integers(0, 30))
+    def test_bytes_of_column_stack_formula(self, data, dim, degree, samples):
+        x = data.draw(hnp.arrays(float, (samples, dim), elements=st.floats(
+            -1e3, 1e3, allow_nan=False)))
+        want = _column_stack_basis(x, degree)
+        for given_x in ((x, x[:, 0]) if dim == 1 else (x,)):
+            got = poly_basis(given_x, degree)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestRidge:
@@ -69,6 +107,42 @@ class TestRidge:
         x = np.array([[0.0], [np.nan], [1.0]])
         with pytest.raises(NumericalError, match="unsolvable"):
             ridge_factor(poly_basis(x, 2))
+
+
+class TestRidgeAgainstLapack:
+    """ridge_solve through the inverse factor against LAPACK's Cholesky
+    solve dpotrs on the factor it inverts."""
+
+    @pytest.mark.parametrize("seed, dim, degree", [
+        (1, 1, 1), (2, 1, 3), (3, 2, 2), (4, 2, 3), (5, 3, 2), (6, 3, 3)])
+    def test_random_basis(self, seed, dim, degree):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        basis = poly_basis(rng.standard_normal((300, dim)), degree)
+        lower = _ridged_lower(basis)
+        factor = ridge_factor(basis)
+        np.testing.assert_array_equal(factor, np.linalg.inv(lower))
+        for targets in (rng.standard_normal(300),
+                        rng.standard_normal((300, 3))):
+            want, info = dpotrs(lower, basis.T @ targets, lower=1)
+            assert info == 0
+            got = ridge_solve(factor, basis, targets)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_collinear_basis(self):
+        # the basis of test_constant_state_degrades_to_mean: rank one, so
+        # the coefficients are set by the ridge and only the fits compare
+        basis = poly_basis(np.full((200, 1), 1.3), 2)
+        lower = _ridged_lower(basis)
+        factor = ridge_factor(basis)
+        np.testing.assert_array_equal(factor, np.linalg.inv(lower))
+        y = np.arange(200, dtype=float)
+        for targets in (y, np.column_stack([y, -2.0 * y])):
+            want, info = dpotrs(lower, basis.T @ targets, lower=1)
+            assert info == 0
+            mean = np.broadcast_to(targets.mean(axis=0), targets.shape)
+            for coeffs in (ridge_solve(factor, basis, targets), want):
+                np.testing.assert_allclose(basis @ coeffs, mean, rtol=1e-6)
 
 
 class TestLineFit:
