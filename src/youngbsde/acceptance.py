@@ -31,7 +31,7 @@ from .fd import crank_nicolson_terminal_value
 from .fractional_sheet import (SheetSpec, covariance_matrix,
                                hurst_region_grid, sample_sheet_batch)
 from .paths import SamplePath, TimeGrid, p_variation, p_variation_brute_force
-from .pde_fk import (NonLipschitzProblem, localization_error_experiment,
+from .pde_fk import (PdeProblem, localization_error_experiment,
                      solve_linear_young_pde)
 from .registry import (diffusion_by_name, driver_by_names,
                        drift_change_function)
@@ -281,10 +281,12 @@ def _c09_linear_pde_vs_fd(out: Path):
 def _c10_localization_decay(out: Path):
     # x^2 - t is a martingale, so u_R(0, 0) = E[tau_R ^ T] and the true gap
     # to the reference ball is E[tau_4 ^ T - tau_R ^ T] > 0 at every radius
-    problem = NonLipschitzProblem(
-        f0=lambda t, x, y, z: np.zeros(x.shape[0]),
-        big_f0=lambda t, x, y, z: np.zeros(x.shape[0]),
-        terminal=lambda x: x[:, 0] ** 2, diffusion=_brownian(), horizon=1.0)
+    problem = PdeProblem(
+        f=lambda t, x, y, z: np.zeros(x.shape[0]),
+        g=lambda y: np.zeros((np.size(y), 1)),
+        terminal=lambda x: x[:, 0] ** 2, driver=zero_driver(),
+        lipschitz_f=math.inf, diffusion=_brownian(), horizon=1.0,
+        lipschitz_terminal=math.inf)  # x^2 is not Lipschitz
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = localization_error_experiment(

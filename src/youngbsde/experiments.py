@@ -7,6 +7,7 @@ their own seeds, so worker counts never change any output byte.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,11 +20,11 @@ from .bsde import (BsdeProblem, LinearBsdeSpec, PicardConfig,
 from .config import ExperimentConfig
 from .csvio import write_csv
 from .diffusion import exit_tail_decay, simulate
-from .drivers import save_sampled_driver
+from .drivers import save_sampled_driver, zero_driver
 from .errors import ConfigError
 from .fractional_sheet import SheetSpec, hurst_region_grid, sample_sheet
 from .paths import SamplePath, TimeGrid
-from .pde_fk import (NonLipschitzProblem, fk_point_estimate,
+from .pde_fk import (PdeProblem, check_reaction_growth, fk_point_estimate,
                      localization_error_experiment)
 from .registry import (diffusion_by_name, driver_by_names, drift_change_function,
                        path_function, space_function, terminal_function,
@@ -226,19 +227,19 @@ def _run_pde_fk(cfg, out: Path) -> RunResult:
 def _run_localization_error(cfg, out: Path) -> RunResult:
     v = cfg.values
     diffusion = diffusion_by_name(v["diffusion"])
-    terminal = terminal_function(v["terminal"])
     if v["reaction_kind"] == "zero":
-        f0 = lambda t, x, y, z: np.zeros(x.shape[0])
-        big_f0 = lambda t, x, y, z: np.zeros(x.shape[0])
+        f = lambda t, x, y, z: np.zeros(x.shape[0])
     else:
         vx = space_function(v["reaction_space"])
         gy = y_coefficient_function(v["reaction_g"])
-        f0 = lambda t, x, y, z: np.zeros(x.shape[0])
-        big_f0 = lambda t, x, y, z: vx(x) * gy(y)[:, 0]
-    problem = NonLipschitzProblem(
-        f0=f0, big_f0=big_f0, terminal=terminal, diffusion=diffusion,
-        horizon=v["horizon"], theta1=v["theta1"], theta2=v["theta2"],
-        theta3=v["theta3"])
+        f = lambda t, x, y, z: vx(x) * gy(y)[:, 0]
+    check_reaction_growth(f, diffusion.dim, v["theta1"], v["theta2"],
+                          v["theta3"])
+    problem = PdeProblem(
+        f=f, g=y_coefficient_function("zero"),
+        terminal=terminal_function(v["terminal"]),
+        driver=zero_driver(diffusion.dim), lipschitz_f=math.inf,
+        diffusion=diffusion, horizon=v["horizon"])
     report = localization_error_experiment(
         problem, v["radii"], [np.array([x]) for x in v["eval_xs"]],
         samples=v["samples"], seed=v["seed"], steps=v["steps"],

@@ -1,29 +1,33 @@
 """Young PDE solvers through their probabilistic representations.
 
-Linear terminal-value problems are evaluated by direct Feynman-Kac sampling:
-u(t, x) is the Monte Carlo mean of u_T(X_T) weighted by the exponential of
-the pathwise driver integral.  Nonlinear problems go through the double
-approximation: time-mollified drivers and balls of growing radius, each
-sub-problem solved by the localized least-squares scheme.  The whole-space
-solution is operationally the largest-radius member of the sweep; decay fits
-are always against that reference, recorded as such in the outputs.
+A `PdeProblem` is a `BsdeProblem` plus the operator's diffusion, the horizon
+and the terminal's declared Lipschitz constant.  Linear terminal-value
+problems are evaluated by direct Feynman-Kac sampling: u(t, x) is the Monte
+Carlo mean of u_T(X_T) weighted by the exponential of the pathwise driver
+integral.  Nonlinear problems go through the double approximation:
+time-mollified drivers and balls of growing radius, each sub-problem solved
+by the localized least-squares scheme.  Both solvers require a declared
+positive ellipticity; the localization-error experiment, which solves the
+problem it is given on growing balls, does not.  The whole-space solution is
+operationally the largest-radius member of the sweep; decay fits are always
+against that reference, recorded as such in the outputs.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bsde import (_EXP_GUARD, BsdeProblem, PicardConfig, _check_coefficients,
-                   _check_secant, _contract_cloud, _standard_error,
+from .bsde import (_EXP_GUARD, BsdeProblem, PicardConfig, _check_secant,
+                   _contract_cloud, _standard_error,
                    solve_bsde_with_localization)
 # bench/tracer.py wraps solve_localized_bsde as bound in this module
 from .bsde import solve_localized_bsde  # noqa: F401
 from .diffusion import DiffusionSpec, simulate
-from .drivers import SpaceTimeDriver, mollify_time, zero_driver
+from .drivers import SpaceTimeDriver, mollify_time
 from .errors import DomainError, NumericalError
 from .paths import TimeGrid
 from .regression import line_fit
@@ -32,7 +36,7 @@ from .young_calculus import step_increments, young_sum_batch
 
 __all__ = [
     "PdeProblem",
-    "NonLipschitzProblem",
+    "check_reaction_growth",
     "PdeSolutionTable",
     "LocalizationDecayReport",
     "fk_point_estimate",
@@ -45,28 +49,18 @@ __all__ = [
 _FK_CHUNK = 50_000
 
 
-@dataclass
-class PdeProblem:
-    """Nonlinear Young PDE data: operator coefficients via the diffusion,
-    reaction f(t,x,u,sigma^T grad u), Young coefficient g(u), driver, and a
-    Lipschitz terminal condition.  Ellipticity must be declared positive;
-    the declared constants are checked by secants at construction."""
+@dataclass(kw_only=True)
+class PdeProblem(BsdeProblem):
+    """Nonlinear Young PDE data: a backward equation plus the diffusion of
+    its operator, the horizon and the declared Lipschitz constant of the
+    terminal condition, checked by secants at construction."""
 
     diffusion: DiffusionSpec
-    f: callable
-    g: callable
-    terminal: callable
-    driver: SpaceTimeDriver
     horizon: float
-    coefficient_bound: float = 1.0
-    lipschitz_f: float = 1.0
     lipschitz_terminal: float = 1.0
 
     def __post_init__(self):
-        if self.diffusion.ellipticity <= 0:
-            raise DomainError(
-                "PDE problems require a declared positive ellipticity")
-        _check_coefficients(self)
+        super().__post_init__()
         c = _contract_cloud(self.diffusion.dim)
         _check_secant(
             f"terminal condition violates its declared Lipschitz constant "
@@ -75,11 +69,10 @@ class PdeProblem:
             - np.asarray(self.terminal(c.x + c.dx), dtype=float),
             np.linalg.norm(c.dx, axis=1), self.lipschitz_terminal)
 
-    def bsde_problem(self, driver: SpaceTimeDriver) -> BsdeProblem:
-        return BsdeProblem(
-            f=self.f, g=self.g, terminal=self.terminal, driver=driver,
-            coefficient_bound=self.coefficient_bound,
-            lipschitz_f=self.lipschitz_f)
+
+def _check_elliptic(diffusion: DiffusionSpec) -> None:
+    if diffusion.ellipticity <= 0:
+        raise DomainError("PDE solves require a declared positive ellipticity")
 
 
 @dataclass
@@ -131,8 +124,7 @@ def solve_linear_young_pde(terminal, diffusion: DiffusionSpec,
     Each evaluation point gets its own deterministic sub-stream, keyed by the
     point index, so tables are reproducible and points are independent jobs.
     """
-    if diffusion.ellipticity <= 0:
-        raise DomainError("linear PDE solve requires declared ellipticity")
+    _check_elliptic(diffusion)
     values = np.empty(len(eval_points))
     ses = np.empty(len(eval_points))
     for j, (t, x) in enumerate(eval_points):
@@ -231,13 +223,14 @@ def solve_young_pde_double_approximation(problem: PdeProblem, deltas, radii,
     standard errors, shape (radii, widths, points), and the largest change
     between successive radii, shape (radii - 1, widths).
     """
+    _check_elliptic(problem.diffusion)
     deltas = list(deltas)
     radii = list(radii)
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise DomainError("mollification widths must decrease")
-    problems = [problem.bsde_problem(
-        mollify_time(problem.driver, delta, problem.horizon))
-        for delta in deltas]
+    problems = [replace(problem, driver=mollify_time(problem.driver, delta,
+                                                     problem.horizon))
+                for delta in deltas]
     values = np.empty((len(radii), len(deltas), len(eval_points)))
     ses = np.empty_like(values)
     for j, (t, x) in enumerate(eval_points):
@@ -261,57 +254,29 @@ def solve_young_pde_double_approximation(problem: PdeProblem, deltas, radii,
     }
 
 
-# -- localization error for non-Lipschitz reactions -------------------------
+# -- localization error: Cauchy-Dirichlet problems on balls against Cauchy --
 
-@dataclass
-class NonLipschitzProblem:
-    """Reaction F = f0 + F0 with polynomially growing Lipschitz constants.
-
-    Declared growth exponents: theta1 < 1 for the z-Lipschitz weight,
-    theta2 < 2 for the y-Lipschitz weight, theta3 >= 0 for the size of F;
-    all checked by secants on the contract cloud at construction.
-    """
-
-    f0: callable
-    big_f0: callable
-    terminal: callable
-    diffusion: DiffusionSpec
-    horizon: float
-    theta1: float = 0.0
-    theta2: float = 0.0
-    theta3: float = 0.0
-    growth_constant: float = 1.0
-
-    def __post_init__(self):
-        if not (0 <= self.theta1 < 1 and 0 <= self.theta2 < 2
-                and self.theta3 >= 0):
-            raise DomainError(
-                "growth split requires theta1 in [0,1), theta2 in [0,2), "
-                "theta3 >= 0")
-        c = _contract_cloud(self.diffusion.dim)
-        weight = lambda theta: self.growth_constant * (
-            1 + np.linalg.norm(c.x, axis=1) ** theta)
-        big_f0 = lambda y, z: np.asarray(self.big_f0(0.5, c.x, y, z),
-                                         dtype=float)
-        _check_secant("F0 exceeds its declared size growth",
-                      big_f0(c.y1, c.z1), 1.0, weight(self.theta3))
-        _check_secant("F0 exceeds its declared y-Lipschitz growth",
-                      big_f0(c.y1, c.z1) - big_f0(c.y2, c.z1),
-                      np.abs(c.y1 - c.y2), weight(self.theta2))
-        _check_secant("F0 exceeds its declared z-Lipschitz growth",
-                      big_f0(c.y1, c.z1) - big_f0(c.y1, c.z2),
-                      np.linalg.norm(c.z1 - c.z2, axis=1), weight(self.theta1))
-
-    def reaction(self, t, x, y, z):
-        return (np.asarray(self.f0(t, x, y, z), dtype=float)
-                + np.asarray(self.big_f0(t, x, y, z), dtype=float))
-
-    def bsde_problem(self) -> BsdeProblem:
-        return BsdeProblem(
-            f=self.reaction, g=lambda y: np.zeros((np.size(y), 1)),
-            terminal=self.terminal,
-            driver=zero_driver(dim=self.diffusion.dim),
-            coefficient_bound=1.0, lipschitz_f=float("inf"))
+def check_reaction_growth(f, dim: int, theta1: float, theta2: float,
+                          theta3: float) -> None:
+    """Check the declared growth split of a non-Lipschitz reaction f by
+    secants on the contract cloud: |f| grows like 1 + |x|^theta3, its
+    y-Lipschitz weight like 1 + |x|^theta2 and its z-Lipschitz weight like
+    1 + |x|^theta1, with theta1 < 1 and theta2 < 2."""
+    if not (0 <= theta1 < 1 and 0 <= theta2 < 2 and theta3 >= 0):
+        raise DomainError(
+            "growth split requires theta1 in [0,1), theta2 in [0,2), "
+            "theta3 >= 0")
+    c = _contract_cloud(dim)
+    weight = lambda theta: 1 + np.linalg.norm(c.x, axis=1) ** theta
+    reaction = lambda y, z: np.asarray(f(0.5, c.x, y, z), dtype=float)
+    _check_secant("reaction exceeds its declared size growth",
+                  reaction(c.y1, c.z1), 1.0, weight(theta3))
+    _check_secant("reaction exceeds its declared y-Lipschitz growth",
+                  reaction(c.y1, c.z1) - reaction(c.y2, c.z1),
+                  np.abs(c.y1 - c.y2), weight(theta2))
+    _check_secant("reaction exceeds its declared z-Lipschitz growth",
+                  reaction(c.y1, c.z1) - reaction(c.y1, c.z2),
+                  np.linalg.norm(c.z1 - c.z2, axis=1), weight(theta1))
 
 
 @dataclass
@@ -321,7 +286,6 @@ class LocalizationDecayReport:
 
     eval_points: list
     radii: np.ndarray
-    reference_radius: float
     gaps: np.ndarray
     gap_ses: np.ndarray
     saturated: np.ndarray
@@ -332,7 +296,7 @@ class LocalizationDecayReport:
     reference_values: np.ndarray
 
 
-def localization_error_experiment(problem: NonLipschitzProblem, radii,
+def localization_error_experiment(problem: PdeProblem, radii,
                                   eval_xs, samples: int, seed: int,
                                   steps: int = 64,
                                   reference_radius: float | None = None,
@@ -340,7 +304,7 @@ def localization_error_experiment(problem: NonLipschitzProblem, radii,
                                   min_detectable_z: float = 0.0
                                   ) -> LocalizationDecayReport:
     """Fit the decay of |u^n(0,x) - u^ref(0,x)| in n^2 on common random
-    numbers, per evaluation point.
+    numbers, per evaluation point, for the problem as given.
 
     Each point's batch is simulated from hash64(seed, point index), and
     all its radii are solved on it.  The whole-space solution is
@@ -358,7 +322,6 @@ def localization_error_experiment(problem: NonLipschitzProblem, radii,
     if reference_radius <= radii[-1]:
         raise DomainError("reference radius must exceed the largest radius")
     grid = TimeGrid.uniform(problem.horizon, steps)
-    bsde_problem = problem.bsde_problem()
     n_pts = len(eval_xs)
     gaps = np.empty((n_pts, radii.size))
     gap_ses = np.empty_like(gaps)
@@ -373,7 +336,7 @@ def localization_error_experiment(problem: NonLipschitzProblem, radii,
         batch = simulate(problem.diffusion, x_arr, grid, samples,
                          hash64(seed, j))
         ref, table = solve_bsde_with_localization(
-            bsde_problem, np.append(radii, reference_radius), batch,
+            problem, np.append(radii, reference_radius), batch,
             basis_degree=basis_degree)
         ref_values[j] = ref.y0
         usable_x, usable_y = [], []
@@ -410,7 +373,6 @@ def localization_error_experiment(problem: NonLipschitzProblem, radii,
     return LocalizationDecayReport(
         eval_points=[np.atleast_1d(np.asarray(x, dtype=float))
                      for x in eval_xs],
-        radii=radii, reference_radius=float(reference_radius), gaps=gaps,
-        gap_ses=gap_ses, saturated=saturated, slopes=slopes,
-        intercepts=intercepts, r_squared=r2s, intercept_x2_slope=trend,
-        reference_values=ref_values)
+        radii=radii, gaps=gaps, gap_ses=gap_ses, saturated=saturated,
+        slopes=slopes, intercepts=intercepts, r_squared=r2s,
+        intercept_x2_slope=trend, reference_values=ref_values)

@@ -27,6 +27,14 @@ def test_workloads_module_imports():
     _load("workloads")
 
 
+def test_double_approx_builds_its_problem():
+    # the benchmark builds a PdeProblem by keywords: a change to that
+    # constructor fails here, not on the next benchmark run
+    workloads = _load("workloads")
+    problem = workloads.DoubleApprox()._problem()
+    assert isinstance(problem, workloads.pde_fk.PdeProblem)
+
+
 def test_cli_parses_the_benchmark_argv(monkeypatch, tmp_path):
     workloads = _load("workloads")
     calls = []

@@ -165,6 +165,18 @@ class TestCliExitCodes:
         assert len(rows) == 2
         assert all(float(row[2]) > 0 and row[4] == "1" for row in rows)
 
+    def test_localization_error_needs_no_ellipticity(self, tmp_path):
+        # a degenerate diffusion still runs: only the two PDE solvers
+        # require a declared positive ellipticity
+        cfg = self._write(tmp_path,
+                          "kind = localization-error\n"
+                          "diffusion = drift-only\nsamples = 200\n"
+                          "steps = 8\nradii = 1.5, 2.0\n"
+                          "reference_radius = 3.0\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "decay_gaps.csv").exists()
+
     @pytest.mark.parametrize("file_lines, flags, workers", [
         ("workers = 3\n", [], 3),
         ("workers = 3\n", ["--workers", "2"], 2),

@@ -11,13 +11,14 @@ from youngbsde.drivers import make_separable_driver, zero_driver
 from youngbsde.errors import DomainError, NumericalError
 from youngbsde.fd import crank_nicolson_terminal_value
 from youngbsde.paths import TimeGrid
-from youngbsde.pde_fk import (NonLipschitzProblem, PdeProblem,
+from youngbsde.pde_fk import (PdeProblem, check_reaction_growth,
                               fk_point_estimate,
                               localization_error_experiment,
                               solve_linear_young_pde,
                               solve_young_pde_double_approximation,
                               weak_solution_residual)
 from youngbsde.registry import diffusion_by_name, driver_by_names
+from youngbsde.rng import hash64
 
 BROWNIAN = diffusion_by_name("brownian")
 
@@ -299,13 +300,21 @@ class TestDoubleApproximation:
                 seed=1, steps=8)
         assert not calls
 
+    def test_ellipticity_checked_before_simulation(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pde_fk, "simulate",
+                            lambda *args, **kwargs: calls.append(args))
+        with pytest.raises(DomainError, match="ellipticity"):
+            solve_young_pde_double_approximation(
+                _pde(diffusion=diffusion_by_name("drift-only")),
+                deltas=[0.1], radii=[2.0], eval_points=[(0.0, [0.0])],
+                samples=100, seed=1, steps=8)
+        assert not calls
+
 
 class TestLocalizationError:
     def _linear_problem(self):
-        return NonLipschitzProblem(
-            f0=lambda t, x, y, z: np.zeros(x.shape[0]),
-            big_f0=lambda t, x, y, z: np.zeros(x.shape[0]),
-            terminal=lambda x: x[:, 0], diffusion=BROWNIAN, horizon=1.0)
+        return _pde(g=lambda y: np.zeros((np.size(y), 1)))
 
     def test_saturated_radius_exact_zero(self):
         report = localization_error_experiment(
@@ -315,37 +324,43 @@ class TestLocalizationError:
         assert report.gaps[0, 0] == 0.0
 
     def test_sublinear_reaction_decays(self):
-        problem = NonLipschitzProblem(
-            f0=lambda t, x, y, z: np.zeros(x.shape[0]),
-            big_f0=lambda t, x, y, z: (np.abs(x[:, 0])
-                                       * np.tanh(np.asarray(y))),
-            terminal=lambda x: x[:, 0], diffusion=BROWNIAN, horizon=1.0,
-            theta2=1.0, theta3=1.0)
+        problem = _sublinear_problem()
         report = localization_error_experiment(
             problem, [1.5, 2.0, 2.5, 3.0], [np.array([0.0])],
             samples=50000, seed=2, steps=32, reference_radius=4.0)
         assert report.slopes[0] < 0
 
     def test_intercept_grows_with_start_magnitude(self):
-        problem = NonLipschitzProblem(
-            f0=lambda t, x, y, z: np.zeros(x.shape[0]),
-            big_f0=lambda t, x, y, z: (np.abs(x[:, 0])
-                                       * np.tanh(np.asarray(y))),
-            terminal=lambda x: x[:, 0], diffusion=BROWNIAN, horizon=1.0,
-            theta2=1.0, theta3=1.0)
+        problem = _sublinear_problem()
         report = localization_error_experiment(
             problem, [2.0, 2.5, 3.0], [np.array([0.0]), np.array([1.0])],
             samples=50000, seed=4, steps=32, reference_radius=4.0)
         assert report.intercept_x2_slope > 0
 
+    def test_young_driver_is_the_sweep_of_the_given_problem(self):
+        # g = tanh on eta = x t: the experiment solves this problem, not a
+        # zero-driver stand-in, on the batch keyed by (seed, point index)
+        problem = _pde(g=lambda y: np.tanh(np.asarray(y)).reshape(-1, 1),
+                       driver=driver_by_names("linear", "linear"))
+        report = localization_error_experiment(
+            problem, [1.0, 1.5], [np.array([0.0])], samples=2000, seed=5,
+            steps=16, reference_radius=2.5)
+        batch = simulate(BROWNIAN, [0.0], TimeGrid.uniform(1.0, 16), 2000,
+                         hash64(5, 0))
+        ref, table = solve_bsde_with_localization(problem, [1.0, 1.5, 2.5],
+                                                  batch)
+        assert np.array_equal(report.gaps[0],
+                              [row["gap"] for row in table[:-1]])
+        assert np.array_equal(report.gap_ses[0],
+                              [row["se"] for row in table[:-1]])
+        assert np.array_equal(report.reference_values, [ref.y0])
+        assert np.any(report.gaps != 0.0)
+
     def test_growth_split_spot_check(self):
         with pytest.raises(DomainError, match="Lipschitz growth"):
-            NonLipschitzProblem(
-                f0=lambda t, x, y, z: np.zeros(x.shape[0]),
-                big_f0=lambda t, x, y, z: (x[:, 0] ** 2
-                                           * np.tanh(np.asarray(y))),
-                terminal=lambda x: x[:, 0], diffusion=BROWNIAN, horizon=1.0,
-                theta2=1.0, theta3=2.0)
+            check_reaction_growth(
+                lambda t, x, y, z: x[:, 0] ** 2 * np.tanh(np.asarray(y)),
+                1, theta1=0.0, theta2=1.0, theta3=2.0)
 
     def test_duplicate_radii_rejected(self):
         with pytest.raises(DomainError, match="strictly increasing"):
@@ -379,10 +394,17 @@ def _pde(**kw):
     return PdeProblem(**{**args, **kw})
 
 
+def _sublinear_problem():
+    # |x| tanh(y): its size and its y-Lipschitz weight grow like |x|
+    f = lambda t, x, y, z: np.abs(x[:, 0]) * np.tanh(np.asarray(y))
+    check_reaction_growth(f, 1, theta1=0.0, theta2=1.0, theta3=1.0)
+    return _pde(f=f, g=lambda y: np.zeros((np.size(y), 1)),
+                lipschitz_f=math.inf)
+
+
 def _growth(**kw):
-    args = dict(f0=_zero_reaction, big_f0=_zero_reaction,
-                terminal=lambda x: x[:, 0], diffusion=BROWNIAN, horizon=1.0)
-    return NonLipschitzProblem(**{**args, **kw})
+    args = dict(f=_zero_reaction, dim=1, theta1=0.0, theta2=0.0, theta3=0.0)
+    check_reaction_growth(**{**args, **kw})
 
 
 class TestDeclaredConstants:
@@ -401,15 +423,17 @@ class TestDeclaredConstants:
          "f exceeds its declared Lipschitz"),
         (lambda: _pde(terminal=lambda x: 3.0 * x[:, 0]),
          "terminal condition violates"),
-        (lambda: _growth(big_f0=lambda t, x, y, z: x[:, 0] ** 2, theta3=1.0),
+        (lambda: _growth(f=lambda t, x, y, z: x[:, 0] ** 2, theta3=1.0),
          "size growth"),
-        (lambda: _growth(big_f0=lambda t, x, y, z: x[:, 0] ** 2 * np.tanh(y),
+        (lambda: _growth(f=lambda t, x, y, z: x[:, 0] ** 2 * np.tanh(y),
                          theta2=1.0, theta3=2.0), "y-Lipschitz growth"),
-        (lambda: _growth(big_f0=lambda t, x, y, z: (np.abs(x[:, 0])
-                                                    * np.tanh(z[:, 0])),
+        (lambda: _growth(f=lambda t, x, y, z: (np.abs(x[:, 0])
+                                               * np.tanh(z[:, 0])),
                          theta3=1.0), "z-Lipschitz growth"),
+        (lambda: _growth(theta2=2.0), "growth split requires"),
     ], ids=["g-value", "g-derivative", "g-curvature", "pde-g", "f-y",
-            "pde-f-z", "terminal", "growth-size", "growth-y", "growth-z"])
+            "pde-f-z", "terminal", "growth-size", "growth-y", "growth-z",
+            "growth-range"])
     def test_rejected_at_construction(self, build, match):
         with pytest.raises(DomainError, match=match):
             build()
