@@ -16,11 +16,11 @@ bias of the Brownian-increment regression representation.
 
 The localized scheme is backward triangular: Y_i depends only on Y_{i+1},
 on Z_i (a fit of Y_{i+1}) and on itself.  So the solver makes one backward
-pass.  At each step it builds the basis of the active samples and the
-inverse Cholesky factor of its ridged normal matrix once, fits Z_i once
-from Y_{i+1}, and iterates the Y_i fit in place (a per-step Picard fixed
-point) with that factor, so each fit is three matrix products.  This has
-the fixed point of a global Picard iteration over the whole horizon.
+pass.  At each step it builds the basis of the active samples and its
+ridge coefficient operator once, fits Z_i once from Y_{i+1}, and iterates
+the Y_i fit in place (a per-step Picard fixed point) with that operator, so
+each fit is one matrix product.  This has the fixed point of a global
+Picard iteration over the whole horizon.
 
 Every solver takes the path batch it solves on and none simulates: the
 equation types carry coefficients only, and one batch serves a whole sweep
@@ -48,7 +48,7 @@ from .diffusion import PathBatch, first_exit
 from .diffusion import simulate  # noqa: F401
 from .drivers import SpaceTimeDriver
 from .errors import DomainError, NumericalError
-from .regression import (fit_predict, poly_basis, ridge_factor, ridge_fit,
+from .regression import (fit_predict, poly_basis, ridge_fit, ridge_operator,
                          ridge_solve)
 from .young_calculus import FLOW_OVERFLOW_GUARD
 
@@ -377,11 +377,11 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
 
     At step i, from the last step back to the first, only samples still
     inside the ball (stop index > i) are fitted; exited samples stay frozen
-    at their boundary datum.  The step's basis and inverse Cholesky factor
-    are built once.  Z_i is fitted once from Y_{i+1}; Y_i solves the fixed
-    point
+    at their boundary datum.  The step's basis and ridge coefficient
+    operator are built once.  Z_i is fitted once from Y_{i+1}; Y_i solves
+    the fixed point
         Y_i = P_i[Y_{i+1} + f(t_i, X_i, Y_i, Z_i) dt + g(Y_i) . deta_i],
-    iterated from Y_{i+1} with the same factor until the sup change of one
+    iterated from Y_{i+1} with the same operator until the sup change of one
     iteration (the step's gap) drops below the Picard tolerance, or for at
     most max_iterations iterations.  Non-convergence is flagged on the
     result, not raised.
@@ -416,13 +416,14 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
         active = np.flatnonzero(stop_index > i)
         if active.size == 0:
             continue
+        if active.size == S:  # views, not gathers, while none has exited
+            active = slice(None)
         x_i = batch.paths[active, i]
         basis = poly_basis(x_i, basis_degree)
-        factor = ridge_factor(basis)
+        operator = ridge_operator(basis)
         y_next = y[i + 1, active]
-        z_coeffs[i] = ridge_solve(factor, basis,
-                                  y_next[:, None] * batch.increments[active, i]
-                                  / dts[i])
+        z_coeffs[i] = ridge_solve(operator, y_next[:, None]
+                                  * batch.increments[active, i] / dts[i])
         z_fit = basis @ z_coeffs[i]
         z[i, active] = z_fit
         deta_i = deta[i, active]
@@ -431,9 +432,9 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
             f_val = np.asarray(problem.f(times[i], x_i, y_i, z_fit),
                                dtype=float)
             step = f_val * dts[i] + _young_term(problem, y_i, deta_i)
-            y_coeffs[i] = ridge_solve(factor, basis, y_next + step)
+            y_coeffs[i] = ridge_solve(operator, y_next + step)
             y_fit = basis @ y_coeffs[i]
-            gap = float(np.max(np.abs(y_fit - y_i)))
+            gap = float(np.abs(y_fit - y_i).max())
             y_i = y_fit
             if gap < picard.tolerance:
                 break

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .pde_fk import GROWTH_EXPONENTS
 
 __all__ = ["Field", "REQUIRED", "ExperimentConfig", "parse_config",
            "SCHEMAS", "EXPERIMENT_KINDS"]
@@ -148,9 +149,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
                                lambda v: v in ("zero", "v-times-g")),
         "reaction_space": Field(str, "tent"),
         "reaction_g": Field(str, "tanh"),
-        "theta1": Field(float, 0.0, lambda v: 0 <= v < 1),
-        "theta2": Field(float, 0.0, lambda v: 0 <= v < 2),
-        "theta3": Field(float, 0.0, _nonneg),
+        **{name: Field(float, 0.0, admissible)
+           for name, admissible in GROWTH_EXPONENTS.items()},
         "diffusion": Field(str, "brownian"),
         "horizon": Field(float, 1.0, _positive),
         "steps": Field(int, 64, lambda v: v >= 1),

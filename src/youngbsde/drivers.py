@@ -8,9 +8,10 @@ Conventions
 * Every driver is normalized so eta(0, x) = 0: at_pairs, the one value
   evaluation, returns fn(t, x) - fn(0, x) whatever the raw field does at
   t = 0.  Time increments eta(t1,x) - eta(t0,x) do not see the recentring,
-  so increment_pairs evaluates the raw field at the two endpoints only.
+  so increment_pairs evaluates the raw field at the two endpoints only (a
+  scalar time reaches it broadcast to (K,)).
 * A separable driver v(x) * (a(t) - a(0)) keeps its factors: its increments
-  evaluate v once per point, and its time-mollification mollifies a alone.
+  evaluate v once per point and a once per time; only a is mollified.
 """
 
 from __future__ import annotations
@@ -94,22 +95,25 @@ class SpaceTimeDriver:
         base = _as_channels(self.fn(np.zeros_like(t), x), t.size, self.channels)
         return val - base
 
-    def increment_pairs(self, t0: np.ndarray, t1: np.ndarray,
+    def increment_pairs(self, t0: float | np.ndarray, t1: float | np.ndarray,
                         x: np.ndarray) -> np.ndarray:
-        """eta(t1_k, x_k) - eta(t0_k, x_k); recentring cancels, so this hits
-        the raw field once per endpoint, or a separable field's space factor
-        once per point."""
+        """eta(t1_k, x_k) - eta(t0_k, x_k) for the K rows of x, times paired
+        to the rows (K,) or scalars; recentring cancels, so this hits the
+        raw field once per endpoint, or a separable field's space factor
+        once per point and its time factor once per time given."""
         t0 = np.asarray(t0, dtype=float).ravel()
         t1 = np.asarray(t1, dtype=float).ravel()
-        x = np.asarray(x, dtype=float).reshape(t0.size, self.dim)
+        x = np.asarray(x, dtype=float).reshape(-1, self.dim)
+        k = x.shape[0]
         if self._factors is not None:
             v, a, a0 = self._factors
             vx = _space_factor(v, x)
             hi = vx * (np.asarray(a(t1), dtype=float) - a0)[:, None]
             lo = vx * (np.asarray(a(t0), dtype=float) - a0)[:, None]
-            return _as_channels(hi - lo, t0.size, self.channels)
-        hi = _as_channels(self.fn(t1, x), t0.size, self.channels)
-        lo = _as_channels(self.fn(t0, x), t0.size, self.channels)
+            return _as_channels(hi - lo, k, self.channels)
+        t0, t1 = np.broadcast_to(t0, k), np.broadcast_to(t1, k)
+        hi = _as_channels(self.fn(t1, x), k, self.channels)
+        lo = _as_channels(self.fn(t0, x), k, self.channels)
         return hi - lo
 
 
@@ -187,7 +191,7 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
     unit mass, so a field linear in time is reproduced exactly on
     [0, horizon - delta].  The result is recentred so that
     eta_delta(0, x) = 0.  A separable driver stays separable: only its time
-    factor is convolved, all nodes at once, once per distinct time.
+    factor is convolved, all nodes at once, once per time it is given.
     """
     if delta <= 0:
         raise DomainError("mollification width must be positive")
@@ -203,12 +207,11 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
         v, a, a0 = driver._factors
 
         def a_smooth(t):
-            distinct, inverse = np.unique(np.asarray(t, dtype=float),
-                                          return_inverse=True)
-            s, sign = _reflect_into(distinct[:, None] - delta * nodes,
-                                    horizon)
+            s, sign = _reflect_into(
+                np.asarray(t, dtype=float)[:, None] - delta * nodes, horizon)
             raw = np.asarray(a(s.ravel()), dtype=float).reshape(s.shape) - a0
-            return ((sign * raw) @ weights)[inverse]
+            # a dot per time, whatever their count (matmul switches to gemv)
+            return np.vecdot(sign * raw, weights)
 
         return make_separable_driver(
             v, a_smooth, dim=driver.dim, channels=driver.channels,

@@ -36,6 +36,7 @@ from .young_calculus import step_increments, young_sum_batch
 
 __all__ = [
     "PdeProblem",
+    "GROWTH_EXPONENTS",
     "check_reaction_growth",
     "PdeSolutionTable",
     "LocalizationDecayReport",
@@ -256,13 +257,20 @@ def solve_young_pde_double_approximation(problem: PdeProblem, deltas, radii,
 
 # -- localization error: Cauchy-Dirichlet problems on balls against Cauchy --
 
+# admissible growth exponents, also the localization-error config's checks
+GROWTH_EXPONENTS = {"theta1": lambda v: 0 <= v < 1,
+                    "theta2": lambda v: 0 <= v < 2,
+                    "theta3": lambda v: v >= 0}
+
+
 def check_reaction_growth(f, dim: int, theta1: float, theta2: float,
                           theta3: float) -> None:
     """Check the declared growth split of a non-Lipschitz reaction f by
     secants on the contract cloud: |f| grows like 1 + |x|^theta3, its
     y-Lipschitz weight like 1 + |x|^theta2 and its z-Lipschitz weight like
-    1 + |x|^theta1, with theta1 < 1 and theta2 < 2."""
-    if not (0 <= theta1 < 1 and 0 <= theta2 < 2 and theta3 >= 0):
+    1 + |x|^theta1, each exponent admissible under GROWTH_EXPONENTS."""
+    thetas = {"theta1": theta1, "theta2": theta2, "theta3": theta3}
+    if not all(GROWTH_EXPONENTS[k](v) for k, v in thetas.items()):
         raise DomainError(
             "growth split requires theta1 in [0,1), theta2 in [0,2), "
             "theta3 >= 0")

@@ -1,5 +1,5 @@
 """Least-squares Monte Carlo regression: polynomial state bases and ridge
-normal equations shared by the BSDE and PDE layers, and the ordinary
+coefficient operators shared by the BSDE and PDE layers, and the ordinary
 least-squares line of the decay experiments."""
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import NumericalError
 
-__all__ = ["poly_basis", "ridge_factor", "ridge_solve", "ridge_fit",
+__all__ = ["poly_basis", "ridge_operator", "ridge_solve", "ridge_fit",
            "fit_predict", "line_fit"]
 
 _RIDGE = 1e-8
@@ -40,27 +40,28 @@ def poly_basis(x: np.ndarray, degree: int) -> np.ndarray:
     return out
 
 
-def ridge_factor(basis: np.ndarray) -> np.ndarray:
-    """Inverse W = L^-1 of the lower Cholesky factor L of the ridged normal
-    matrix B^T B + lambda I of a basis B, so that (B^T B + lambda I)^-1 is
-    W^T W.
+def ridge_operator(basis: np.ndarray) -> np.ndarray:
+    """Coefficient operator (B^T B + lambda I)^-1 B^T, shape (p, n), of the
+    ridge least squares on a basis B (n, p), formed as W^T (W B^T) with
+    W = L^-1 the inverse of the lower Cholesky factor L of the ridged
+    normal matrix.
 
     The ridge lambda is 1e-8 of the mean diagonal of B^T B, so a
     constant-state regression degrades gracefully to the sample mean.  It
     escalates tenfold while the factorization fails or W is not finite, up
     to 1e-2, then raises NumericalError.  This is the only escalation rule:
-    every ridge fit solves through a factor made here.
+    every ridge fit solves through an operator made here.
     """
     gram = basis.T @ basis
-    scale = max(float(np.mean(np.diag(gram))), 1e-300)
+    scale = max(float(np.diag(gram).mean()), 1e-300)
     eye = np.eye(len(gram))
     level = _RIDGE
     while level <= _RIDGE_CEILING:
         try:
             inverse = np.linalg.inv(
                 np.linalg.cholesky(gram + level * scale * eye))
-            if np.all(np.isfinite(inverse)):
-                return inverse
+            if np.isfinite(inverse).all():
+                return inverse.T @ (inverse @ basis.T)
         except np.linalg.LinAlgError:
             pass
         level *= 10.0
@@ -69,23 +70,22 @@ def ridge_factor(basis: np.ndarray) -> np.ndarray:
         f" (n={basis.shape[0]}, basis={basis.shape[1]})")
 
 
-def ridge_solve(factor: np.ndarray, basis: np.ndarray,
-                targets: np.ndarray) -> np.ndarray:
-    """Ridge coefficients W^T W B^T targets of targets (n,) or (n, k) on
-    basis B, given factor W = ridge_factor(basis); raises NumericalError when
-    they are not finite, as a NaN or inf target makes them."""
-    coeffs = factor.T @ (factor @ (basis.T @ targets))
+def ridge_solve(operator: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Ridge coefficients operator @ targets of targets (n,) or (n, k),
+    given operator = ridge_operator(basis); raises NumericalError when they
+    are not finite, as a NaN or inf target makes them."""
+    coeffs = operator @ targets
     if not np.isfinite(coeffs).all():
         raise NumericalError(
-            f"regression coefficients not finite (n={basis.shape[0]}, "
-            f"basis={basis.shape[1]})")
+            f"regression coefficients not finite (n={operator.shape[1]}, "
+            f"basis={operator.shape[0]})")
     return coeffs
 
 
 def ridge_fit(basis: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Coefficients of ridge least squares, shape (n_basis,) for targets
     (n,) and (n_basis, k) for targets (n, k)."""
-    return ridge_solve(ridge_factor(basis), basis,
+    return ridge_solve(ridge_operator(basis),
                        np.asarray(targets, dtype=float))
 
 

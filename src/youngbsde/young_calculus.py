@@ -139,13 +139,11 @@ def step_increments(driver: SpaceTimeDriver, times: np.ndarray,
                     paths: np.ndarray):
     """Left-point driver increments along a path batch, one grid step at a
     time: yields eta(t_{i+1}, X_i) - eta(t_i, X_i), shape (S, M), for
-    i = 0 .. m-2.  paths has shape (S, m, d).  Callers sum, weight, stack or
-    accumulate the steps."""
-    S, m, _ = paths.shape
-    for i in range(m - 1):
-        yield driver.increment_pairs(np.full(S, times[i]),
-                                     np.full(S, times[i + 1]),
-                                     paths[:, i, :])
+    i = 0 .. m-2.  paths has shape (S, m, d); each step passes its two
+    times as scalars, so the driver sees one time value per step.  Callers
+    sum, weight, stack or accumulate the steps."""
+    for i in range(paths.shape[1] - 1):
+        yield driver.increment_pairs(times[i], times[i + 1], paths[:, i, :])
 
 
 def young_sum_batch(driver: SpaceTimeDriver, times: np.ndarray,

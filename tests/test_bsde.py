@@ -361,9 +361,20 @@ class TestLocalizedSolver:
                 coefficient_bound=1.0)
 
 
+def _with_exited_sample(batch):
+    """The batch with one more sample, last, that lies outside every ball
+    from its start: it stops at index 0, so no step of a solve has all its
+    samples active and every step gathers its active rows by index."""
+    far = np.full((1, *batch.paths.shape[1:]), 1e3)
+    still = np.zeros((1, *batch.increments.shape[1:]))
+    return dataclasses.replace(
+        batch, paths=np.concatenate([batch.paths, far]),
+        increments=np.concatenate([batch.increments, still]))
+
+
 class TestOnePassSolver:
     """The solver makes one backward pass: each step builds one basis and
-    one ridge factor on its active rows and iterates its own Y fit to the
+    one ridge operator on its active rows and iterates its own Y fit to the
     tolerance.  Its fixed point must be that of the global Picard sweeps
     of the masked reference loop, and every fit must still be the
     ridge_fit of that step's active rows."""
@@ -375,10 +386,19 @@ class TestOnePassSolver:
     # every sample has left the ball of radius 0.6 before the last steps
     @example(seed=959, dim=1, degree=2, radius=0.6, steps=12, samples=30)
     @example(seed=1, dim=2, degree=3, radius=2.0, steps=0, samples=20)
+    # no sample reaches radius 6: every step takes all samples as views
+    @example(seed=3, dim=2, degree=2, radius=6.0, steps=10, samples=120)
     def test_matches_masked_reference(self, seed, dim, degree, radius, steps,
                                       samples):
+        first_y = {}
+
+        def f(t, x, y, z):
+            # the first iterate of each step is the step above's Y row
+            first_y.setdefault(t, np.array(y))
+            return 0.2 * np.cos(x[:, 0]) * y + 0.1 * z[:, -1]
+
         problem = BsdeProblem(
-            f=lambda t, x, y, z: 0.2 * np.cos(x[:, 0]) * y + 0.1 * z[:, -1],
+            f=f,
             g=lambda y: np.tanh(np.asarray(y, dtype=float)).reshape(-1, 1),
             terminal=lambda x: np.sum(x, axis=1),
             driver=driver_by_names("cos", "linear", dim=dim), lipschitz_f=0.3)
@@ -391,9 +411,25 @@ class TestOnePassSolver:
         picard = PicardConfig(tolerance=1e-13, max_iterations=200)
         ref = _reference_localized_bsde(problem, radius, batch,
                                         basis_degree=degree, picard=picard)
+        gathered = solve_localized_bsde(problem, radius,
+                                        _with_exited_sample(batch),
+                                        basis_degree=degree, picard=picard)
+        first_y.clear()
         sol = solve_localized_bsde(problem, radius, batch,
                                    basis_degree=degree, picard=picard)
         assert ref.converged and sol.converged
+        # steps where no sample has exited read views, not gathered rows:
+        # the same bytes, and no row of y moves once the step below it has
+        # read it
+        for got, want in ((sol.y_paths, gathered.y_paths[:-1]),
+                          (sol.z_paths, gathered.z_paths[:-1]),
+                          (sol.y0_samples, gathered.y0_samples[:-1])):
+            assert np.array_equal(got, want)
+        for i in range(grid.times.size - 1):
+            rows = ref.stop_index > i
+            if np.any(rows):
+                assert np.array_equal(first_y[grid.times[i]],
+                                      sol.y_paths[rows, i + 1])
         # the solver solves the normal equations by Cholesky, the reference
         # by LU.  With at least 2p active rows at every step (p basis
         # columns) the fits agree to 1e-11.  With fewer, the normal
@@ -648,7 +684,7 @@ class TestLocalizationSweep:
         solve = bsde.solve_localized_bsde
 
         def counting(driver, *args):
-            calls.append(args[0].size)
+            calls.append(args[2].shape[0])
             return increment_pairs(driver, *args)
 
         monkeypatch.setattr(SpaceTimeDriver, "increment_pairs", counting)

@@ -136,6 +136,14 @@ class TestCliExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config"
 
+    def test_growth_exponent_out_of_range_is_2(self, tmp_path, capsys):
+        cfg = self._write(tmp_path,
+                          "kind = localization-error\ntheta2 = 2.0\n")
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "theta2" in err["message"]
+
     def test_precondition_error_is_3(self, tmp_path, capsys):
         cfg = self._write(tmp_path,
                           "kind = nonlinear-bsde\nx0 = 2.0\n"

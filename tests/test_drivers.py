@@ -214,6 +214,39 @@ class TestSeparableProperties:
                               drv.fn(t1, xs) - drv.fn(t0, xs))
 
 
+# one driver of each increment path that a scalar time can take
+_SCALAR_TIME_DRIVERS = {
+    "separable": wavy_driver(0.7),
+    "separable-3": make_separable_driver(
+        lambda x: np.column_stack([np.cos(x[:, 0]), np.sin(x[:, 1]),
+                                   x[:, 0] * x[:, 1]]),
+        lambda t: np.sin(3.0 * t) + t, dim=2, channels=3),
+    "mollified": mollify_time(wavy_driver(0.7), 0.05, 1.0),
+    "grid": sample_sheet(SheetSpec(0.9, [0.75],
+                                   TimeGrid(np.linspace(0, 1, 6), 1.0),
+                                   [np.linspace(-4.0, 4.0, 9)]), seed=14),
+    "mollified-grid": mollify_time(grid_driver(), 0.1, 1.0),
+}
+
+
+class TestScalarTimes:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(_SCALAR_TIME_DRIVERS)), t0=unit_times,
+           lag=st.floats(0.0, 0.5), rows=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_scalar_times_give_the_paired_bytes(self, kind, t0, lag, rows,
+                                                seed):
+        # a step's two times as scalars against np.full(K, t) of each
+        drv = _SCALAR_TIME_DRIVERS[kind]
+        x = np.random.Generator(np.random.Philox(key=seed)).uniform(
+            -5.0, 5.0, (rows, drv.dim))
+        t1 = min(t0 + lag, 1.0)
+        got = drv.increment_pairs(t0, t1, x)
+        want = drv.increment_pairs(np.full(rows, t0), np.full(rows, t1), x)
+        assert got.shape == want.shape == (rows, drv.channels)
+        assert got.tobytes() == want.tobytes()
+
+
 class TestNormalization:
     @settings(max_examples=25, deadline=None)
     @given(start=st.one_of(st.just(0.0),

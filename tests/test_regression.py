@@ -10,7 +10,7 @@ from scipy.linalg.lapack import dpotrs
 
 from youngbsde.errors import NumericalError
 from youngbsde.regression import (fit_predict, line_fit, poly_basis,
-                                  ridge_factor, ridge_fit, ridge_solve)
+                                  ridge_fit, ridge_operator, ridge_solve)
 
 
 def _column_stack_basis(x, degree):
@@ -94,6 +94,8 @@ class TestRidge:
         fitted, _ = fit_predict(poly_basis(x, 2), y)
         assert fitted.mean() == pytest.approx(y.mean(), abs=1e-7)
 
+    # no RuntimeWarning either: the error is the only report
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_target_raises(self, bad):
         rng = np.random.Generator(np.random.Philox(key=4))
@@ -106,12 +108,12 @@ class TestRidge:
     def test_non_finite_basis_raises(self):
         x = np.array([[0.0], [np.nan], [1.0]])
         with pytest.raises(NumericalError, match="unsolvable"):
-            ridge_factor(poly_basis(x, 2))
+            ridge_operator(poly_basis(x, 2))
 
 
 class TestRidgeAgainstLapack:
-    """ridge_solve through the inverse factor against LAPACK's Cholesky
-    solve dpotrs on the factor it inverts."""
+    """ridge_solve through the coefficient operator against LAPACK's
+    Cholesky solve dpotrs on the factor the operator inverts."""
 
     @pytest.mark.parametrize("seed, dim, degree", [
         (1, 1, 1), (2, 1, 3), (3, 2, 2), (4, 2, 3), (5, 3, 2), (6, 3, 3)])
@@ -119,13 +121,15 @@ class TestRidgeAgainstLapack:
         rng = np.random.Generator(np.random.Philox(key=seed))
         basis = poly_basis(rng.standard_normal((300, dim)), degree)
         lower = _ridged_lower(basis)
-        factor = ridge_factor(basis)
-        np.testing.assert_array_equal(factor, np.linalg.inv(lower))
+        operator = ridge_operator(basis)
+        inverse = np.linalg.inv(lower)
+        np.testing.assert_array_equal(operator,
+                                      inverse.T @ (inverse @ basis.T))
         for targets in (rng.standard_normal(300),
                         rng.standard_normal((300, 3))):
             want, info = dpotrs(lower, basis.T @ targets, lower=1)
             assert info == 0
-            got = ridge_solve(factor, basis, targets)
+            got = ridge_solve(operator, targets)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
@@ -134,14 +138,16 @@ class TestRidgeAgainstLapack:
         # the coefficients are set by the ridge and only the fits compare
         basis = poly_basis(np.full((200, 1), 1.3), 2)
         lower = _ridged_lower(basis)
-        factor = ridge_factor(basis)
-        np.testing.assert_array_equal(factor, np.linalg.inv(lower))
+        operator = ridge_operator(basis)
+        inverse = np.linalg.inv(lower)
+        np.testing.assert_array_equal(operator,
+                                      inverse.T @ (inverse @ basis.T))
         y = np.arange(200, dtype=float)
         for targets in (y, np.column_stack([y, -2.0 * y])):
             want, info = dpotrs(lower, basis.T @ targets, lower=1)
             assert info == 0
             mean = np.broadcast_to(targets.mean(axis=0), targets.shape)
-            for coeffs in (ridge_solve(factor, basis, targets), want):
+            for coeffs in (ridge_solve(operator, targets), want):
                 np.testing.assert_allclose(basis @ coeffs, mean, rtol=1e-6)
 
 
