@@ -88,7 +88,7 @@ def _c01_pvariation(out: Path):
         times = times / times[-1]
         path = SamplePath(TimeGrid(times, 1.0), rng.standard_normal(m))
         for p in (1.0, 1.5, 2.0, 3.0):
-            dp = p_variation(path, p, mode="exact")
+            dp = p_variation(path, p)
             bf = p_variation_brute_force(path, p)
             worst = max(worst, abs(dp - bf))
     return worst <= 1e-12, f"max |DP - enumeration| = {worst:.2e} (tol 1e-12)"

@@ -1,14 +1,12 @@
 """Backward equation solvers along the forward diffusion.
 
-Two routes are implemented:
-
-* the scalar Feynman-Kac formula at t = 0 for linear equations,
-  Y_0 = E[exp(int_0^T alpha eta(dr, X_r)) xi M_T], with M the exponential
-  martingale of the drift change;
-
-* a localized least-squares Monte Carlo scheme for the nonlinear equation
-  dY = -f(t,X,Y,Z) dt - g(Y) eta(dt,X) + Z dW stopped at the first exit of X
-  from a centered ball, with exited samples absorbed at their boundary datum.
+The nonlinear equation
+    dY = -f(t,X,Y,Z) dt - g(Y) eta(dt,X) + Z dW
+is solved by a localized least-squares Monte Carlo scheme, stopped at the
+first exit of X from a centered ball, with exited samples absorbed at
+their boundary datum.  The linear equation has a Feynman-Kac formula;
+`pde_fk.solve_linear_bsde` evaluates it, and this module keeps the
+exponential martingale of its drift change, `girsanov_weight`.
 
 Conditional expectations are global polynomial regressions on the state
 restricted to not-yet-exited samples.  Z carries the documented O(sqrt(dt))
@@ -28,11 +26,11 @@ of radii.  Every solver and diagnostic reads the driver increments from
 `PathBatch.driver_increments`, which the batch computes once per driver,
 so the radii of a sweep share one step-major array.
 
-Each solver reports, besides y0, one value per sample whose mean is y0:
-the payoff of the linear formula, and the pathwise sum of datum and
-driver terms of the localized scheme.  A standard error is always the
-spread of those values over sqrt(samples); a paired standard error is the
-spread of their per-sample difference between two solves on one batch.
+The localized solver reports, besides y0, one value per sample whose mean
+is y0: the pathwise sum of datum and driver terms.  A standard error is
+always the spread of those values over sqrt(samples); a paired standard
+error is the spread of their per-sample difference between two solves on
+one batch.
 """
 
 from __future__ import annotations
@@ -50,15 +48,12 @@ from .drivers import SpaceTimeDriver
 from .errors import DomainError, NumericalError
 from .regression import (fit_predict, poly_basis, ridge_fit, ridge_operator,
                          ridge_solve)
-from .young_calculus import FLOW_OVERFLOW_GUARD
 
 __all__ = [
-    "LinearBsdeSpec",
     "BsdeProblem",
     "BsdeSolution",
     "PicardConfig",
     "girsanov_weight",
-    "solve_linear_bsde",
     "tower_rule_defect",
     "solve_localized_bsde",
     "martingale_residual",
@@ -99,87 +94,6 @@ def _standard_error(values: np.ndarray) -> float:
     if values.size < 2:
         return 0.0
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
-
-
-# -- linear equations -------------------------------------------------------
-
-@dataclass
-class LinearBsdeSpec:
-    """Coefficients of the scalar linear equation
-    Y_t = xi + sum_i int alpha^i Y eta_i(dr, X) + int Z G dr - int Z dW.
-
-    alpha(t, x:(S,d)) -> (S,) for one driver channel, or (S, M);
-    drift_change(t, x) -> (S, d) or None; terminal(paths (S, m, d)) -> (S,)
-    evaluated on whole simulated paths.  Declared bounds are spot-checked on
-    every visited state of the batch a solve is given.
-    """
-
-    alpha: callable
-    terminal: callable
-    driver: SpaceTimeDriver
-    drift_change: callable = None
-    alpha_bound: float | None = None
-    drift_change_bound: float | None = None
-
-    def alpha_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.alpha(t, x), dtype=float).reshape(
-            x.shape[0], self.driver.channels)
-        if self.alpha_bound is not None:
-            worst = float(np.max(np.abs(out)))
-            if worst > self.alpha_bound * (1 + 1e-12):
-                raise DomainError(
-                    f"coefficient process exceeded its declared bound: "
-                    f"{worst:g} > {self.alpha_bound:g} at t={t:g}")
-        return out
-
-    def drift_change_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        if self.drift_change is None:
-            return np.zeros_like(x)
-        out = np.asarray(self.drift_change(t, x), dtype=float)
-        out = out.reshape(x.shape[0], x.shape[1])
-        if self.drift_change_bound is not None:
-            worst = float(np.max(np.linalg.norm(out, axis=1)))
-            if worst > self.drift_change_bound * (1 + 1e-12):
-                raise DomainError(
-                    f"drift-change process exceeded its declared bound: "
-                    f"{worst:g} > {self.drift_change_bound:g} at t={t:g}")
-        return out
-
-
-def solve_linear_bsde(spec: LinearBsdeSpec, batch: PathBatch
-                      ) -> "BsdeSolution":
-    """Y_0 of the linear equation by the Feynman-Kac formula at t = 0,
-        Y_0 = E[exp(int alpha eta(dr, X)) xi M_T],
-    on the given path batch, with M the exponential martingale of the drift
-    change: the mean of one payoff per sample, whose spread gives the
-    standard error.  The control process Z is not produced by this formula;
-    Z estimation belongs to the regression pathway of the localized solver
-    and any Z here is None.
-    """
-    times = batch.grid.times
-    S, m = batch.samples, times.size
-
-    alpha = np.stack([spec.alpha_at(times[i], batch.paths[:, i, :])
-                      for i in range(m)], axis=1)
-    deta = batch.driver_increments(spec.driver).swapaxes(0, 1)
-    exponent = np.concatenate(
-        [np.zeros((S, 1)),
-         np.cumsum(np.sum(alpha[:, :-1] * deta, axis=2), axis=1)], axis=1)
-    if np.max(exponent) > np.log(FLOW_OVERFLOW_GUARD):
-        raise NumericalError("linear flow exponent overflow")
-
-    g_vals = np.empty((S, m - 1, batch.dim))
-    for i in range(m - 1):
-        g_vals[:, i] = spec.drift_change_at(times[i], batch.paths[:, i, :])
-    weight_T = girsanov_weight(g_vals, batch.increments, np.diff(times))
-
-    xi = np.asarray(spec.terminal(batch.paths), dtype=float).reshape(S)
-    payoff = np.exp(exponent[:, -1]) * xi * weight_T
-    return BsdeSolution(y0=float(payoff.mean()), y_coefficients=None,
-                        z_coefficients=None, y_paths=None, z_paths=None,
-                        radius=math.inf, picard_iterations=0, picard_gaps=[],
-                        converged=True, y0_samples=payoff,
-                        y0_standard_error=_standard_error(payoff))
 
 
 def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,

@@ -104,7 +104,6 @@ class PathBatch:
     grid: TimeGrid
     paths: np.ndarray
     increments: np.ndarray
-    seed: int
     _kept: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
@@ -140,7 +139,6 @@ class ExitReport:
     each sample stops (its first exit, else the last index) and the
     fraction stopped before the horizon."""
 
-    radius: float
     stop_index: np.ndarray
     probability: float
     standard_error: float
@@ -217,7 +215,7 @@ def simulate(spec: DiffusionSpec, x0, grid: TimeGrid, samples: int,
                         + np.einsum("sij,sj->si", sig, dw[i]))
     paths.flags.writeable = dw.flags.writeable = False
     return PathBatch(grid=grid, paths=paths.swapaxes(0, 1),
-                     increments=dw.swapaxes(0, 1), seed=seed)
+                     increments=dw.swapaxes(0, 1))
 
 
 def first_exit(batch: PathBatch, radius: float) -> ExitReport:
@@ -231,8 +229,7 @@ def first_exit(batch: PathBatch, radius: float) -> ExitReport:
     stop = stopped.argmax(axis=1)
     p = float(np.mean(stop < stopped.shape[1] - 1))
     se = math.sqrt(max(p * (1 - p), 0.0) / batch.samples)
-    return ExitReport(radius=float(radius), stop_index=stop, probability=p,
-                      standard_error=se)
+    return ExitReport(stop_index=stop, probability=p, standard_error=se)
 
 
 def exit_tail_decay(spec: DiffusionSpec, x0, radii, grid: TimeGrid,

@@ -14,9 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde import (BsdeProblem, LinearBsdeSpec, PicardConfig,
-                   martingale_residual, solve_bsde_with_localization,
-                   solve_linear_bsde, tower_rule_defect)
+from .bsde import (BsdeProblem, PicardConfig, martingale_residual,
+                   solve_bsde_with_localization, tower_rule_defect)
 from .config import ExperimentConfig
 from .csvio import write_csv
 from .diffusion import exit_tail_decay, simulate
@@ -24,8 +23,9 @@ from .drivers import save_sampled_driver, zero_driver
 from .errors import ConfigError
 from .fractional_sheet import SheetSpec, hurst_region_grid, sample_sheet
 from .paths import SamplePath, TimeGrid
-from .pde_fk import (PdeProblem, check_reaction_growth, fk_point_estimate,
-                     localization_error_experiment)
+from .pde_fk import (LinearBsdeSpec, PdeProblem, check_reaction_growth,
+                     fk_point_estimate, localization_error_experiment,
+                     solve_linear_bsde)
 from .registry import (diffusion_by_name, driver_by_names, drift_change_function,
                        path_function, space_function, terminal_function,
                        y_coefficient_function)
@@ -143,14 +143,11 @@ def _run_linear_bsde(cfg, out: Path) -> RunResult:
     driver = driver_by_names(v["driver_space"], v["driver_time"],
                              amplitude=v["amplitude"])
     terminal = terminal_function(v["terminal"])
-    alpha_fn = (lambda t, x: np.zeros(x.shape[0])) if v["alpha"] == "zero" \
-        else (lambda t, x: np.ones(x.shape[0]))
     spec = LinearBsdeSpec(
-        alpha=alpha_fn, terminal=lambda paths: terminal(paths[:, -1, :]),
-        driver=driver,
+        alpha=0.0 if v["alpha"] == "zero" else 1.0,
+        terminal=lambda paths: terminal(paths[:, -1, :]), driver=driver,
         drift_change=drift_change_function(v["drift_change"],
-                                           v["drift_change_amplitude"]),
-        alpha_bound=1.0)
+                                           v["drift_change_amplitude"]))
     batch = simulate(diffusion, [v["x0"]], grid, v["samples"], v["seed"])
     sol = solve_linear_bsde(spec, batch)
     path = write_csv(out / "linear_solution.csv",

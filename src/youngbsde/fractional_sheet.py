@@ -63,10 +63,6 @@ class SheetSpec:
             )
 
     @property
-    def n(self) -> int:
-        return self.h.size
-
-    @property
     def total_points(self) -> int:
         pts = len(self.grid)
         for ax in self.space_axes:

@@ -1,9 +1,7 @@
-"""Time grids, sample paths, and path norms.
+"""Time grids, sample paths, and the p-variation norm.
 
-The p-variation and uniform norms computed here are the grid versions:
-suprema run over grid points only.  Sub-interval norms snap the
-requested endpoints to the nearest grid points; the induced bias is a
-documented property of the method, not corrected for.
+The p-variation computed here is the grid version: suprema run over grid
+points only.
 """
 
 from __future__ import annotations
@@ -54,17 +52,6 @@ class TimeGrid:
     def __len__(self) -> int:
         return self.times.size
 
-    def index_of(self, t: float) -> int:
-        """Index of the grid point nearest to t."""
-        return int(np.argmin(np.abs(self.times - t)))
-
-    def restrict(self, a: float, b: float) -> np.ndarray:
-        """Indices of the sub-grid covering [a, b], endpoints snapped."""
-        i, j = self.index_of(a), self.index_of(b)
-        if j <= i:
-            raise DomainError(f"degenerate restriction [{a}, {b}] on this grid")
-        return np.arange(i, j + 1)
-
 
 @dataclass(frozen=True)
 class SamplePath:
@@ -93,11 +80,6 @@ class SamplePath:
     def times(self) -> np.ndarray:
         return self.grid.times
 
-    def restrict(self, a: float, b: float) -> "SamplePath":
-        idx = self.grid.restrict(a, b)
-        sub = TimeGrid(self.grid.times[idx], self.grid.horizon)
-        return SamplePath(sub, self.values[idx])
-
 
 def _increment_norms(values: np.ndarray) -> np.ndarray:
     """Matrix |g_j - g_i| of Euclidean increment sizes, shape (m, m)."""
@@ -105,25 +87,17 @@ def _increment_norms(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
-def p_variation(path: SamplePath, p: float, mode: str = "exact") -> float:
-    """p-variation of a grid path.
-
-    mode="exact" maximizes sum |g_{a_{k+1}} - g_{a_k}|^p over all increasing
-    index subsequences containing both endpoints, by dynamic programming over
-    the end index (O(m^2)).  mode="refinement-limit" returns the full-grid
-    partition value, a valid estimator when increments do not cancel.
-    """
+def p_variation(path: SamplePath, p: float) -> float:
+    """p-variation of a grid path: the maximum of
+    sum |g_{a_{k+1}} - g_{a_k}|^p over all increasing index subsequences
+    containing both endpoints, by dynamic programming over the end index
+    (O(m^2))."""
     if p < 1:
         raise DomainError(f"p-variation needs p >= 1, got {p}")
     values = path.values
     m = values.shape[0]
     if m < 2:
         raise DomainError("p-variation needs at least 2 grid points")
-    if mode == "refinement-limit":
-        steps = np.linalg.norm(np.diff(values, axis=0), axis=1)
-        return float(np.sum(steps**p) ** (1.0 / p))
-    if mode != "exact":
-        raise DomainError(f"unknown p-variation mode {mode!r}")
     dist_p = _increment_norms(values) ** p
     best = np.full(m, -np.inf)
     best[0] = 0.0

@@ -1,16 +1,21 @@
 """Young PDE solvers through their probabilistic representations.
 
 A `PdeProblem` is a `BsdeProblem` plus the operator's diffusion, the horizon
-and the terminal's declared Lipschitz constant.  Linear terminal-value
-problems are evaluated by direct Feynman-Kac sampling: u(t, x) is the Monte
-Carlo mean of u_T(X_T) weighted by the exponential of the pathwise driver
-integral.  Nonlinear problems go through the double approximation:
-time-mollified drivers and balls of growing radius, each sub-problem solved
-by the localized least-squares scheme.  Both solvers require a declared
+and the terminal's declared Lipschitz constant.  The linear Feynman-Kac
+formula is one function, `solve_linear_bsde`:
+    Y_0 = E[exp(sum_i alpha_i int eta_i(dr, X)) xi M_T]
+with constant coefficients alpha_i, M the exponential martingale of a drift
+change, and the driver integral streamed by `young_sum_batch`.  Linear
+terminal-value problems are evaluated by it with alpha = 1 and no drift
+change, one batch chunk at a time: u(t, x) is the Monte Carlo mean of
+u_T(X_T) weighted by the exponential of the pathwise driver integral.
+Nonlinear problems go through the double approximation: time-mollified
+drivers and balls of growing radius, each sub-problem solved by the
+localized least-squares scheme.  Both PDE solvers require a declared
 positive ellipticity; the localization-error experiment, which solves the
-problem it is given on growing balls, does not.  The whole-space solution is
-operationally the largest-radius member of the sweep; decay fits are always
-against that reference, recorded as such in the outputs.
+problem it is given on growing balls, does not.  The whole-space solution
+is operationally the largest-radius member of the sweep; decay fits are
+always against that reference, recorded as such in the outputs.
 """
 
 from __future__ import annotations
@@ -21,20 +26,24 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bsde import (_EXP_GUARD, BsdeProblem, PicardConfig, _check_secant,
-                   _contract_cloud, _standard_error,
+from .bsde import (BsdeProblem, BsdeSolution, PicardConfig, _check_secant,
+                   _contract_cloud, _standard_error, girsanov_weight,
                    solve_bsde_with_localization)
 # bench/tracer.py wraps solve_localized_bsde as bound in this module
 from .bsde import solve_localized_bsde  # noqa: F401
-from .diffusion import DiffusionSpec, simulate
+from .diffusion import DiffusionSpec, PathBatch, simulate
 from .drivers import SpaceTimeDriver, mollify_time
 from .errors import DomainError, NumericalError
 from .paths import TimeGrid
 from .regression import line_fit
 from .rng import hash64
-from .young_calculus import step_increments, young_sum_batch
+# bench/tracer.py wraps young_sum_batch as bound in this module
+from .young_calculus import (FLOW_OVERFLOW_GUARD, step_increments,
+                             young_sum_batch)
 
 __all__ = [
+    "LinearBsdeSpec",
+    "solve_linear_bsde",
     "PdeProblem",
     "GROWTH_EXPONENTS",
     "check_reaction_growth",
@@ -48,6 +57,69 @@ __all__ = [
 ]
 
 _FK_CHUNK = 50_000
+
+
+@dataclass
+class LinearBsdeSpec:
+    """Coefficients of the scalar linear equation
+    Y_t = xi + sum_i int alpha_i Y eta_i(dr, X) + int Z G dr - int Z dW.
+
+    alpha is a constant, or one constant per driver channel;
+    drift_change(t, x) -> (S, d) or None; terminal(paths (S, m, d)) -> (S,)
+    evaluated on whole simulated paths.  The declared drift-change bound is
+    spot-checked on every visited state of the batch a solve is given.
+    """
+
+    alpha: float | np.ndarray
+    terminal: callable
+    driver: SpaceTimeDriver
+    drift_change: callable = None
+    drift_change_bound: float | None = None
+
+    def drift_change_at(self, t: float, x: np.ndarray) -> np.ndarray:
+        out = np.asarray(self.drift_change(t, x), dtype=float)
+        out = out.reshape(x.shape[0], x.shape[1])
+        if self.drift_change_bound is not None:
+            worst = float(np.max(np.linalg.norm(out, axis=1)))
+            if worst > self.drift_change_bound * (1 + 1e-12):
+                raise DomainError(
+                    f"drift-change process exceeded its declared bound: "
+                    f"{worst:g} > {self.drift_change_bound:g} at t={t:g}")
+        return out
+
+
+def solve_linear_bsde(spec: LinearBsdeSpec, batch: PathBatch
+                      ) -> BsdeSolution:
+    """Y_0 of the linear equation by the Feynman-Kac formula at t = 0,
+        Y_0 = E[exp(sum_i alpha_i int eta_i(dr, X)) xi M_T],
+    on the given path batch, with M the exponential martingale of the drift
+    change (1 without one): the mean of one payoff per sample, whose spread
+    gives the standard error.  Raises NumericalError when a sample's final
+    exponent passes log(FLOW_OVERFLOW_GUARD), the exact flow's rule.  The control process Z
+    is not produced by this formula; Z estimation belongs to the regression
+    pathway of the localized solver and any Z here is None.
+    """
+    times = batch.grid.times
+    exponent = np.sum(np.asarray(spec.alpha, dtype=float)
+                      * young_sum_batch(spec.driver, times, batch.paths),
+                      axis=1)
+    if np.max(exponent) > np.log(FLOW_OVERFLOW_GUARD):
+        raise NumericalError(
+            f"Feynman-Kac weight overflow: exponent "
+            f"{float(np.max(exponent)):g} above log({FLOW_OVERFLOW_GUARD:g})")
+    xi = np.asarray(spec.terminal(batch.paths), dtype=float).reshape(
+        batch.samples)
+    payoff = np.exp(exponent) * xi
+    if spec.drift_change is not None:
+        g_vals = np.empty((batch.samples, times.size - 1, batch.dim))
+        for i in range(times.size - 1):
+            g_vals[:, i] = spec.drift_change_at(times[i], batch.paths[:, i])
+        payoff *= girsanov_weight(g_vals, batch.increments, np.diff(times))
+    return BsdeSolution(y0=float(payoff.mean()), y_coefficients=None,
+                        z_coefficients=None, y_paths=None, z_paths=None,
+                        radius=math.inf, picard_iterations=0, picard_gaps=[],
+                        converged=True, y0_samples=payoff,
+                        y0_standard_error=_standard_error(payoff))
 
 
 @dataclass(kw_only=True)
@@ -88,9 +160,10 @@ class PdeSolutionTable:
 def fk_point_estimate(diffusion: DiffusionSpec, driver: SpaceTimeDriver,
                       terminal, t: float, x, horizon: float, steps: int,
                       samples: int, point_seed: int) -> tuple[float, float]:
-    """Feynman-Kac estimate at one (t, x) and its standard error: chunked
-    fresh simulations, global sample indices across chunks, weight =
-    exp(pathwise driver integral).  Only each chunk's payoffs are kept."""
+    """Feynman-Kac estimate at one (t, x) and its standard error: the
+    linear formula with alpha = 1 on chunked fresh simulations, global
+    sample indices across chunks.  Only each chunk's payoffs are kept."""
+    _check_elliptic(diffusion)
     if t > horizon + 1e-12:
         raise DomainError(f"evaluation time {t} beyond the horizon {horizon}")
     if abs(t - horizon) < 1e-12:
@@ -98,20 +171,13 @@ def fk_point_estimate(diffusion: DiffusionSpec, driver: SpaceTimeDriver,
                                         .reshape(1, -1)))[0])
         return val, 0.0
     grid = TimeGrid(np.linspace(t, horizon, steps + 1), horizon)
+    spec = LinearBsdeSpec(alpha=1.0, driver=driver,
+                          terminal=lambda paths: terminal(paths[:, -1, :]))
     payoffs = []
     for total in range(0, samples, _FK_CHUNK):
-        chunk = min(_FK_CHUNK, samples - total)
-        batch = simulate(diffusion, x, grid, chunk, point_seed,
-                         sample_offset=total)
-        log_weight = np.sum(
-            young_sum_batch(driver, grid.times, batch.paths), axis=1)
-        if np.max(log_weight) > _EXP_GUARD:
-            raise NumericalError(
-                f"Feynman-Kac weight overflow: pathwise driver integral "
-                f"{float(np.max(log_weight)):g} above {_EXP_GUARD:g}")
-        payoffs.append(np.asarray(terminal(batch.paths[:, -1, :]),
-                                  dtype=float).reshape(-1)
-                       * np.exp(log_weight))
+        batch = simulate(diffusion, x, grid, min(_FK_CHUNK, samples - total),
+                         point_seed, sample_offset=total)
+        payoffs.append(solve_linear_bsde(spec, batch).y0_samples)
     payoff = np.concatenate(payoffs)
     return float(payoff.mean()), _standard_error(payoff)
 
@@ -125,7 +191,6 @@ def solve_linear_young_pde(terminal, diffusion: DiffusionSpec,
     Each evaluation point gets its own deterministic sub-stream, keyed by the
     point index, so tables are reproducible and points are independent jobs.
     """
-    _check_elliptic(diffusion)
     values = np.empty(len(eval_points))
     ses = np.empty(len(eval_points))
     for j, (t, x) in enumerate(eval_points):
@@ -289,8 +354,7 @@ def check_reaction_growth(f, dim: int, theta1: float, theta2: float,
 
 @dataclass
 class LocalizationDecayReport:
-    """Per-point OLS fits of log gap against squared radius, plus the trend
-    of intercepts in |x|^2 across the evaluation set."""
+    """Per-point OLS fits of log gap against squared radius."""
 
     eval_points: list
     radii: np.ndarray
@@ -300,7 +364,6 @@ class LocalizationDecayReport:
     slopes: np.ndarray
     intercepts: np.ndarray
     r_squared: np.ndarray
-    intercept_x2_slope: float
     reference_values: np.ndarray
 
 
@@ -371,16 +434,9 @@ def localization_error_experiment(problem: PdeProblem, radii,
             continue
         slopes[j], intercepts[j], r2s[j] = line_fit(usable_x, usable_y)
 
-    x2 = np.array([float(np.sum(np.square(np.atleast_1d(x))))
-                   for x in eval_xs])
-    ok = np.isfinite(intercepts)
-    if ok.sum() >= 2 and np.ptp(x2[ok]) > 0:
-        trend = line_fit(x2[ok], intercepts[ok])[0]
-    else:
-        trend = float("nan")
     return LocalizationDecayReport(
         eval_points=[np.atleast_1d(np.asarray(x, dtype=float))
                      for x in eval_xs],
         radii=radii, gaps=gaps, gap_ses=gap_ses, saturated=saturated,
         slopes=slopes, intercepts=intercepts, r_squared=r2s,
-        intercept_x2_slope=trend, reference_values=ref_values)
+        reference_values=ref_values)

@@ -90,12 +90,12 @@ def young_sum_fixed_partition(driver: SpaceTimeDriver, times: np.ndarray,
 
 def nonlinear_young_integral(y: SamplePath, x: SamplePath,
                              driver: SpaceTimeDriver,
-                             interval: tuple[float, float] | None = None,
                              tol_abs: float = DEFAULT_TOL_ABS,
                              tol_rel: float = DEFAULT_TOL_REL,
                              max_levels: int = DEFAULT_MAX_LEVELS
                              ) -> YoungIntegralResult:
-    """Integral of the scalar path y against eta(dr, x_r) over [a, b].
+    """Integral of the scalar path y against eta(dr, x_r) over the span of
+    their shared grid.
 
     Successive dyadic refinements are compared in max norm; the result is
     converged when the inter-level gap drops below tol_abs + tol_rel*|value|.
@@ -109,13 +109,9 @@ def nonlinear_young_integral(y: SamplePath, x: SamplePath,
     if y.grid.times.shape != x.grid.times.shape or not np.allclose(
             y.grid.times, x.grid.times):
         raise DomainError("integrand and integrator must share a grid")
-    if interval is not None:
-        a, b = interval
-        y = y.restrict(a, b)
-        x = x.restrict(a, b)
     times = y.grid.times
     if times.size < 2:
-        raise DomainError("need at least 2 grid points on the interval")
+        raise DomainError("need at least 2 grid points")
 
     yv, xv = y.values, x.values
     value = _left_sum(driver, times, yv, xv)

@@ -3,6 +3,7 @@ modules bind them.  These checks fail when a refactor unbinds one of those
 names, instead of only when `bench/run.py --trace 1` is next run."""
 
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -33,6 +34,18 @@ def test_double_approx_builds_its_problem():
     workloads = _load("workloads")
     problem = workloads.DoubleApprox()._problem()
     assert isinstance(problem, workloads.pde_fk.PdeProblem)
+
+
+def test_double_approx_setup_runs_its_reference(tmp_path):
+    # the set-up solves the linear reference through the Feynman-Kac path by
+    # keywords: a change to that call fails here, not on the next benchmark
+    # run
+    workloads = _load("workloads")
+    workload = workloads.DoubleApprox()
+    workload.reference_samples = 200
+    state = workload.setup(3, tmp_path)
+    assert state["traced"] is None
+    assert math.isfinite(state["mean"]) and state["std"] > 0
 
 
 def test_cli_parses_the_benchmark_argv(monkeypatch, tmp_path):

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from youngbsde import bsde
-from youngbsde.bsde import (BsdeProblem, LinearBsdeSpec, PicardConfig,
+from youngbsde.bsde import (BsdeProblem, PicardConfig,
                             exponential_moment_diagnostic,
                             girsanov_weight, martingale_residual,
                             solve_bsde_with_localization,
-                            solve_linear_bsde, solve_localized_bsde,
-                            tower_rule_defect)
+                            solve_localized_bsde, tower_rule_defect)
 from youngbsde.diffusion import DiffusionSpec, first_exit, simulate
 from youngbsde.drivers import (SpaceTimeDriver, make_separable_driver,
                                zero_driver)
 from youngbsde.errors import DomainError, NumericalError
 from youngbsde.paths import SamplePath, TimeGrid
-from youngbsde.pde_fk import fk_point_estimate
+from youngbsde.pde_fk import (LinearBsdeSpec, fk_point_estimate,
+                              solve_linear_bsde)
 from youngbsde.regression import poly_basis, ridge_fit
 from youngbsde.registry import diffusion_by_name, driver_by_names
 from youngbsde.young_calculus import solve_flow, young_sum_batch
@@ -140,7 +140,7 @@ class TestGirsanov:
 class TestLinearSolver:
     def test_martingale_case(self):
         spec = LinearBsdeSpec(
-            alpha=lambda t, x: np.zeros(x.shape[0]),
+            alpha=0.0,
             terminal=lambda p: p[:, -1, 0], driver=TIME_DRIVER)
         sol = solve_linear_bsde(spec, brownian_batch(20000, seed=11, x0=0.3))
         assert abs(sol.y0 - 0.3) <= 3 * sol.y0_standard_error
@@ -148,17 +148,27 @@ class TestLinearSolver:
     def test_unit_coefficient_time_driver(self):
         # alpha = 1, eta = t, xi = 1: the flow is e^T exactly
         spec = LinearBsdeSpec(
-            alpha=lambda t, x: np.ones(x.shape[0]),
+            alpha=1.0,
             terminal=lambda p: np.ones(p.shape[0]), driver=TIME_DRIVER)
         sol = solve_linear_bsde(spec, brownian_batch(500, seed=1))
         assert sol.y0 == pytest.approx(math.e, rel=1e-12)
+
+    def test_one_coefficient_per_channel(self):
+        # two channels of eta = t: the exponent is 0.5 T - 0.25 T exactly
+        driver = make_separable_driver(lambda x: np.ones((x.shape[0], 2)),
+                                       lambda t: t, channels=2)
+        spec = LinearBsdeSpec(
+            alpha=np.array([0.5, -0.25]),
+            terminal=lambda p: np.ones(p.shape[0]), driver=driver)
+        sol = solve_linear_bsde(spec, brownian_batch(200, seed=1))
+        assert sol.y0 == pytest.approx(math.exp(0.25), rel=1e-12)
 
     def test_kac_potential_against_finite_differences(self):
         from youngbsde.fd import crank_nicolson_terminal_value
 
         driver = driver_by_names("cos", "linear")
         spec = LinearBsdeSpec(
-            alpha=lambda t, x: np.ones(x.shape[0]),
+            alpha=1.0,
             terminal=lambda p: np.ones(p.shape[0]), driver=driver)
         sol = solve_linear_bsde(spec, brownian_batch(
             50000, seed=7, grid=TimeGrid.uniform(1.0, 64)))
@@ -172,7 +182,7 @@ class TestLinearSolver:
         # xi = X_T under a constant drift change: E[X_T M_T] = x0 + c T
         c = 0.4
         spec = LinearBsdeSpec(
-            alpha=lambda t, x: np.zeros(x.shape[0]),
+            alpha=0.0,
             terminal=lambda p: p[:, -1, 0], driver=TIME_DRIVER,
             drift_change=lambda t, x: np.full_like(x, c))
         sol = solve_linear_bsde(spec, brownian_batch(50000, seed=13))
@@ -185,21 +195,13 @@ class TestLinearSolver:
         driver = driver_by_names("cos", "linear", amplitude=0.5)
         h = lambda x: np.cos(x[:, 0]) + 2.0
         spec = LinearBsdeSpec(
-            alpha=lambda t, x: np.ones(x.shape[0]),
+            alpha=1.0,
             terminal=lambda p: h(p[:, -1, :]), driver=driver)
         sol = solve_linear_bsde(spec, brownian_batch(3000, seed=seed, x0=0.3))
         value, se = fk_point_estimate(BROWNIAN, driver, h, 0.0, [0.3], 1.0,
                                       32, 3000, seed)
         assert sol.y0 == value
         assert sol.y0_standard_error == se
-
-    def test_alpha_bound_enforced(self):
-        spec = LinearBsdeSpec(
-            alpha=lambda t, x: np.full(x.shape[0], 2.0),
-            terminal=lambda p: np.ones(p.shape[0]), driver=TIME_DRIVER,
-            alpha_bound=1.0)
-        with pytest.raises(DomainError, match="bound"):
-            solve_linear_bsde(spec, brownian_batch(50, seed=1))
 
 
 class TestTowerRule:
@@ -614,7 +616,7 @@ class TestLinearNonlinearConsistency:
                                     picard=PicardConfig(tolerance=1e-8,
                                                         max_iterations=80))
         spec = LinearBsdeSpec(
-            alpha=lambda t, x: np.ones(x.shape[0]),
+            alpha=1.0,
             terminal=lambda p: np.ones(p.shape[0]), driver=driver)
         flow = solve_linear_bsde(
             spec, brownian_batch(40000, seed=3300, grid=grid))
@@ -625,7 +627,7 @@ class TestLinearNonlinearConsistency:
 
     def test_drift_change_bound_enforced(self):
         spec = LinearBsdeSpec(
-            alpha=lambda t, x: np.zeros(x.shape[0]),
+            alpha=0.0,
             terminal=lambda p: p[:, -1, 0], driver=TIME_DRIVER,
             drift_change=lambda t, x: np.full_like(x, 2.0),
             drift_change_bound=1.0)
@@ -638,13 +640,26 @@ class TestLinearNonlinearConsistency:
         driver = driver_by_names("one", "linear", amplitude=40.0)
         grid = TimeGrid.uniform(1.0, 8)
         spec = LinearBsdeSpec(
-            alpha=lambda t, x: np.ones(x.shape[0]),
-            terminal=lambda p: np.ones(p.shape[0]), driver=driver)
+            alpha=1.0, terminal=lambda p: np.ones(p.shape[0]), driver=driver)
         with pytest.raises(NumericalError):
             solve_linear_bsde(spec, brownian_batch(50, seed=1, grid=grid))
         with pytest.raises(NumericalError):
             solve_flow(np.ones(9), driver, SamplePath(grid, np.zeros(9)),
                        mode="exact")
+        with pytest.raises(NumericalError):
+            fk_point_estimate(BROWNIAN, driver,
+                              lambda x: np.ones(x.shape[0]), 0.0, [0.0],
+                              1.0, 8, 50, 1)
+
+    def test_guard_reads_the_final_exponent(self):
+        # the exponent 40 sin(pi t) passes log(FLOW_OVERFLOW_GUARD) at
+        # t = 1/2 and returns to 0 (up to round-off) at t = 1
+        driver = make_separable_driver(lambda x: np.ones(x.shape[0]),
+                                       lambda t: 40.0 * np.sin(np.pi * t))
+        spec = LinearBsdeSpec(
+            alpha=1.0, terminal=lambda p: np.ones(p.shape[0]), driver=driver)
+        sol = solve_linear_bsde(spec, brownian_batch(50, seed=1))
+        assert sol.y0 == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLocalizationSweep:
@@ -791,7 +806,7 @@ class TestLayout:
             terminal=lambda x: np.sum(x**2, axis=1), driver=driver,
             lipschitz_f=0.3)
         linear = LinearBsdeSpec(
-            alpha=lambda t, x: np.cos(x[:, 0]), driver=driver,
+            alpha=0.7, driver=driver,
             terminal=lambda p: np.sum(p[:, -1, :], axis=1),
             drift_change=lambda t, x: 0.3 * np.sin(x))
         sol = solve_localized_bsde(problem, 1.5, batch)

@@ -185,6 +185,17 @@ class TestCliExitCodes:
         assert main(["run", "--config", cfg, "--out", str(out)]) == 0
         assert (out / "decay_gaps.csv").exists()
 
+    def test_pde_fk_needs_ellipticity(self, tmp_path, capsys):
+        cfg = self._write(tmp_path,
+                          "kind = pde-fk\ndiffusion = drift-only\n"
+                          "samples = 50\nsteps = 4\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "precondition"
+        assert "ellipticity" in err["message"]
+        assert not list(out.glob("*.csv"))
+
     @pytest.mark.parametrize("file_lines, flags, workers", [
         ("workers = 3\n", [], 3),
         ("workers = 3\n", ["--workers", "2"], 2),

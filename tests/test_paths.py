@@ -28,12 +28,6 @@ class TestTimeGrid:
         g = TimeGrid(np.array([0.3, 0.7]), 1.0)
         assert len(g) == 2
 
-    def test_restrict_snaps_endpoints(self):
-        g = TimeGrid(np.linspace(0, 1, 11), 1.0)
-        idx = g.restrict(0.22, 0.58)
-        assert g.times[idx[0]] == pytest.approx(0.2)
-        assert g.times[idx[-1]] == pytest.approx(0.6)
-
 
 class TestPVariation:
     def test_tent_total_variation(self):
@@ -46,11 +40,6 @@ class TestPVariation:
 
     def test_constant_path_zero(self):
         assert p_variation(path_1d([3.0, 3.0, 3.0]), 2.5) == 0.0
-
-    def test_refinement_limit_mode(self):
-        assert p_variation(path_1d([0, 1, 0]), 2.0,
-                           mode="refinement-limit") == pytest.approx(
-            np.sqrt(2.0))
 
     def test_monotone_increments_merge_for_large_p(self):
         # for p > 1 the sup drops interior points of a monotone run

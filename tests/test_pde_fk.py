@@ -128,7 +128,7 @@ class TestLinearFeynmanKac:
             lipschitz_f=1e-9)
         sol = solve_localized_bsde(
             problem, 6.0, simulate(BROWNIAN, [0.0], grid, 40000, seed=19))
-        s_idx = grid.index_of(0.5)
+        s_idx = 16  # t = 0.5 on the 32-step grid
         x_probe = 0.3
         coeffs = sol.y_coefficients[s_idx]
         fitted = (poly_basis(np.array([[x_probe]]), 2) @ coeffs).item()
@@ -335,7 +335,7 @@ class TestLocalizationError:
         report = localization_error_experiment(
             problem, [2.0, 2.5, 3.0], [np.array([0.0]), np.array([1.0])],
             samples=50000, seed=4, steps=32, reference_radius=4.0)
-        assert report.intercept_x2_slope > 0
+        assert report.intercepts[1] > report.intercepts[0]
 
     def test_young_driver_is_the_sweep_of_the_given_problem(self):
         # g = tanh on eta = x t: the experiment solves this problem, not a

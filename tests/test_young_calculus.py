@@ -34,8 +34,8 @@ class TestNonlinearYoungIntegral:
     def test_unit_integrand_telescopes(self):
         y = grid_path(np.ones_like)
         x = grid_path(lambda t: np.sin(3 * t))
-        res = nonlinear_young_integral(y, x, TIME_ONLY, interval=(0.25, 0.75))
-        assert float(res) == pytest.approx(0.5, abs=1e-12)
+        res = nonlinear_young_integral(y, x, TIME_ONLY)
+        assert float(res) == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_integrand_frozen_path(self):
         c, x0 = 2.5, 0.7
