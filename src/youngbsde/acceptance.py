@@ -197,8 +197,9 @@ def _c05_hurst_region(out: Path):
 # -- criterion 6 -------------------------------------------------------------
 
 def _c06_exit_decay(out: Path):
-    fit = exit_tail_decay(_brownian(), [0.0], [1.0, 1.5, 2.0, 2.5],
-                          TimeGrid.uniform(1.0, 256), 100000, seed=5)
+    batch = simulate(_brownian(), [0.0], TimeGrid.uniform(1.0, 256), 100000,
+                     seed=5)
+    fit = exit_tail_decay(batch, [1.0, 1.5, 2.0, 2.5])
     ok = fit.slope < 0 and fit.r_squared >= 0.9
     return ok, (f"log P(exit) vs squared radius: slope {fit.slope:.3f} "
                 f"(< 0), R^2 {fit.r_squared:.4f} (>= 0.9)")

@@ -45,9 +45,10 @@ from .diffusion import PathBatch, first_exit
 # bench/tracer.py wraps simulate as bound in this module
 from .diffusion import simulate  # noqa: F401
 from .drivers import SpaceTimeDriver
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .regression import (fit_predict, poly_basis, ridge_fit, ridge_operator,
                          ridge_solve)
+from .young_calculus import _check_log_weight
 
 __all__ = [
     "BsdeProblem",
@@ -61,7 +62,21 @@ __all__ = [
     "exponential_moment_diagnostic",
 ]
 
-_EXP_GUARD = 700.0
+_EXP_GUARD = 700.0  # exponential_moment_diagnostic reports inf past it
+
+
+def _log_girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
+                         dts: np.ndarray) -> np.ndarray:
+    """log M_T, shape (S,), summed in step order; see `girsanov_weight`."""
+    g_values = np.asarray(g_values, dtype=float)
+    increments = np.asarray(increments, dtype=float)
+    if g_values.shape != increments.shape:
+        raise DomainError("drift-change values and increments must align")
+    log_steps = (np.sum(g_values * increments, axis=2)
+                 - 0.5 * np.sum(g_values**2, axis=2) * dts[None, :])
+    if log_steps.shape[1] == 0:
+        return np.zeros(log_steps.shape[0])
+    return np.cumsum(log_steps, axis=1)[:, -1]
 
 
 def girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
@@ -71,21 +86,11 @@ def girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
 
     g_values holds the process at left grid points, shape (S, steps, d);
     increments are the Brownian increments of the same shape.  Raises
-    NumericalError when the running log M exceeds the overflow guard.
+    NumericalError when a sample's log M_T passes log(FLOW_OVERFLOW_GUARD).
     """
-    g_values = np.asarray(g_values, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    if g_values.shape != increments.shape:
-        raise DomainError("drift-change values and increments must align")
-    log_steps = (np.sum(g_values * increments, axis=2)
-                 - 0.5 * np.sum(g_values**2, axis=2) * dts[None, :])
-    log_path = np.concatenate(
-        [np.zeros((g_values.shape[0], 1)), np.cumsum(log_steps, axis=1)],
-        axis=1)
-    if np.max(log_path) > _EXP_GUARD:
-        raise NumericalError("exponential martingale overflow; the "
-                             "drift-change process is too large")
-    return np.exp(log_path[:, -1])
+    log_m = _log_girsanov_weight(g_values, increments, dts)
+    _check_log_weight(log_m, "exponential martingale")
+    return np.exp(log_m)
 
 
 def _standard_error(values: np.ndarray) -> float:

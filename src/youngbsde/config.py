@@ -3,7 +3,9 @@
 One experiment kind per file, '#' comments, command-line overrides with the
 same key names.  Every key is declared in the kind's schema with a type and
 either a default or REQUIRED; unknown keys are rejected outright and numeric
-preconditions are validated before any compute starts.
+preconditions are validated before any compute starts.  Shared keys are
+declared once: `_batch(steps, samples)` (diffusion, horizon, steps, samples),
+`_driver(space)` (driver_space, driver_time), `_X0` and `_AMPLITUDE`.
 """
 
 from __future__ import annotations
@@ -61,6 +63,21 @@ _nonneg = lambda v: v >= 0
 _nonempty = lambda v: len(v) > 0
 
 
+def _batch(steps, samples):
+    return {"diffusion": Field(str, "brownian"),
+            "horizon": Field(float, 1.0, _positive),
+            "steps": Field(int, steps, lambda v: v >= 1),
+            "samples": Field(int, samples, _positive)}
+
+
+def _driver(space):
+    return {"driver_space": Field(str, space),
+            "driver_time": Field(str, "linear")}
+
+
+_X0 = Field(float, 0.0)
+_AMPLITUDE = Field(float, 1.0)
+
 SCHEMAS: dict[str, dict[str, Field]] = {
     "simulate-fbs": {
         "h0": Field(float, REQUIRED, lambda v: 0 < v < 1),
@@ -76,9 +93,8 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "young-integral": {
         "integrand": Field(str, "sin"),
         "space_path": Field(str, "t"),
-        "driver_space": Field(str, "cos"),
-        "driver_time": Field(str, "linear"),
-        "amplitude": Field(float, 1.0),
+        **_driver("cos"),
+        "amplitude": _AMPLITUDE,
         "horizon": Field(float, 1.0, _positive),
         "steps": Field(int, 1024, lambda v: v >= 2),
         "lower": Field(float, 0.0, _nonneg),
@@ -90,8 +106,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "flow": {
         "n_dim": Field(int, 1, lambda v: v in (1, 2)),
         "alpha_kind": Field(str, "ones"),
-        "driver_space": Field(str, "one"),
-        "driver_time": Field(str, "linear"),
+        **_driver("one"),
         "x_path": Field(str, "sin"),
         "horizon": Field(float, 1.0, _positive),
         "steps": Field(int, 4096, lambda v: v >= 2),
@@ -103,29 +118,21 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     "linear-bsde": {
         "alpha": Field(str, "one", lambda v: v in ("zero", "one")),
         "terminal": Field(str, "identity"),
-        "driver_space": Field(str, "one"),
-        "driver_time": Field(str, "linear"),
-        "amplitude": Field(float, 1.0),
-        "diffusion": Field(str, "brownian"),
+        **_driver("one"),
+        "amplitude": _AMPLITUDE,
         "drift_change": Field(str, "zero"),
         "drift_change_amplitude": Field(float, 0.4),
-        "x0": Field(float, 0.0),
-        "horizon": Field(float, 1.0, _positive),
-        "steps": Field(int, 64, lambda v: v >= 1),
-        "samples": Field(int, 10000, _positive),
+        "x0": _X0,
+        **_batch(64, 10000),
     },
     "nonlinear-bsde": {
         "reaction_rate": Field(float, 0.0),  # f = rate * y
         "g": Field(str, "zero"),
         "terminal": Field(str, "identity"),
-        "driver_space": Field(str, "cos"),
-        "driver_time": Field(str, "linear"),
-        "amplitude": Field(float, 1.0),
-        "diffusion": Field(str, "brownian"),
-        "x0": Field(float, 0.0),
-        "horizon": Field(float, 1.0, _positive),
-        "steps": Field(int, 64, lambda v: v >= 1),
-        "samples": Field(int, 10000, _positive),
+        **_driver("cos"),
+        "amplitude": _AMPLITUDE,
+        "x0": _X0,
+        **_batch(64, 10000),
         "radii": Field(tuple, (2.0, 3.0, 4.0, 6.0), _nonempty),
         "basis_degree": Field(int, 2, lambda v: 0 <= v <= 6),
         "picard_tol": Field(float, 1e-6, _positive),
@@ -133,13 +140,9 @@ SCHEMAS: dict[str, dict[str, Field]] = {
     },
     "pde-fk": {
         "terminal": Field(str, "one"),
-        "driver_space": Field(str, "cos"),
-        "driver_time": Field(str, "linear"),
-        "amplitude": Field(float, 1.0),
-        "diffusion": Field(str, "brownian"),
-        "horizon": Field(float, 1.0, _positive),
-        "steps": Field(int, 128, lambda v: v >= 1),
-        "samples": Field(int, 10000, _positive),
+        **_driver("cos"),
+        "amplitude": _AMPLITUDE,
+        **_batch(128, 10000),
         "eval_time": Field(float, 0.0, _nonneg),
         "eval_xs": Field(tuple, (-1.0, 0.0, 1.0), _nonempty),
     },
@@ -151,10 +154,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "reaction_g": Field(str, "tanh"),
         **{name: Field(float, 0.0, admissible)
            for name, admissible in GROWTH_EXPONENTS.items()},
-        "diffusion": Field(str, "brownian"),
-        "horizon": Field(float, 1.0, _positive),
-        "steps": Field(int, 64, lambda v: v >= 1),
-        "samples": Field(int, 20000, _positive),
+        **_batch(64, 20000),
         "radii": Field(tuple, (1.5, 2.0, 2.5, 3.0), _nonempty),
         "reference_radius": Field(float, 4.0, _positive),
         "eval_xs": Field(tuple, (0.0,), _nonempty),
@@ -169,22 +169,15 @@ SCHEMAS: dict[str, dict[str, Field]] = {
                            lambda v: v in ("terminal-linear",
                                            "terminal-square")),
         "b_process": Field(str, "one", lambda v: v in ("one", "state")),
-        "driver_space": Field(str, "cos"),
-        "driver_time": Field(str, "linear"),
-        "diffusion": Field(str, "brownian"),
-        "x0": Field(float, 0.0),
-        "horizon": Field(float, 1.0, _positive),
-        "steps": Field(int, 32, lambda v: v >= 1),
-        "samples": Field(int, 20000, _positive),
+        **_driver("cos"),
+        "x0": _X0,
+        **_batch(32, 20000),
         "t_index": Field(int, 0, _nonneg),
         "basis_degree": Field(int, 2, lambda v: 0 <= v <= 6),
     },
     "exit-decay": {
-        "diffusion": Field(str, "brownian"),
-        "x0": Field(float, 0.0),
-        "horizon": Field(float, 1.0, _positive),
-        "steps": Field(int, 256, lambda v: v >= 1),
-        "samples": Field(int, 100000, _positive),
+        "x0": _X0,
+        **_batch(256, 100000),
         "radii": Field(tuple, (1.0, 1.5, 2.0, 2.5), _nonempty),
     },
 }
@@ -196,9 +189,6 @@ EXPERIMENT_KINDS = sorted(SCHEMAS)
 class ExperimentConfig:
     kind: str
     values: dict
-
-    def __getitem__(self, key):
-        return self.values[key]
 
     def echo(self) -> dict:
         out = {"kind": self.kind}

@@ -232,40 +232,32 @@ def first_exit(batch: PathBatch, radius: float) -> ExitReport:
     return ExitReport(stop_index=stop, probability=p, standard_error=se)
 
 
-def exit_tail_decay(spec: DiffusionSpec, x0, radii, grid: TimeGrid,
-                    samples: int, seed: int) -> ExitDecayFit:
-    """Regress log P(exit before the horizon) on (radius - |x0|)^2.
+def exit_tail_decay(batch: PathBatch, radii) -> ExitDecayFit:
+    """Regress log P(exit before the horizon) on (radius - |x0|)^2 over the
+    given batch, whose paths all start at x0 (|x0| is read from its first
+    path).
 
     Radii below |x0| are rejected; radii with no observed exits are dropped
     with a warning.  At least 3 usable radii are required for the fit.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(spec.dim)
-    x0_norm = float(np.linalg.norm(x0))
+    x0_norm = float(np.linalg.norm(batch.paths[0, 0]))
     radii = np.sort(np.asarray(radii, dtype=float))
     if np.any(radii < x0_norm):
         raise DomainError(
             f"all radii must be >= |x0| = {x0_norm:g}; got {radii.tolist()}")
-    batch = simulate(spec, x0, grid, samples, seed)
-    probs, ses, kept, dropped = [], [], [], []
-    for r in radii:
-        report = first_exit(batch, r)
-        if report.probability == 0.0:
-            dropped.append(float(r))
-            warnings.warn(f"radius {r:g}: no exits observed, dropped from fit")
-            continue
-        probs.append(report.probability)
-        ses.append(report.standard_error)
-        kept.append(float(r))
-    if len(kept) < 3:
+    reports = [first_exit(batch, r) for r in radii]
+    probs = np.array([report.probability for report in reports])
+    ses = np.array([report.standard_error for report in reports])
+    seen = probs > 0.0
+    dropped = radii[~seen].tolist()
+    for r in dropped:
+        warnings.warn(f"radius {r:g}: no exits observed, dropped from fit")
+    if seen.sum() < 3:
         raise DomainError(
-            f"only {len(kept)} radii with nonzero exit probability; "
+            f"only {seen.sum()} radii with nonzero exit probability; "
             "need at least 3 (degenerate input)")
-    kept = np.asarray(kept)
-    probs_arr = np.asarray(probs)
-    xs = (kept - x0_norm) ** 2
-    ys = np.log(probs_arr)
-    slope, intercept, r2 = line_fit(xs, ys)
+    slope, intercept, r2 = line_fit((radii[seen] - x0_norm) ** 2,
+                                    np.log(probs[seen]))
     return ExitDecayFit(slope=slope, intercept=intercept, r_squared=r2,
-                        radii=kept, probabilities=probs_arr,
-                        standard_errors=np.asarray(ses), dropped=dropped)
-
+                        radii=radii[seen], probabilities=probs[seen],
+                        standard_errors=ses[seen], dropped=dropped)

@@ -50,10 +50,21 @@ def parallel_map(fn, items, workers) -> list:
         return list(pool.map(fn, items))
 
 
+def _batch(v: dict):
+    """The forward batch of a kind's batch keys, simulated from x0."""
+    grid = TimeGrid.uniform(v["horizon"], v["steps"])
+    return simulate(diffusion_by_name(v["diffusion"]), [v["x0"]], grid,
+                    v["samples"], v["seed"])
+
+
+def _driver(v: dict):
+    return driver_by_names(v["driver_space"], v["driver_time"],
+                           amplitude=v["amplitude"])
+
+
 # -- handlers ----------------------------------------------------------------
 
-def _run_simulate_fbs(cfg, out: Path) -> RunResult:
-    v = cfg.values
+def _run_simulate_fbs(v: dict, out: Path) -> RunResult:
     times = np.linspace(0.0, v["horizon"], v["time_points"])
     axes = [np.linspace(v["space_min"], v["space_max"], v["space_points"])
             for _ in range(v["sdim"])]
@@ -71,15 +82,12 @@ def _run_simulate_fbs(cfg, out: Path) -> RunResult:
     return RunResult(files=[path, meta])
 
 
-def _run_young_integral(cfg, out: Path) -> RunResult:
-    v = cfg.values
+def _run_young_integral(v: dict, out: Path) -> RunResult:
     grid = TimeGrid(np.linspace(v["lower"], v["upper"], v["steps"] + 1),
                     v["horizon"])
     y = SamplePath(grid, path_function(v["integrand"])(grid.times))
     x = SamplePath(grid, path_function(v["space_path"])(grid.times))
-    driver = driver_by_names(v["driver_space"], v["driver_time"],
-                             amplitude=v["amplitude"])
-    result = nonlinear_young_integral(y, x, driver, tol_abs=v["tol_abs"],
+    result = nonlinear_young_integral(y, x, _driver(v), tol_abs=v["tol_abs"],
                                       tol_rel=v["tol_rel"],
                                       max_levels=v["max_levels"])
     rows = [[ch, result.value[ch], result.levels, result.cauchy_gap,
@@ -105,8 +113,7 @@ def _flow_alpha(kind: str, times: np.ndarray, n_dim: int) -> np.ndarray:
     raise ConfigError(f"unknown alpha_kind {kind!r} for n_dim=2")
 
 
-def _run_flow(cfg, out: Path) -> RunResult:
-    v = cfg.values
+def _run_flow(v: dict, out: Path) -> RunResult:
     grid = TimeGrid.uniform(v["horizon"], v["steps"])
     x = SamplePath(grid, path_function(v["x_path"])(grid.times))
     driver = driver_by_names(v["driver_space"], v["driver_time"])
@@ -136,41 +143,29 @@ def _run_flow(cfg, out: Path) -> RunResult:
     return RunResult(files=[f1, f2])
 
 
-def _run_linear_bsde(cfg, out: Path) -> RunResult:
-    v = cfg.values
-    grid = TimeGrid.uniform(v["horizon"], v["steps"])
-    diffusion = diffusion_by_name(v["diffusion"])
-    driver = driver_by_names(v["driver_space"], v["driver_time"],
-                             amplitude=v["amplitude"])
+def _run_linear_bsde(v: dict, out: Path) -> RunResult:
     terminal = terminal_function(v["terminal"])
     spec = LinearBsdeSpec(
         alpha=0.0 if v["alpha"] == "zero" else 1.0,
-        terminal=lambda paths: terminal(paths[:, -1, :]), driver=driver,
+        terminal=lambda paths: terminal(paths[:, -1, :]), driver=_driver(v),
         drift_change=drift_change_function(v["drift_change"],
                                            v["drift_change_amplitude"]))
-    batch = simulate(diffusion, [v["x0"]], grid, v["samples"], v["seed"])
-    sol = solve_linear_bsde(spec, batch)
+    sol = solve_linear_bsde(spec, _batch(v))
     path = write_csv(out / "linear_solution.csv",
                      ["time", "y0", "standard_error", "samples"],
                      [[0.0, sol.y0, sol.y0_standard_error, v["samples"]]])
     return RunResult(files=[path])
 
 
-def _run_nonlinear_bsde(cfg, out: Path) -> RunResult:
-    v = cfg.values
-    grid = TimeGrid.uniform(v["horizon"], v["steps"])
-    diffusion = diffusion_by_name(v["diffusion"])
-    driver = driver_by_names(v["driver_space"], v["driver_time"],
-                             amplitude=v["amplitude"])
-    terminal = terminal_function(v["terminal"])
+def _run_nonlinear_bsde(v: dict, out: Path) -> RunResult:
     rate = v["reaction_rate"]
     problem = BsdeProblem(
         f=lambda t, x, y, z: rate * y, g=y_coefficient_function(v["g"]),
-        terminal=terminal, driver=driver, coefficient_bound=1.0,
-        lipschitz_f=max(abs(rate), 1e-9))
+        terminal=terminal_function(v["terminal"]), driver=_driver(v),
+        coefficient_bound=1.0, lipschitz_f=max(abs(rate), 1e-9))
     picard = PicardConfig(tolerance=v["picard_tol"],
                           max_iterations=v["picard_max"])
-    batch = simulate(diffusion, [v["x0"]], grid, v["samples"], v["seed"])
+    batch = _batch(v)
     finest, table = solve_bsde_with_localization(
         problem, v["radii"], batch, basis_degree=v["basis_degree"],
         picard=picard)
@@ -188,7 +183,7 @@ def _run_nonlinear_bsde(cfg, out: Path) -> RunResult:
     rows = []
     res = martingale_residual(problem, finest, batch,
                               basis_degree=v["basis_degree"])
-    for i, t in enumerate(grid.times[:-1]):
+    for i, t in enumerate(batch.grid.times[:-1]):
         yc = finest.y_coefficients[i]
         zc = finest.z_coefficients[i]
         rows.append([t,
@@ -199,30 +194,25 @@ def _run_nonlinear_bsde(cfg, out: Path) -> RunResult:
     return RunResult(files=[f1, f2], converged=finest.converged)
 
 
-def _run_pde_fk(cfg, out: Path) -> RunResult:
-    v = cfg.values
+def _run_pde_fk(v: dict, out: Path) -> RunResult:
     diffusion = diffusion_by_name(v["diffusion"])
-    driver = driver_by_names(v["driver_space"], v["driver_time"],
-                             amplitude=v["amplitude"])
+    driver = _driver(v)
     terminal = terminal_function(v["terminal"])
-    points = [(v["eval_time"], [x]) for x in v["eval_xs"]]
+    t, xs = v["eval_time"], v["eval_xs"]
 
-    def job(indexed):
-        j, (t, x) = indexed
-        return fk_point_estimate(diffusion, driver, terminal, t, x,
+    def job(j):
+        return fk_point_estimate(diffusion, driver, terminal, t, [xs[j]],
                                  v["horizon"], v["steps"], v["samples"],
                                  hash64(v["seed"], j))
 
-    results = parallel_map(job, list(enumerate(points)), v["workers"])
-    rows = [[t, x[0], u, se, v["samples"]]
-            for (t, x), (u, se) in zip(points, results)]
+    results = parallel_map(job, list(range(len(xs))), v["workers"])
+    rows = [[t, x, u, se, v["samples"]] for x, (u, se) in zip(xs, results)]
     path = write_csv(out / "pde_table.csv",
                      ["time", "x", "u", "standard_error", "samples"], rows)
     return RunResult(files=[path])
 
 
-def _run_localization_error(cfg, out: Path) -> RunResult:
-    v = cfg.values
+def _run_localization_error(v: dict, out: Path) -> RunResult:
     diffusion = diffusion_by_name(v["diffusion"])
     if v["reaction_kind"] == "zero":
         f = lambda t, x, y, z: np.zeros(x.shape[0])
@@ -248,20 +238,17 @@ def _run_localization_error(cfg, out: Path) -> RunResult:
     f1 = write_csv(out / "decay_fits.csv",
                    ["x", "slope", "intercept", "r_squared",
                     "reference_value"], fit_rows)
-    gap_rows = []
-    for j, pt in enumerate(report.eval_points):
-        for k, r in enumerate(report.radii):
-            gap_rows.append([pt[0], r, report.gaps[j, k],
-                             report.gap_ses[j, k],
-                             bool(report.saturated[j, k])])
+    gap_rows = [[pt[0], r, report.gaps[j, k], report.gap_ses[j, k],
+                 bool(report.saturated[j, k])]
+                for j, pt in enumerate(report.eval_points)
+                for k, r in enumerate(report.radii)]
     f2 = write_csv(out / "decay_gaps.csv",
                    ["x", "radius", "gap", "standard_error", "saturated"],
                    gap_rows)
     return RunResult(files=[f1, f2])
 
 
-def _run_hurst_region(cfg, out: Path) -> RunResult:
-    v = cfg.values
+def _run_hurst_region(v: dict, out: Path) -> RunResult:
     table = hurst_region_grid(v["d"], v["resolution"])
     path = write_csv(out / "hurst_region.csv", ["H", "H0", "admissible"],
                      [[row["h"], row["h0"], row["admissible"]]
@@ -269,18 +256,15 @@ def _run_hurst_region(cfg, out: Path) -> RunResult:
     return RunResult(files=[path])
 
 
-def _run_tower_rule(cfg, out: Path) -> RunResult:
-    v = cfg.values
-    grid = TimeGrid.uniform(v["horizon"], v["steps"])
-    diffusion = diffusion_by_name(v["diffusion"])
+def _run_tower_rule(v: dict, out: Path) -> RunResult:
     driver = driver_by_names(v["driver_space"], v["driver_time"])
-    batch = simulate(diffusion, [v["x0"]], grid, v["samples"], v["seed"])
-    x_terminal = batch.paths[:, -1, 0]
-    if v["a_process"] == "terminal-linear":
-        a_vals = np.tile(x_terminal[:, None], (1, grid.times.size))
-    else:
-        a_vals = np.tile((x_terminal**2)[:, None], (1, grid.times.size))
-    b_vals = np.ones((v["samples"], grid.times.size)) \
+    batch = _batch(v)
+    m = batch.grid.times.size
+    a_terminal = batch.paths[:, -1, 0]
+    if v["a_process"] == "terminal-square":
+        a_terminal = a_terminal**2
+    a_vals = np.tile(a_terminal[:, None], (1, m))
+    b_vals = np.ones((v["samples"], m)) \
         if v["b_process"] == "one" else batch.paths[:, :, 0]
     est1, est2, se = tower_rule_defect(a_vals, b_vals, driver, batch,
                                        t_index=v["t_index"],
@@ -293,12 +277,8 @@ def _run_tower_rule(cfg, out: Path) -> RunResult:
     return RunResult(files=[path])
 
 
-def _run_exit_decay(cfg, out: Path) -> RunResult:
-    v = cfg.values
-    grid = TimeGrid.uniform(v["horizon"], v["steps"])
-    diffusion = diffusion_by_name(v["diffusion"])
-    fit = exit_tail_decay(diffusion, [v["x0"]], v["radii"], grid,
-                          v["samples"], v["seed"])
+def _run_exit_decay(v: dict, out: Path) -> RunResult:
+    fit = exit_tail_decay(_batch(v), v["radii"])
     f1 = write_csv(out / "exit_probabilities.csv",
                    ["radius", "probability", "standard_error"],
                    [[r, p, s] for r, p, s in
@@ -328,4 +308,4 @@ _HANDLERS = {
 def run_experiment(config: ExperimentConfig, out_dir) -> RunResult:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _HANDLERS[config.kind](config, out)
+    return _HANDLERS[config.kind](config.values, out)

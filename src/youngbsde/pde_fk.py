@@ -27,18 +27,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bsde import (BsdeProblem, BsdeSolution, PicardConfig, _check_secant,
-                   _contract_cloud, _standard_error, girsanov_weight,
+                   _contract_cloud, _log_girsanov_weight, _standard_error,
                    solve_bsde_with_localization)
 # bench/tracer.py wraps solve_localized_bsde as bound in this module
 from .bsde import solve_localized_bsde  # noqa: F401
 from .diffusion import DiffusionSpec, PathBatch, simulate
 from .drivers import SpaceTimeDriver, mollify_time
-from .errors import DomainError, NumericalError
+from .errors import DomainError
 from .paths import TimeGrid
 from .regression import line_fit
 from .rng import hash64
 # bench/tracer.py wraps young_sum_batch as bound in this module
-from .young_calculus import (FLOW_OVERFLOW_GUARD, step_increments,
+from .young_calculus import (_check_log_weight, step_increments,
                              young_sum_batch)
 
 __all__ = [
@@ -94,27 +94,25 @@ def solve_linear_bsde(spec: LinearBsdeSpec, batch: PathBatch
         Y_0 = E[exp(sum_i alpha_i int eta_i(dr, X)) xi M_T],
     on the given path batch, with M the exponential martingale of the drift
     change (1 without one): the mean of one payoff per sample, whose spread
-    gives the standard error.  Raises NumericalError when a sample's final
-    exponent passes log(FLOW_OVERFLOW_GUARD), the exact flow's rule.  The control process Z
-    is not produced by this formula; Z estimation belongs to the regression
-    pathway of the localized solver and any Z here is None.
+    gives the standard error.  Raises NumericalError when a sample's log
+    weight, the exponent plus log M_T, passes log(FLOW_OVERFLOW_GUARD).  The
+    control process Z is not produced by this formula; Z estimation belongs
+    to the regression pathway of the localized solver and any Z here is None.
     """
     times = batch.grid.times
     exponent = np.sum(np.asarray(spec.alpha, dtype=float)
                       * young_sum_batch(spec.driver, times, batch.paths),
                       axis=1)
-    if np.max(exponent) > np.log(FLOW_OVERFLOW_GUARD):
-        raise NumericalError(
-            f"Feynman-Kac weight overflow: exponent "
-            f"{float(np.max(exponent)):g} above log({FLOW_OVERFLOW_GUARD:g})")
-    xi = np.asarray(spec.terminal(batch.paths), dtype=float).reshape(
-        batch.samples)
-    payoff = np.exp(exponent) * xi
+    log_m = 0.0
     if spec.drift_change is not None:
         g_vals = np.empty((batch.samples, times.size - 1, batch.dim))
         for i in range(times.size - 1):
             g_vals[:, i] = spec.drift_change_at(times[i], batch.paths[:, i])
-        payoff *= girsanov_weight(g_vals, batch.increments, np.diff(times))
+        log_m = _log_girsanov_weight(g_vals, batch.increments, np.diff(times))
+    _check_log_weight(exponent + log_m, "Feynman-Kac weight")
+    xi = np.asarray(spec.terminal(batch.paths), dtype=float).reshape(
+        batch.samples)
+    payoff = np.exp(exponent) * xi * np.exp(log_m)
     return BsdeSolution(y0=float(payoff.mean()), y_coefficients=None,
                         z_coefficients=None, y_paths=None, z_paths=None,
                         radius=math.inf, picard_iterations=0, picard_gaps=[],

@@ -42,6 +42,15 @@ DEFAULT_TOL_REL = 1e-6
 DEFAULT_MAX_LEVELS = 16
 
 
+def _check_log_weight(log_weight: np.ndarray, what: str) -> None:
+    """The overflow rule of every exponential weight: raise NumericalError
+    when a log weight passes log(FLOW_OVERFLOW_GUARD)."""
+    worst = float(np.max(log_weight))
+    if worst > np.log(FLOW_OVERFLOW_GUARD):
+        raise NumericalError(f"{what} overflow: log weight {worst:g} above "
+                             f"log({FLOW_OVERFLOW_GUARD:g})")
+
+
 @dataclass(frozen=True)
 class YoungIntegralResult:
     """Converged (or best-effort) value of a nonlinear Young integral."""
@@ -255,8 +264,7 @@ def solve_flow(alpha, driver: SpaceTimeDriver, x: SamplePath,
         deta = driver.increment_pairs(sub_t[:-1], sub_t[1:], sub_x[:-1])
         increments = np.sum(sub_a[:-1, :, 0, 0] * deta, axis=1)
         exponent = np.concatenate([[0.0], np.cumsum(increments)])
-        if np.max(exponent) > np.log(FLOW_OVERFLOW_GUARD):
-            raise NumericalError("exact flow exponent beyond overflow guard")
+        _check_log_weight(exponent, "exact flow")
         matrices = np.exp(exponent)[:, None, None]
         return FlowPath(base_time=float(sub_t[0]), times=sub_t,
                         matrices=matrices, mode="exact")

@@ -14,7 +14,7 @@ from youngbsde.bsde import (BsdeProblem, PicardConfig,
                             girsanov_weight, martingale_residual,
                             solve_bsde_with_localization,
                             solve_localized_bsde, tower_rule_defect)
-from youngbsde.diffusion import DiffusionSpec, first_exit, simulate
+from youngbsde.diffusion import DiffusionSpec, PathBatch, first_exit, simulate
 from youngbsde.drivers import (SpaceTimeDriver, make_separable_driver,
                                zero_driver)
 from youngbsde.errors import DomainError, NumericalError
@@ -136,6 +136,19 @@ class TestGirsanov:
         m2 = girsanov_weight(g2, b2.increments, np.diff(GRID.times))
         np.testing.assert_array_equal(m1, m2)
 
+    def test_weight_above_guard_raises(self):
+        # log M_T = 10 * 8 - 50 = 30 > log(1e12): M_T would be 1.07e13
+        with pytest.raises(NumericalError, match="overflow"):
+            girsanov_weight(np.full((1, 1, 1), 10.0), np.full((1, 1, 1), 8.0),
+                            np.array([1.0]))
+
+    def test_guard_reads_the_final_log_weight(self):
+        # log M passes 700 after the first step (40 * 38 - 800 = 720) and
+        # the second step (40 * 2 - 800 = -720) brings it back to 0
+        m_t = girsanov_weight(np.full((1, 2, 1), 40.0),
+                              np.array([[[38.0], [2.0]]]), np.ones(2))
+        assert m_t.tolist() == [1.0]
+
 
 class TestLinearSolver:
     def test_martingale_case(self):
@@ -162,6 +175,30 @@ class TestLinearSolver:
             terminal=lambda p: np.ones(p.shape[0]), driver=driver)
         sol = solve_linear_bsde(spec, brownian_batch(200, seed=1))
         assert sol.y0 == pytest.approx(math.exp(0.25), rel=1e-12)
+
+    def test_guard_reads_the_whole_weight(self):
+        # exponent 10 and log M_T = 3 * 8 - 4.5 = 19.5 are each below
+        # log(1e12) ~ 27.6, their sum 29.5 is not
+        driver = driver_by_names("one", "linear", amplitude=10.0)
+        # two paths at rest at 0 whose one Brownian increment is 8
+        batch = PathBatch(grid=TimeGrid.uniform(1.0, 1),
+                          paths=np.zeros((2, 2, 1)),
+                          increments=np.full((2, 1, 1), 8.0))
+
+        def spec(alpha, drift_change):
+            return LinearBsdeSpec(
+                alpha=alpha, terminal=lambda p: np.ones(p.shape[0]),
+                driver=driver, drift_change=drift_change)
+
+        def drift(t, x):
+            return np.full_like(x, 3.0)
+
+        assert solve_linear_bsde(spec(1.0, None), batch).y0 == \
+            pytest.approx(math.exp(10.0), rel=1e-12)
+        assert solve_linear_bsde(spec(0.0, drift), batch).y0 == \
+            pytest.approx(math.exp(19.5), rel=1e-12)
+        with pytest.raises(NumericalError, match="overflow"):
+            solve_linear_bsde(spec(1.0, drift), batch)
 
     def test_kac_potential_against_finite_differences(self):
         from youngbsde.fd import crank_nicolson_terminal_value

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from youngbsde import experiments
+from youngbsde.acceptance import _DETERMINISM_CONFIGS
 from youngbsde.cli import main
 from youngbsde.config import parse_config
 from youngbsde.csvio import format_value, sha256_of_file, write_csv
@@ -17,13 +19,13 @@ from youngbsde.rng import hash64, stream
 class TestConfigParsing:
     def test_defaults_filled(self):
         cfg = parse_config(text="kind = hurst-region\n")
-        assert cfg["resolution"] == 101
-        assert cfg["seed"] == 0
+        assert cfg.values["resolution"] == 101
+        assert cfg.values["seed"] == 0
 
     def test_comments_and_blank_lines(self):
         cfg = parse_config(text="# comment\nkind = hurst-region\n\n"
                                 "d = 2  # inline\n")
-        assert cfg["d"] == 2
+        assert cfg.values["d"] == 2
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
@@ -51,12 +53,12 @@ class TestConfigParsing:
 
     def test_tuple_values(self):
         cfg = parse_config(text="kind = exit-decay\nradii = 1.0,2.0, 3.0\n")
-        assert cfg["radii"] == (1.0, 2.0, 3.0)
+        assert cfg.values["radii"] == (1.0, 2.0, 3.0)
 
     def test_overrides_win(self):
         cfg = parse_config(text="kind = hurst-region\nd = 1\n",
                            overrides=["d=3", "seed=9"])
-        assert cfg["d"] == 3 and cfg["seed"] == 9
+        assert cfg.values["d"] == 3 and cfg.values["seed"] == 9
 
     def test_echo_round_trips_types(self):
         cfg = parse_config(text="kind = exit-decay\n")
@@ -357,3 +359,59 @@ class TestWorkerDeterminism:
             bodies[w] = {p.name: p.read_bytes()
                          for p in sorted(out.glob("*.csv"))}
         assert bodies[1] == bodies[4]
+
+
+# sha256 of every CSV of the criterion-12 configs at seed 77, one worker
+GOLDEN_SHA256 = {
+    "simulate-fbs/sheet.csv":
+        "62541d803fe1d71932bd62fb729ef071e92b448ab718c8e518a0a611c743230b",
+    "simulate-fbs/sheet_meta.csv":
+        "1c336e9bc788301bda47fa7d1078db519c75bdefd32fef0294b9e8a0b9690e29",
+    "young-integral/integral.csv":
+        "097581185b7fa26267aa177c570c9bcfd784915a7c0a4a02ba50a3bb2e84ba63",
+    "flow/flow.csv":
+        "cc16c8fa1b10c640f95f597ba1c12605aa707e7f8e98bf241a9a277cd6ebf50f",
+    "flow/flow_diagnostics.csv":
+        "bb73ee215e21a99cae3772d197cc1af2e01bb83ca0c77c4071d27dc84b6d0804",
+    "linear-bsde/linear_solution.csv":
+        "a11e97144b9cce9a07e04016f5cfb0a27bb71e2b87e1e8a657c4d13b07ff4b44",
+    "nonlinear-bsde/localization_decay.csv":
+        "11a5e503e7b13b5177f2020d568eb5303c5f92b8f2404282785f527a617e7bf2",
+    "nonlinear-bsde/solution_coefficients.csv":
+        "21a8f5b70607c0450034cf1ee88661a45389706c12c5f997e49a9342eb1a884f",
+    "pde-fk/pde_table.csv":
+        "fcdf1f4735cdfbb0864e58ebd437293b0fb6e1dfdc4f48bf6ded80a1e049c365",
+    "localization-error/decay_fits.csv":
+        "109c1024ab0a4d1552894fe7dfb35ff94352e070e9e08711f0c5f330e47f6c73",
+    "localization-error/decay_gaps.csv":
+        "8be5149edf68172a0395f9f6e9bf0abc7c86d409d3f8688919fe880fe643fde0",
+    "hurst-region/hurst_region.csv":
+        "33f32e7b6c22cf733a7fe0e5b2946efee5295fb04c4cd8591ff1c10be2b6bbdf",
+    "tower-rule/tower.csv":
+        "749e15aac8003d2d8dfeb33a64be7431c7437588a97004ca6c410bb5ea8dc863",
+    "exit-decay/exit_probabilities.csv":
+        "d17b744cef3d906dc999d0c6ba51b2110e055af6dffe88e1627dbc1311c60f69",
+    "exit-decay/exit_decay_fit.csv":
+        "de88669b6a750538760023c78f85707471ff3b914122b45e7f142f81e67e07ac",
+}
+
+
+class TestGoldenBytes:
+    def test_determinism_configs_keep_their_bytes(self, tmp_path):
+        # criterion 12 compares worker counts within one tree; this pins the
+        # bytes themselves, so an output move from one revision to the next
+        # is seen
+        digests = {}
+        for kind, body in _DETERMINISM_CONFIGS.items():
+            cfg = parse_config(text=f"kind = {kind}\nseed = 77\n{body}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                result = experiments.run_experiment(cfg, tmp_path / kind)
+            for f in result.files:
+                digests[f"{kind}/{Path(f).name}"] = sha256_of_file(f)
+        moved = sorted(name for name in digests.keys() | GOLDEN_SHA256.keys()
+                       if digests.get(name) != GOLDEN_SHA256.get(name))
+        assert not moved, (
+            f"output bytes moved: {moved}. Declare the move in CHANGES.md, "
+            "with a statistical equivalence check against the old outputs, "
+            "then update GOLDEN_SHA256")

@@ -218,9 +218,10 @@ class TestFirstExit:
 
 class TestExitTailDecay:
     def test_brownian_gaussian_tail(self):
-        fit = exit_tail_decay(diffusion_by_name("brownian"), [0.0],
-                              [1.0, 1.5, 2.0, 2.5],
-                              TimeGrid.uniform(1.0, 128), 20000, seed=5)
+        fit = exit_tail_decay(
+            simulate(diffusion_by_name("brownian"), [0.0],
+                     TimeGrid.uniform(1.0, 128), 20000, seed=5),
+            [1.0, 1.5, 2.0, 2.5])
         assert fit.slope < 0
         assert fit.r_squared >= 0.9
         # Gaussian oracle for the reflection bound: P ~ 4 Phi-bar(r)
@@ -232,13 +233,13 @@ class TestExitTailDecay:
 
     def test_radii_below_start_rejected(self):
         with pytest.raises(DomainError, match=">="):
-            exit_tail_decay(constant_spec(1.0, 0.0), [2.0], [1.0, 2.5, 3.0],
-                            GRID, 100, seed=1)
+            exit_tail_decay(simulate(constant_spec(1.0, 0.0), [2.0], GRID,
+                                     100, seed=1), [1.0, 2.5, 3.0])
 
     def test_degenerate_no_exit_reported(self):
         with pytest.raises(DomainError, match="degenerate|nonzero"):
-            exit_tail_decay(constant_spec(0.0, 0.0), [0.0],
-                            [1.0, 1.5, 2.0], GRID, 50, seed=1)
+            exit_tail_decay(simulate(constant_spec(0.0, 0.0), [0.0], GRID,
+                                     50, seed=1), [1.0, 1.5, 2.0])
 
 
 def sample_major(batch):
