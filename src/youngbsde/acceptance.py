@@ -31,11 +31,10 @@ from .fd import crank_nicolson_terminal_value
 from .fractional_sheet import (SheetSpec, covariance_matrix,
                                hurst_region_grid, sample_sheet_batch)
 from .paths import SamplePath, TimeGrid, p_variation, p_variation_brute_force
-from .pde_fk import (PdeProblem, localization_error_experiment,
-                     solve_linear_young_pde)
+from .pde_fk import localization_error_experiment, solve_linear_young_pde
 from .registry import (diffusion_by_name, driver_by_names,
                        drift_change_function)
-from .rng import stream
+from .rng import hash64, stream
 from .young_calculus import (flow_product_defect, nonlinear_young_integral,
                              solve_flow, young_sum_fixed_partition)
 
@@ -282,20 +281,21 @@ def _c09_linear_pde_vs_fd(out: Path):
 def _c10_localization_decay(out: Path):
     # x^2 - t is a martingale, so u_R(0, 0) = E[tau_R ^ T] and the true gap
     # to the reference ball is E[tau_4 ^ T - tau_R ^ T] > 0 at every radius
-    problem = PdeProblem(
+    problem = BsdeProblem(
         f=lambda t, x, y, z: np.zeros(x.shape[0]),
         g=lambda y: np.zeros((np.size(y), 1)),
         terminal=lambda x: x[:, 0] ** 2, driver=zero_driver(),
-        lipschitz_f=math.inf, diffusion=_brownian(), horizon=1.0,
-        lipschitz_terminal=math.inf)  # x^2 is not Lipschitz
+        lipschitz_f=math.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = localization_error_experiment(
-            problem, [1.0, 1.5, 2.0, 2.5], [np.array([0.0])],
-            samples=200000, seed=2, steps=64, reference_radius=4.0)
+            problem, [1.0, 1.5, 2.0, 2.5],
+            [simulate(_brownian(), [0.0], TimeGrid.uniform(1.0, 64), 200000,
+                      hash64(2, 0))], 4.0)
         saturated = localization_error_experiment(
-            problem, [7.0], [np.array([0.0])], samples=10000, seed=2,
-            steps=64, reference_radius=8.0)
+            problem, [7.0],
+            [simulate(_brownian(), [0.0], TimeGrid.uniform(1.0, 64), 10000,
+                      hash64(2, 0))], 8.0)
     slope, r2 = report.slopes[0], report.r_squared[0]
     with np.errstate(invalid="ignore", divide="ignore"):
         z_min = float(np.min(report.gaps[0] / report.gap_ses[0]))

@@ -114,6 +114,9 @@ def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
     error is the one relevant for testing the defect.  The sums start at grid
     index t_index, which must leave at least one step: 0 <= t_index <= m - 2.
     """
+    if driver.channels != 1:
+        raise DomainError(f"tower-rule defect implemented for one driver "
+                          f"channel, got {driver.channels}")
     times = batch.grid.times
     S, m = batch.samples, times.size
     if not 0 <= t_index <= m - 2:
@@ -473,6 +476,9 @@ def exponential_moment_diagnostic(alpha_values: np.ndarray,
     """
     if exponent <= 0:
         raise DomainError("exponent must be positive")
+    if driver.channels != 1:
+        raise DomainError(f"exponential moment implemented for one driver "
+                          f"channel, got {driver.channels}")
     times = batch.grid.times
     S, m = batch.samples, times.size
     alpha_values = np.asarray(alpha_values, dtype=float).reshape(S, m)

@@ -28,6 +28,7 @@ __all__ = [
     "ExitDecayFit",
     "simulate",
     "first_exit",
+    "check_exit_radii",
     "exit_tail_decay",
 ]
 
@@ -218,34 +219,47 @@ def simulate(spec: DiffusionSpec, x0, grid: TimeGrid, samples: int,
                      increments=dw.swapaxes(0, 1))
 
 
+def _exit_report(norms: np.ndarray, radius: float) -> ExitReport:
+    """The stop rule of `first_exit` on the (S, m) state norms of a batch."""
+    if radius <= 0:
+        raise DomainError("exit radius must be positive")
+    stopped = norms > radius
+    stopped[:, -1] = True  # every sample stops at the horizon at the latest
+    stop = stopped.argmax(axis=1)
+    p = float(np.mean(stop < stopped.shape[1] - 1))
+    se = math.sqrt(max(p * (1 - p), 0.0) / norms.shape[0])
+    return ExitReport(stop_index=stop, probability=p, standard_error=se)
+
+
 def first_exit(batch: PathBatch, radius: float) -> ExitReport:
     """First grid index with |X| > radius per sample, else the last index;
     the probability is the fraction of samples stopped before the
     horizon."""
-    if radius <= 0:
-        raise DomainError("exit radius must be positive")
-    stopped = np.linalg.norm(batch.paths, axis=2) > radius
-    stopped[:, -1] = True  # every sample stops at the horizon at the latest
-    stop = stopped.argmax(axis=1)
-    p = float(np.mean(stop < stopped.shape[1] - 1))
-    se = math.sqrt(max(p * (1 - p), 0.0) / batch.samples)
-    return ExitReport(stop_index=stop, probability=p, standard_error=se)
+    return _exit_report(np.linalg.norm(batch.paths, axis=2), radius)
+
+
+def check_exit_radii(x0, radii) -> tuple[float, np.ndarray]:
+    """|x0| and the radii sorted, after checking that none is below |x0|;
+    callers check before they simulate from x0."""
+    x0_norm = float(np.linalg.norm(x0))
+    radii = np.sort(np.asarray(radii, dtype=float))
+    if np.any(radii < x0_norm):
+        raise DomainError(
+            f"all radii must be >= |x0| = {x0_norm:g}; got {radii.tolist()}")
+    return x0_norm, radii
 
 
 def exit_tail_decay(batch: PathBatch, radii) -> ExitDecayFit:
     """Regress log P(exit before the horizon) on (radius - |x0|)^2 over the
     given batch, whose paths all start at x0 (|x0| is read from its first
-    path).
+    path).  The state norms are taken once for all radii.
 
     Radii below |x0| are rejected; radii with no observed exits are dropped
     with a warning.  At least 3 usable radii are required for the fit.
     """
-    x0_norm = float(np.linalg.norm(batch.paths[0, 0]))
-    radii = np.sort(np.asarray(radii, dtype=float))
-    if np.any(radii < x0_norm):
-        raise DomainError(
-            f"all radii must be >= |x0| = {x0_norm:g}; got {radii.tolist()}")
-    reports = [first_exit(batch, r) for r in radii]
+    x0_norm, radii = check_exit_radii(batch.paths[0, 0], radii)
+    norms = np.linalg.norm(batch.paths, axis=2)
+    reports = [_exit_report(norms, r) for r in radii]
     probs = np.array([report.probability for report in reports])
     ses = np.array([report.standard_error for report in reports])
     seen = probs > 0.0

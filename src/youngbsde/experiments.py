@@ -18,7 +18,7 @@ from .bsde import (BsdeProblem, PicardConfig, martingale_residual,
                    solve_bsde_with_localization, tower_rule_defect)
 from .config import ExperimentConfig
 from .csvio import write_csv
-from .diffusion import exit_tail_decay, simulate
+from .diffusion import check_exit_radii, exit_tail_decay, simulate
 from .drivers import save_sampled_driver, zero_driver
 from .errors import ConfigError
 from .fractional_sheet import SheetSpec, hurst_region_grid, sample_sheet
@@ -227,10 +227,10 @@ def _run_localization_error(v: dict, out: Path) -> RunResult:
         terminal=terminal_function(v["terminal"]),
         driver=zero_driver(diffusion.dim), lipschitz_f=math.inf,
         diffusion=diffusion, horizon=v["horizon"])
+    batches = (_batch({**v, "x0": x, "seed": hash64(v["seed"], j)})
+               for j, x in enumerate(v["eval_xs"]))
     report = localization_error_experiment(
-        problem, v["radii"], [np.array([x]) for x in v["eval_xs"]],
-        samples=v["samples"], seed=v["seed"], steps=v["steps"],
-        reference_radius=v["reference_radius"],
+        problem, v["radii"], batches, v["reference_radius"],
         min_detectable_z=v["min_detectable_z"])
     fit_rows = [[pt[0], report.slopes[j], report.intercepts[j],
                  report.r_squared[j], report.reference_values[j]]
@@ -278,6 +278,7 @@ def _run_tower_rule(v: dict, out: Path) -> RunResult:
 
 
 def _run_exit_decay(v: dict, out: Path) -> RunResult:
+    check_exit_radii(v["x0"], v["radii"])
     fit = exit_tail_decay(_batch(v), v["radii"])
     f1 = write_csv(out / "exit_probabilities.csv",
                    ["radius", "probability", "standard_error"],

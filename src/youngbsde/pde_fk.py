@@ -365,76 +365,67 @@ class LocalizationDecayReport:
     reference_values: np.ndarray
 
 
-def localization_error_experiment(problem: PdeProblem, radii,
-                                  eval_xs, samples: int, seed: int,
-                                  steps: int = 64,
-                                  reference_radius: float | None = None,
+def localization_error_experiment(problem: BsdeProblem, radii, batches,
+                                  reference_radius: float,
                                   basis_degree: int = 2,
                                   min_detectable_z: float = 0.0
                                   ) -> LocalizationDecayReport:
     """Fit the decay of |u^n(0,x) - u^ref(0,x)| in n^2 on common random
     numbers, per evaluation point, for the problem as given.
 
-    Each point's batch is simulated from hash64(seed, point index), and
-    all its radii are solved on it.  The whole-space solution is
-    operationalized as the run at reference_radius (default: beyond the
-    largest requested radius).  Radii whose gap is exactly zero are
-    saturated (no sample distinguishes the balls) and are excluded from the
-    log fit; a positive min_detectable_z additionally drops radii whose gap
-    is below that multiple of its paired standard error, with a warning.
+    `batches` holds one path batch per evaluation point, whose x is read
+    from its first path; all the radii are solved on it.  The radii are
+    checked before the first batch is read, so a generator of batches
+    simulates nothing for a bad sweep.  The whole-space solution is
+    operationalized as the run at reference_radius, which must exceed the
+    largest radius.  Radii whose gap is exactly zero are saturated (no
+    sample distinguishes the balls) and are excluded from the log fit; a
+    positive min_detectable_z additionally drops radii whose gap is below
+    that multiple of its paired standard error, with a warning.
     """
     radii = np.sort(np.asarray(radii, dtype=float))
     if radii.size == 0:
         raise DomainError("localization error needs at least one radius")
-    if reference_radius is None:
-        reference_radius = float(radii[-1] + 1.0)
     if reference_radius <= radii[-1]:
         raise DomainError("reference radius must exceed the largest radius")
-    grid = TimeGrid.uniform(problem.horizon, steps)
-    n_pts = len(eval_xs)
-    gaps = np.empty((n_pts, radii.size))
-    gap_ses = np.empty_like(gaps)
-    saturated = np.zeros_like(gaps, dtype=bool)
-    slopes = np.empty(n_pts)
-    intercepts = np.empty(n_pts)
-    r2s = np.empty(n_pts)
-    ref_values = np.empty(n_pts)
-
-    for j, x in enumerate(eval_xs):
-        x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-        batch = simulate(problem.diffusion, x_arr, grid, samples,
-                         hash64(seed, j))
+    points, ref_values, gaps, gap_ses, saturated = [], [], [], [], []
+    slopes, intercepts, r2s = [], [], []
+    for batch in batches:
+        x = batch.paths[0, 0].copy()  # a view would keep the batch alive
         ref, table = solve_bsde_with_localization(
             problem, np.append(radii, reference_radius), batch,
             basis_degree=basis_degree)
-        ref_values[j] = ref.y0
-        usable_x, usable_y = [], []
-        for k, row in enumerate(table[:-1]):
+        points.append(x)
+        ref_values.append(ref.y0)
+        gaps.append([row["gap"] for row in table[:-1]])
+        gap_ses.append([row["se"] for row in table[:-1]])
+        usable_x, usable_y, sat_row = [], [], []
+        for row in table[:-1]:
             radius, gap, se = row["radius"], row["gap"], row["se"]
-            gaps[j, k] = gap
-            gap_ses[j, k] = se
             if gap == 0.0:
-                saturated[j, k] = True
+                sat_row.append(True)
                 continue
             if min_detectable_z > 0 and gap < min_detectable_z * se:
                 warnings.warn(
-                    f"radius {radius:g} at x={x_arr.tolist()}: gap {gap:.3e} "
+                    f"radius {radius:g} at x={x.tolist()}: gap {gap:.3e} "
                     f"below {min_detectable_z:g} paired standard errors, "
                     "dropped from the decay fit")
-                saturated[j, k] = True
+                sat_row.append(True)
                 continue
+            sat_row.append(False)
             usable_x.append(radius**2)
             usable_y.append(math.log(gap))
+        saturated.append(sat_row)
         if len(usable_x) < 2:
-            slopes[j] = float("nan")
-            intercepts[j] = float("nan")
-            r2s[j] = float("nan")
-            continue
-        slopes[j], intercepts[j], r2s[j] = line_fit(usable_x, usable_y)
+            slope = intercept = r2 = float("nan")
+        else:
+            slope, intercept, r2 = line_fit(usable_x, usable_y)
+        slopes.append(slope)
+        intercepts.append(intercept)
+        r2s.append(r2)
 
     return LocalizationDecayReport(
-        eval_points=[np.atleast_1d(np.asarray(x, dtype=float))
-                     for x in eval_xs],
-        radii=radii, gaps=gaps, gap_ses=gap_ses, saturated=saturated,
-        slopes=slopes, intercepts=intercepts, r_squared=r2s,
-        reference_values=ref_values)
+        eval_points=points, radii=radii, gaps=np.array(gaps),
+        gap_ses=np.array(gap_ses), saturated=np.array(saturated, dtype=bool),
+        slopes=np.array(slopes), intercepts=np.array(intercepts),
+        r_squared=np.array(r2s), reference_values=np.array(ref_values))

@@ -29,6 +29,10 @@ BROWNIAN = diffusion_by_name("brownian")
 GRID = TimeGrid.uniform(1.0, 32)
 TIME_DRIVER = make_separable_driver(lambda x: np.ones(x.shape[0]),
                                     lambda t: t)
+# cos(x) t with a second channel 100 t, which one-channel readers would drop
+TWO_CHANNEL_DRIVER = make_separable_driver(
+    lambda x: np.stack([np.cos(x[:, 0]), np.full(x.shape[0], 100.0)], axis=1),
+    lambda t: t, channels=2)
 
 
 def brownian_batch(samples=20000, seed=5, grid=GRID, x0=0.0):
@@ -265,6 +269,12 @@ class TestTowerRule:
         b = np.ones((500, 33))
         with pytest.raises(DomainError, match="t_index 32"):
             tower_rule_defect(a, b, TIME_DRIVER, batch, t_index=32)
+
+    def test_multi_channel_driver_rejected(self):
+        batch = brownian_batch(500)
+        with pytest.raises(DomainError, match="one driver channel, got 2"):
+            tower_rule_defect(np.ones((500, 33)), np.ones((500, 33)),
+                              TWO_CHANNEL_DRIVER, batch)
 
 
 class TestLocalizedSolver:
@@ -892,6 +902,13 @@ class TestExponentialMoment:
         # integral is deterministic: sup_t E exp(q a (T - t)) = e^{q a T}
         assert est.value == pytest.approx(math.exp(2.0 * a), rel=1e-9)
         assert est.argmax_time == 0.0
+
+    def test_multi_channel_driver_rejected(self):
+        batch = brownian_batch(500)
+        with pytest.raises(DomainError, match="one driver channel, got 2"):
+            exponential_moment_diagnostic(
+                np.ones((500, 33)), TWO_CHANNEL_DRIVER, batch, exponent=2.0,
+                radius=3.0)
 
     def test_subquadratic_growth_in_radius(self):
         from youngbsde.fractional_sheet import SheetSpec, sample_sheet

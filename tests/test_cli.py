@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from youngbsde import experiments
+from youngbsde import experiments, pde_fk
 from youngbsde.acceptance import _DETERMINISM_CONFIGS
 from youngbsde.cli import main
 from youngbsde.config import parse_config
@@ -196,6 +196,25 @@ class TestCliExitCodes:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "precondition"
         assert "ellipticity" in err["message"]
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("body, match", [
+        ("kind = exit-decay\nx0 = 2.0\n", "all radii must be >= |x0|"),
+        ("kind = localization-error\nradii = 1.5, 2.5\n"
+         "reference_radius = 2.0\n", "reference radius"),
+    ], ids=["exit-decay", "localization-error"])
+    def test_bad_radii_exit_3_before_simulating(self, tmp_path, capsys,
+                                                monkeypatch, body, match):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before the radii were checked")
+
+        monkeypatch.setattr(experiments, "simulate", refuse)
+        monkeypatch.setattr(pde_fk, "simulate", refuse)
+        out = tmp_path / "o"
+        assert main(["run", "--config", self._write(tmp_path, body),
+                     "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "precondition" and match in err["message"]
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("file_lines, flags, workers", [
@@ -397,6 +416,22 @@ GOLDEN_SHA256 = {
 
 
 class TestGoldenBytes:
+    def test_two_point_localization_keeps_its_bytes(self, tmp_path):
+        # the second point reads the stream hash64(77, 1), which no
+        # criterion-12 config reaches
+        cfg = parse_config(text="kind = localization-error\nseed = 77\n"
+                                "eval_xs = 0.0, 0.5\nsamples = 4000\n"
+                                "steps = 16\nradii = 1.5, 2.0, 2.5\n"
+                                "reference_radius = 3.5\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = experiments.run_experiment(cfg, tmp_path)
+        assert {Path(f).name: sha256_of_file(f) for f in result.files} == {
+            "decay_fits.csv": "2dbb572fbf6d2a4fc7a2e9a1bbf42c7c"
+                              "29ee688bb221d22d786ed0eed1eae528",
+            "decay_gaps.csv": "35444d450203f921a583fc9a78bb9129"
+                              "e0c56c7734d2577977f4b1524c991240"}
+
     def test_determinism_configs_keep_their_bytes(self, tmp_path):
         # criterion 12 compares worker counts within one tree; this pins the
         # bytes themselves, so an output move from one revision to the next

@@ -318,23 +318,24 @@ class TestLocalizationError:
 
     def test_saturated_radius_exact_zero(self):
         report = localization_error_experiment(
-            self._linear_problem(), [7.0], [np.array([0.0])], samples=2000,
-            seed=3, steps=16, reference_radius=8.0)
+            self._linear_problem(), [7.0], [_start_batch(0.0, 2000, 16, 3)],
+            8.0)
         assert bool(report.saturated[0, 0])
         assert report.gaps[0, 0] == 0.0
 
     def test_sublinear_reaction_decays(self):
         problem = _sublinear_problem()
         report = localization_error_experiment(
-            problem, [1.5, 2.0, 2.5, 3.0], [np.array([0.0])],
-            samples=50000, seed=2, steps=32, reference_radius=4.0)
+            problem, [1.5, 2.0, 2.5, 3.0], [_start_batch(0.0, 50000, 32, 2)],
+            4.0)
         assert report.slopes[0] < 0
 
     def test_intercept_grows_with_start_magnitude(self):
         problem = _sublinear_problem()
         report = localization_error_experiment(
-            problem, [2.0, 2.5, 3.0], [np.array([0.0]), np.array([1.0])],
-            samples=50000, seed=4, steps=32, reference_radius=4.0)
+            problem, [2.0, 2.5, 3.0],
+            [_start_batch(x, 50000, 32, 4, j) for j, x in enumerate((0, 1))],
+            4.0)
         assert report.intercepts[1] > report.intercepts[0]
 
     def test_young_driver_is_the_sweep_of_the_given_problem(self):
@@ -343,8 +344,7 @@ class TestLocalizationError:
         problem = _pde(g=lambda y: np.tanh(np.asarray(y)).reshape(-1, 1),
                        driver=driver_by_names("linear", "linear"))
         report = localization_error_experiment(
-            problem, [1.0, 1.5], [np.array([0.0])], samples=2000, seed=5,
-            steps=16, reference_radius=2.5)
+            problem, [1.0, 1.5], [_start_batch(0.0, 2000, 16, 5)], 2.5)
         batch = simulate(BROWNIAN, [0.0], TimeGrid.uniform(1.0, 16), 2000,
                          hash64(5, 0))
         ref, table = solve_bsde_with_localization(problem, [1.0, 1.5, 2.5],
@@ -365,14 +365,20 @@ class TestLocalizationError:
     def test_duplicate_radii_rejected(self):
         with pytest.raises(DomainError, match="strictly increasing"):
             localization_error_experiment(
-                self._linear_problem(), [2.0, 2.0], [np.array([0.0])],
-                samples=100, seed=1, steps=8, reference_radius=3.0)
+                self._linear_problem(), [2.0, 2.0],
+                [_start_batch(0.0, 100, 8, 1)], 3.0)
 
     def test_reference_must_dominate(self):
         with pytest.raises(DomainError, match="reference"):
             localization_error_experiment(
-                self._linear_problem(), [2.0, 3.0], [np.array([0.0])],
-                samples=100, seed=1, steps=8, reference_radius=3.0)
+                self._linear_problem(), [2.0, 3.0],
+                [_start_batch(0.0, 100, 8, 1)], 3.0)
+
+
+def _start_batch(x, samples, steps, seed, point=0):
+    # the batch that point `point` of a localization-error run reads
+    return simulate(BROWNIAN, [x], TimeGrid.uniform(1.0, steps), samples,
+                    hash64(seed, point))
 
 
 def _zero_reaction(t, x, y, z):
