@@ -41,7 +41,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .diffusion import PathBatch, first_exit
+from .diffusion import PathBatch, check_radii, first_exit
 # bench/tracer.py wraps simulate as bound in this module
 from .diffusion import simulate  # noqa: F401
 from .drivers import SpaceTimeDriver
@@ -55,6 +55,7 @@ __all__ = [
     "BsdeSolution",
     "PicardConfig",
     "girsanov_weight",
+    "check_t_index",
     "tower_rule_defect",
     "solve_localized_bsde",
     "martingale_residual",
@@ -101,6 +102,15 @@ def _standard_error(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
+def check_t_index(t_index: int, points: int) -> None:
+    """The tower-rule sums start at grid index t_index, which must leave at
+    least one step on a grid of the given number of points; callers check
+    before they simulate."""
+    if not 0 <= t_index <= points - 2:
+        raise DomainError(f"t_index {t_index} outside [0, {points - 2}] on "
+                          f"a grid of {points} points")
+
+
 def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
                       driver: SpaceTimeDriver, batch: PathBatch,
                       t_index: int = 0, basis_degree: int = 2
@@ -119,9 +129,7 @@ def tower_rule_defect(a_values: np.ndarray, b_values: np.ndarray,
                           f"channel, got {driver.channels}")
     times = batch.grid.times
     S, m = batch.samples, times.size
-    if not 0 <= t_index <= m - 2:
-        raise DomainError(f"t_index {t_index} outside [0, {m - 2}] on a grid "
-                          f"of {m} points")
+    check_t_index(t_index, m)
     a_values = np.asarray(a_values, dtype=float).reshape(S, m)
     b_values = np.asarray(b_values, dtype=float).reshape(S, m)
     # sample-major, so the sums over steps run in the same order whatever
@@ -282,14 +290,6 @@ class BsdeSolution:
     max_abs_y: float = float("nan")
 
 
-def _check_radii(radii: np.ndarray, batch: PathBatch) -> None:
-    """Every radius must exceed the norm of the batch's start point."""
-    x0_norm = float(np.linalg.norm(batch.paths[0, 0]))
-    if np.any(radii <= x0_norm):
-        raise DomainError(f"localization radius must exceed |x0| = "
-                          f"{x0_norm:g}; got {radii.tolist()}")
-
-
 def solve_localized_bsde(problem: BsdeProblem, radius: float,
                          batch: PathBatch, basis_degree: int = 2,
                          picard: PicardConfig | None = None) -> BsdeSolution:
@@ -315,7 +315,7 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
     is its spread.
     """
     picard = picard or PicardConfig()
-    _check_radii(np.array([radius]), batch)
+    check_radii([radius], float(np.linalg.norm(batch.paths[0, 0])))
     times = batch.grid.times
     S, m = batch.samples, times.size
     dts = np.diff(times)
@@ -433,10 +433,7 @@ def solve_bsde_with_localization(problem: BsdeProblem, radii,
     kept whole: each coarser one shrinks to its row and its y0_samples
     before the next solve runs.
     """
-    radii = np.asarray(radii, dtype=float)
-    if radii.size == 0 or not np.all(np.diff(radii) > 0):
-        raise DomainError("radii must be strictly increasing")
-    _check_radii(radii, batch)
+    radii = check_radii(radii, float(np.linalg.norm(batch.paths[0, 0])))
 
     def solve(radius):
         return solve_localized_bsde(problem, radius, batch,

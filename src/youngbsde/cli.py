@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .config import parse_config
 from .errors import ConfigError, DomainError, NumericalError, ResourceError
@@ -39,12 +40,14 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 def _run_config(out, **source) -> int:
     """Parse a config from parse_config's keywords, run it into `out` and
-    write its manifest; OSError is a config error only while reading it."""
+    write its manifest; OSError is a config error only while reading the
+    config or creating `out`, both before any compute."""
     timer = PhaseTimer()
     started = utc_now()
     try:
         timer.start("configure")
         config = parse_config(**source)
+        Path(out).mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         return _fail("config", exc, EXIT_CONFIG)
     try:
@@ -84,6 +87,10 @@ def _cmd_hurst_region(args) -> int:
 def _cmd_acceptance(args) -> int:
     from .acceptance import run_acceptance
 
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail("config", exc, EXIT_CONFIG)
     try:
         report = run_acceptance(selector=args.select, out_dir=args.out)
     except ConfigError as exc:

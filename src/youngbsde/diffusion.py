@@ -28,7 +28,7 @@ __all__ = [
     "ExitDecayFit",
     "simulate",
     "first_exit",
-    "check_exit_radii",
+    "check_radii",
     "exit_tail_decay",
 ]
 
@@ -238,15 +238,18 @@ def first_exit(batch: PathBatch, radius: float) -> ExitReport:
     return _exit_report(np.linalg.norm(batch.paths, axis=2), radius)
 
 
-def check_exit_radii(x0, radii) -> tuple[float, np.ndarray]:
-    """|x0| and the radii sorted, after checking that none is below |x0|;
-    callers check before they simulate from x0."""
-    x0_norm = float(np.linalg.norm(x0))
-    radii = np.sort(np.asarray(radii, dtype=float))
-    if np.any(radii < x0_norm):
+def check_radii(radii, start_norm: float) -> np.ndarray:
+    """The radii as given, after the one localization-radius rule: at least
+    one, strictly increasing as given, the smallest above start_norm (every
+    start point in the open ball).  Callers check before they simulate."""
+    radii = np.array(radii, dtype=float).reshape(-1)
+    if radii.size == 0 or not np.all(np.diff(radii) > 0):
         raise DomainError(
-            f"all radii must be >= |x0| = {x0_norm:g}; got {radii.tolist()}")
-    return x0_norm, radii
+            f"radii must be strictly increasing; got {radii.tolist()}")
+    if not radii[0] > start_norm:
+        raise DomainError(f"localization radius must exceed |x0| = "
+                          f"{start_norm:g}; got {radii.tolist()}")
+    return radii
 
 
 def exit_tail_decay(batch: PathBatch, radii) -> ExitDecayFit:
@@ -254,10 +257,11 @@ def exit_tail_decay(batch: PathBatch, radii) -> ExitDecayFit:
     given batch, whose paths all start at x0 (|x0| is read from its first
     path).  The state norms are taken once for all radii.
 
-    Radii below |x0| are rejected; radii with no observed exits are dropped
-    with a warning.  At least 3 usable radii are required for the fit.
+    The radii must pass `check_radii`; radii with no observed exits are
+    dropped with a warning.  At least 3 usable radii are required for the fit.
     """
-    x0_norm, radii = check_exit_radii(batch.paths[0, 0], radii)
+    x0_norm = float(np.linalg.norm(batch.paths[0, 0]))
+    radii = check_radii(radii, x0_norm)
     norms = np.linalg.norm(batch.paths, axis=2)
     reports = [_exit_report(norms, r) for r in radii]
     probs = np.array([report.probability for report in reports])

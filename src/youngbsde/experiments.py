@@ -14,11 +14,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde import (BsdeProblem, PicardConfig, martingale_residual,
-                   solve_bsde_with_localization, tower_rule_defect)
+from .bsde import (BsdeProblem, PicardConfig, check_t_index,
+                   martingale_residual, solve_bsde_with_localization,
+                   tower_rule_defect)
 from .config import ExperimentConfig
 from .csvio import write_csv
-from .diffusion import check_exit_radii, exit_tail_decay, simulate
+from .diffusion import check_radii, exit_tail_decay, simulate
 from .drivers import save_sampled_driver, zero_driver
 from .errors import ConfigError
 from .fractional_sheet import SheetSpec, hurst_region_grid, sample_sheet
@@ -165,6 +166,7 @@ def _run_nonlinear_bsde(v: dict, out: Path) -> RunResult:
         coefficient_bound=1.0, lipschitz_f=max(abs(rate), 1e-9))
     picard = PicardConfig(tolerance=v["picard_tol"],
                           max_iterations=v["picard_max"])
+    check_radii(v["radii"], abs(v["x0"]))
     batch = _batch(v)
     finest, table = solve_bsde_with_localization(
         problem, v["radii"], batch, basis_degree=v["basis_degree"],
@@ -227,6 +229,7 @@ def _run_localization_error(v: dict, out: Path) -> RunResult:
         terminal=terminal_function(v["terminal"]),
         driver=zero_driver(diffusion.dim), lipschitz_f=math.inf,
         diffusion=diffusion, horizon=v["horizon"])
+    check_radii(v["radii"], max(abs(x) for x in v["eval_xs"]))
     batches = (_batch({**v, "x0": x, "seed": hash64(v["seed"], j)})
                for j, x in enumerate(v["eval_xs"]))
     report = localization_error_experiment(
@@ -258,6 +261,7 @@ def _run_hurst_region(v: dict, out: Path) -> RunResult:
 
 def _run_tower_rule(v: dict, out: Path) -> RunResult:
     driver = driver_by_names(v["driver_space"], v["driver_time"])
+    check_t_index(v["t_index"], v["steps"] + 1)
     batch = _batch(v)
     m = batch.grid.times.size
     a_terminal = batch.paths[:, -1, 0]
@@ -278,7 +282,7 @@ def _run_tower_rule(v: dict, out: Path) -> RunResult:
 
 
 def _run_exit_decay(v: dict, out: Path) -> RunResult:
-    check_exit_radii(v["x0"], v["radii"])
+    check_radii(v["radii"], abs(v["x0"]))
     fit = exit_tail_decay(_batch(v), v["radii"])
     f1 = write_csv(out / "exit_probabilities.csv",
                    ["radius", "probability", "standard_error"],

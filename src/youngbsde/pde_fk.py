@@ -31,7 +31,7 @@ from .bsde import (BsdeProblem, BsdeSolution, PicardConfig, _check_secant,
                    solve_bsde_with_localization)
 # bench/tracer.py wraps solve_localized_bsde as bound in this module
 from .bsde import solve_localized_bsde  # noqa: F401
-from .diffusion import DiffusionSpec, PathBatch, simulate
+from .diffusion import DiffusionSpec, PathBatch, check_radii, simulate
 from .drivers import SpaceTimeDriver, mollify_time
 from .errors import DomainError
 from .paths import TimeGrid
@@ -289,9 +289,9 @@ def solve_young_pde_double_approximation(problem: PdeProblem, deltas, radii,
     """
     _check_elliptic(problem.diffusion)
     deltas = list(deltas)
-    radii = list(radii)
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise DomainError("mollification widths must decrease")
+    radii = check_radii(radii, max(np.linalg.norm(x) for _, x in eval_points))
     problems = [replace(problem, driver=mollify_time(problem.driver, delta,
                                                      problem.horizon))
                 for delta in deltas]
@@ -375,17 +375,15 @@ def localization_error_experiment(problem: BsdeProblem, radii, batches,
 
     `batches` holds one path batch per evaluation point, whose x is read
     from its first path; all the radii are solved on it.  The radii are
-    checked before the first batch is read, so a generator of batches
-    simulates nothing for a bad sweep.  The whole-space solution is
+    checked (start 0) before the first batch is read, so a generator of
+    batches simulates nothing for a bad sweep.  The whole-space solution is
     operationalized as the run at reference_radius, which must exceed the
     largest radius.  Radii whose gap is exactly zero are saturated (no
     sample distinguishes the balls) and are excluded from the log fit; a
     positive min_detectable_z additionally drops radii whose gap is below
     that multiple of its paired standard error, with a warning.
     """
-    radii = np.sort(np.asarray(radii, dtype=float))
-    if radii.size == 0:
-        raise DomainError("localization error needs at least one radius")
+    radii = check_radii(radii, 0.0)
     if reference_radius <= radii[-1]:
         raise DomainError("reference radius must exceed the largest radius")
     points, ref_values, gaps, gap_ses, saturated = [], [], [], [], []

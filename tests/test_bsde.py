@@ -760,7 +760,7 @@ class TestLocalizationSweep:
         assert calls == [200] * 8
 
     @pytest.mark.parametrize("radii", [[], [2.0, 2.0], [3.0, 2.5],
-                                       [0.5, 3.0], [1.0, 3.0]])
+                                       [0.5, 3.0], [1.0, 3.0], [math.nan]])
     def test_radii_rejected_before_simulation(self, monkeypatch, radii):
         # the sweep is given its batch; bad radii are rejected before any
         # solve runs on it

@@ -199,10 +199,22 @@ class TestCliExitCodes:
         assert not list(out.glob("*.csv"))
 
     @pytest.mark.parametrize("body, match", [
-        ("kind = exit-decay\nx0 = 2.0\n", "all radii must be >= |x0|"),
+        ("kind = exit-decay\nx0 = 2.0\n",
+         "localization radius must exceed |x0| = 2"),
         ("kind = localization-error\nradii = 1.5, 2.5\n"
          "reference_radius = 2.0\n", "reference radius"),
-    ], ids=["exit-decay", "localization-error"])
+        ("kind = nonlinear-bsde\nx0 = 5.0\n",
+         "localization radius must exceed |x0| = 5"),
+        ("kind = localization-error\neval_xs = 0.0, 2.0\n",
+         "localization radius must exceed |x0| = 2"),
+        ("kind = localization-error\nradii = 2.0, 2.0\n",
+         "radii must be strictly increasing"),
+        ("kind = exit-decay\nradii = 2.5, 1.0, 1.5, 2.0\n",
+         "radii must be strictly increasing"),
+        ("kind = tower-rule\nt_index = 40\n", "t_index 40 outside [0, 31]"),
+    ], ids=["exit-decay", "localization-error", "nonlinear-bsde-start",
+            "localization-error-start", "localization-error-duplicate",
+            "exit-decay-unsorted", "tower-rule-t-index"])
     def test_bad_radii_exit_3_before_simulating(self, tmp_path, capsys,
                                                 monkeypatch, body, match):
         def refuse(*args, **kwargs):
@@ -320,6 +332,22 @@ class TestCliExitCodes:
         body1 = (out1 / "exit_probabilities.csv").read_bytes()
         assert body1 == (out2 / "exit_probabilities.csv").read_bytes()
         assert body1 != (out3 / "exit_probabilities.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", "cfg.txt"],
+        ["hurst-region", "--resolution", "5"],
+        ["acceptance", "--select", "01"],
+    ], ids=["run", "hurst-region", "acceptance"])
+    def test_out_that_is_a_file_is_2(self, tmp_path, capsys, monkeypatch,
+                                     argv):
+        monkeypatch.chdir(tmp_path)
+        self._write(tmp_path, "kind = hurst-region\nresolution = 5\n")
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        assert main([*argv, "--out", str(taken)]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and err["exit"] == 2
+        assert taken.read_text() == "kept"
 
     def test_hurst_region_subcommand(self, tmp_path):
         out = tmp_path / "hr"

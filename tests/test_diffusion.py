@@ -232,9 +232,14 @@ class TestExitTailDecay:
         assert np.all(fit.probabilities >= 0.25 * oracle)
 
     def test_radii_below_start_rejected(self):
-        with pytest.raises(DomainError, match=">="):
+        with pytest.raises(DomainError, match="must exceed"):
             exit_tail_decay(simulate(constant_spec(1.0, 0.0), [2.0], GRID,
                                      100, seed=1), [1.0, 2.5, 3.0])
+
+    def test_duplicate_radii_rejected(self):
+        with pytest.raises(DomainError, match="strictly increasing"):
+            exit_tail_decay(simulate(constant_spec(1.0, 0.0), [0.0], GRID,
+                                     100, seed=1), [1.0, 1.5, 1.5, 2.0])
 
     def test_degenerate_no_exit_reported(self):
         with pytest.raises(DomainError, match="degenerate|nonzero"):

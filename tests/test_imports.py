@@ -1,9 +1,12 @@
 """Importing the package loads numpy only: scipy is imported by the
 functions that use it (the Crank-Nicolson oracle, grid-sampled drivers and
-the acceptance suite), not by any module at import time."""
+the acceptance suite), not by any module at import time.  Every module
+defines each name it exports."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +26,15 @@ def test_import_loads_no_scipy():
                           env={**os.environ, "PYTHONPATH": path},
                           stdout=subprocess.PIPE, text=True, check=True)
     assert json.loads(proc.stdout) == []
+
+
+def test_every_export_is_defined():
+    import youngbsde
+
+    modules = [youngbsde] + [
+        importlib.import_module(f"youngbsde.{info.name}")
+        for info in pkgutil.iter_modules(youngbsde.__path__)]
+    stale = [f"{module.__name__}.{name}" for module in modules
+             for name in getattr(module, "__all__", [])
+             if not hasattr(module, name)]
+    assert stale == []

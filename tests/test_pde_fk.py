@@ -300,6 +300,17 @@ class TestDoubleApproximation:
                 seed=1, steps=8)
         assert not calls
 
+    def test_radii_checked_before_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before the radii were checked")
+
+        monkeypatch.setattr(pde_fk, "simulate", refuse)
+        with pytest.raises(DomainError, match="must exceed"):
+            solve_young_pde_double_approximation(
+                self._tent_problem(), deltas=[0.1], radii=[0.5, 2.0],
+                eval_points=[(0.0, [0.0]), (0.0, [1.0])], samples=100,
+                seed=1, steps=8)
+
     def test_ellipticity_checked_before_simulation(self, monkeypatch):
         calls = []
         monkeypatch.setattr(pde_fk, "simulate",
