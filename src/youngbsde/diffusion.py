@@ -1,10 +1,11 @@
 """Forward diffusion simulation, first-exit detection, and the exit-tail
 decay experiment.
 
-Coefficients are opaque vectorized callables with a declared uniform bound L;
-the bound is enforced by run-time spot checks at every visited state, not by
-symbolic analysis.  Exits are detected at grid points only (the continuous
-overshoot bias shrinks with the step size and is not bridge-corrected).
+Coefficients are constant arrays or vectorized callables with a declared
+uniform bound L; constants are checked once, when their spec is built, and
+callables at every Euler step, on every visited state.  Exits are detected at
+grid points only (the continuous overshoot bias shrinks with the step size
+and is not bridge-corrected).
 """
 
 from __future__ import annotations
@@ -33,17 +34,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: compare and hash by identity
 class DiffusionSpec:
     """Bounded Lipschitz coefficients (sigma, b) with uniform bound L.
 
-    sigma maps (t, x:(S,d)) -> (S,d,d); b maps (t, x:(S,d)) -> (S,d).
-    Scalar shorthands ((S,) outputs for d == 1) are accepted.  ellipticity=0
-    means "not asserted"; a positive value is spot-checked on visited states.
+    Each is a constant array, sigma (d, d) and b (d,), kept as a read-only
+    copy, or a vectorized callable: sigma maps (t, x:(S,d)) -> (S,d,d) and b
+    maps (t, x:(S,d)) -> (S,d), scalar shorthands ((S,) outputs for d == 1)
+    accepted.  ellipticity=0 means "not asserted".  The bound and a positive
+    ellipticity are checked here when both are constant, else by `simulate`.
     """
 
-    sigma: callable
-    drift: callable
+    sigma: object
+    drift: object
     bound: float
     dim: int
     ellipticity: float = 0.0
@@ -53,18 +56,35 @@ class DiffusionSpec:
             raise DomainError("bound and dim must be positive")
         if self.ellipticity < 0:
             raise DomainError("ellipticity must be >= 0")
+        for name, shape in (("sigma", (self.dim, self.dim)),
+                            ("drift", (self.dim,))):
+            value = getattr(self, name)
+            if not callable(value):
+                value = np.array(value, dtype=float)
+                if value.shape != shape:
+                    raise DomainError(f"constant {name} must have shape "
+                                      f"{shape}; got {value.shape}")
+                value.flags.writeable = False
+                object.__setattr__(self, name, value)
+        if self.constant:
+            self.check_bounds(0.0, self.sigma[None], self.drift[None])
+
+    @property
+    def constant(self) -> bool:
+        """Whether sigma and b are both constant arrays."""
+        return not (callable(self.sigma) or callable(self.drift))
 
     def sigma_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.sigma(t, x), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None, None]
-        return out.reshape(x.shape[0], self.dim, self.dim)
+        shape = (x.shape[0], self.dim, self.dim)
+        if callable(self.sigma):
+            return np.asarray(self.sigma(t, x), dtype=float).reshape(shape)
+        return np.broadcast_to(self.sigma, shape)
 
     def drift_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.drift(t, x), dtype=float)
-        if out.ndim == 1:
-            out = out[:, None]
-        return out.reshape(x.shape[0], self.dim)
+        shape = (x.shape[0], self.dim)
+        if callable(self.drift):
+            return np.asarray(self.drift(t, x), dtype=float).reshape(shape)
+        return np.broadcast_to(self.drift, shape)
 
     def check_bounds(self, t: float, sig: np.ndarray, dri: np.ndarray) -> None:
         worst_sigma = float(np.max(np.sqrt(np.sum(sig * sig, axis=(1, 2)))))
@@ -195,8 +215,9 @@ def simulate(spec: DiffusionSpec, x0, grid: TimeGrid, samples: int,
     block, so chunked generation with a running offset reproduces one big
     batch.  The paths and increments are stored step-major, so each step
     is one contiguous (samples, dim) row; the batch holds (samples, m, dim)
-    and (samples, m - 1, dim) read-only views of them.  Raises DomainError
-    if a visited state violates the declared coefficient bound.
+    and (samples, m - 1, dim) read-only views of them.  Callable
+    coefficients are checked at each step: DomainError if a visited state
+    breaks the declared bound or ellipticity (constants: see DiffusionSpec).
     """
     if samples < 1:
         raise DomainError("need at least one sample")
@@ -208,12 +229,16 @@ def simulate(spec: DiffusionSpec, x0, grid: TimeGrid, samples: int,
                             sample_offset)
     paths = np.empty((steps + 1, samples, spec.dim))
     paths[0] = x0
+    constant = spec.constant
+    sig, dri = spec.sigma, spec.drift
+    product = "ij,sj->si" if constant else "sij,sj->si"
     for i in range(steps):
-        sig = spec.sigma_at(times[i], paths[i])
-        dri = spec.drift_at(times[i], paths[i])
-        spec.check_bounds(times[i], sig, dri)
+        if not constant:
+            sig = spec.sigma_at(times[i], paths[i])
+            dri = spec.drift_at(times[i], paths[i])
+            spec.check_bounds(times[i], sig, dri)
         paths[i + 1] = (paths[i] + dri * dts[i]
-                        + np.einsum("sij,sj->si", sig, dw[i]))
+                        + np.einsum(product, sig, dw[i]))
     paths.flags.writeable = dw.flags.writeable = False
     return PathBatch(grid=grid, paths=paths.swapaxes(0, 1),
                      increments=dw.swapaxes(0, 1))

@@ -288,6 +288,8 @@ def solve_young_pde_double_approximation(problem: PdeProblem, deltas, radii,
     between successive radii, shape (radii - 1, widths).
     """
     _check_elliptic(problem.diffusion)
+    if len(eval_points) == 0:
+        raise DomainError("need at least one evaluation point")
     deltas = list(deltas)
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise DomainError("mollification widths must decrease")

@@ -43,54 +43,25 @@ def _lookup(table: dict, name: str, what: str):
 # -- diffusions --------------------------------------------------------------
 
 def _brownian(dim: int) -> DiffusionSpec:
-    eye = np.eye(dim)
-
-    def sigma(t, x):
-        return np.broadcast_to(eye, (x.shape[0], dim, dim))
-
-    def drift(t, x):
-        return np.zeros_like(x)
-
-    return DiffusionSpec(sigma=sigma, drift=drift, bound=float(np.sqrt(dim)),
-                         dim=dim, ellipticity=1.0)
+    return DiffusionSpec(sigma=np.eye(dim), drift=np.zeros(dim),
+                         bound=float(np.sqrt(dim)), dim=dim, ellipticity=1.0)
 
 
 def _brownian_halfvol(dim: int) -> DiffusionSpec:
-    eye = 0.5 * np.eye(dim)
-
-    def sigma(t, x):
-        return np.broadcast_to(eye, (x.shape[0], dim, dim))
-
-    def drift(t, x):
-        return np.zeros_like(x)
-
-    return DiffusionSpec(sigma=sigma, drift=drift, bound=1.0, dim=dim,
-                         ellipticity=0.25)
+    return DiffusionSpec(sigma=0.5 * np.eye(dim), drift=np.zeros(dim),
+                         bound=1.0, dim=dim, ellipticity=0.25)
 
 
 def _ou_truncated(dim: int) -> DiffusionSpec:
-    eye = np.eye(dim)
-
-    def sigma(t, x):
-        return np.broadcast_to(eye, (x.shape[0], dim, dim))
-
-    def drift(t, x):
-        return -np.clip(x, -1.0, 1.0)
-
-    return DiffusionSpec(sigma=sigma, drift=drift,
+    return DiffusionSpec(sigma=np.eye(dim),
+                         drift=lambda t, x: -np.clip(x, -1.0, 1.0),
                          bound=float(np.sqrt(dim)) + 1e-9, dim=dim,
                          ellipticity=1.0)
 
 
 def _drift_only(dim: int) -> DiffusionSpec:
-    def sigma(t, x):
-        return np.zeros((x.shape[0], dim, dim))
-
-    def drift(t, x):
-        return np.ones_like(x)
-
-    return DiffusionSpec(sigma=sigma, drift=drift, bound=float(np.sqrt(dim)),
-                         dim=dim, ellipticity=0.0)
+    return DiffusionSpec(sigma=np.zeros((dim, dim)), drift=np.ones(dim),
+                         bound=float(np.sqrt(dim)), dim=dim, ellipticity=0.0)
 
 
 DIFFUSIONS = {

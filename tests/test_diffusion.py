@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from youngbsde import diffusion
 from youngbsde.diffusion import (DiffusionSpec, exit_tail_decay, first_exit,
                                  simulate)
 from youngbsde.drivers import SpaceTimeDriver, mollify_time
@@ -184,6 +185,91 @@ class TestSimulate:
                            r"t=0\.\d+: smallest sigma\*sigma\^T eigenvalue "
                            r"0.25 < declared 1"):
             simulate(spec, np.zeros(dim), GRID, 4, seed=0)
+
+
+CONSTANT_DIFFUSIONS = ("brownian", "brownian-halfvol", "drift-only")
+
+
+def callable_twin(spec):
+    """The constant coefficients of spec as vectorized callables."""
+    sigma, drift = spec.sigma, spec.drift
+    return DiffusionSpec(
+        sigma=lambda t, x: np.broadcast_to(sigma, (x.shape[0],) + sigma.shape),
+        drift=lambda t, x: np.broadcast_to(drift, x.shape), bound=spec.bound,
+        dim=spec.dim, ellipticity=spec.ellipticity)
+
+
+@pytest.fixture
+def no_simulation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated while building a spec")
+
+    monkeypatch.setattr(diffusion, "simulate", refuse)
+
+
+class TestConstantCoefficients:
+    @given(SEEDS, st.sampled_from(CONSTANT_DIFFUSIONS), DIMS, grids(),
+           st.integers(2, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_bytes_as_callable_twin(self, seed, name, dim, grid,
+                                         samples, data):
+        # the batch straddles the boundary between stream blocks 0 and 1
+        offset = 1024 - data.draw(st.integers(1, samples - 1))
+        spec = diffusion_by_name(name, dim)
+        assert spec.constant
+        x0 = np.linspace(0.3, -1.1, dim)
+        const = simulate(spec, x0, grid, samples, seed, sample_offset=offset)
+        twin = simulate(callable_twin(spec), x0, grid, samples, seed,
+                        sample_offset=offset)
+        assert const.paths.tobytes() == twin.paths.tobytes()
+        assert const.increments.tobytes() == twin.increments.tobytes()
+
+    def test_checked_once_not_per_step(self, monkeypatch):
+        constant = diffusion_by_name("brownian", 2)
+        stepwise = diffusion_by_name("ou-truncated", 2)
+        assert not stepwise.constant
+        calls = []
+        monkeypatch.setattr(DiffusionSpec, "check_bounds",
+                            lambda spec, t, sig, dri: calls.append(t))
+        simulate(constant, np.ones(2), GRID, 8, seed=1)
+        assert calls == []
+        simulate(stepwise, np.ones(2), GRID, 8, seed=1)
+        assert calls == list(GRID.times[:-1])
+
+    def test_read_only_copies(self):
+        sigma, drift = np.eye(2), np.zeros(2)
+        spec = DiffusionSpec(sigma=sigma, drift=drift, bound=2.0, dim=2)
+        sigma[0, 0] = drift[0] = 5.0
+        assert np.array_equal(spec.sigma, np.eye(2))
+        assert np.array_equal(spec.drift, np.zeros(2))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.sigma[0, 0] = 5.0
+        x = np.zeros((3, 2))
+        assert spec.sigma_at(0.0, x).shape == (3, 2, 2)
+        assert spec.drift_at(0.0, x).shape == (3, 2)
+
+    @pytest.mark.parametrize("sigma, drift", [
+        (2.0 * np.eye(2), np.zeros(2)), (np.eye(2), np.full(2, 1.5))])
+    def test_bound_violation_raises_at_construction(self, no_simulation,
+                                                    sigma, drift):
+        with pytest.raises(DomainError, match="bound violated"):
+            DiffusionSpec(sigma=sigma, drift=drift, bound=2.0, dim=2)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_ellipticity_violation_raises_at_construction(self, no_simulation,
+                                                          dim):
+        with pytest.raises(DomainError, match=r"smallest sigma\*sigma\^T "
+                           r"eigenvalue 0.25 < declared 1"):
+            DiffusionSpec(sigma=0.5 * np.eye(dim), drift=np.zeros(dim),
+                          bound=1.0, dim=dim, ellipticity=1.0)
+
+    @pytest.mark.parametrize("sigma, drift", [
+        (np.ones(2), np.zeros(2)), (np.eye(3), np.zeros(2)),
+        (np.eye(2), np.zeros((2, 1))), (np.eye(2), 0.0)])
+    def test_wrong_shape_raises_at_construction(self, no_simulation, sigma,
+                                                drift):
+        with pytest.raises(DomainError, match="must have shape"):
+            DiffusionSpec(sigma=sigma, drift=drift, bound=10.0, dim=2)
 
 
 class TestFirstExit:

@@ -311,6 +311,16 @@ class TestDoubleApproximation:
                 eval_points=[(0.0, [0.0]), (0.0, [1.0])], samples=100,
                 seed=1, steps=8)
 
+    def test_empty_points_rejected_before_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated with no evaluation point")
+
+        monkeypatch.setattr(pde_fk, "simulate", refuse)
+        with pytest.raises(DomainError, match="at least one evaluation point"):
+            solve_young_pde_double_approximation(
+                self._tent_problem(), deltas=[0.1], radii=[2.0],
+                eval_points=[], samples=100, seed=1, steps=8)
+
     def test_ellipticity_checked_before_simulation(self, monkeypatch):
         calls = []
         monkeypatch.setattr(pde_fk, "simulate",
