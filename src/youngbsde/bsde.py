@@ -18,13 +18,16 @@ pass.  At each step it builds the basis of the active samples and its
 ridge coefficient operator once, fits Z_i once from Y_{i+1}, and iterates
 the Y_i fit in place (a per-step Picard fixed point) with that operator, so
 each fit is one matrix product.  This has the fixed point of a global
-Picard iteration over the whole horizon.
+Picard iteration over the whole horizon.  The active samples, the basis
+and the operator depend only on the paths and the radius, so
+`solve_localized_bsdes` solves several problems on one batch and radius in
+one pass, sharing them; `solve_localized_bsde` is its one-problem case.
 
 Every solver takes the path batch it solves on and none simulates: the
 equation types carry coefficients only, and one batch serves a whole sweep
 of radii.  Every solver and diagnostic reads the driver increments from
-`PathBatch.driver_increments`, which the batch computes once per driver,
-so the radii of a sweep share one step-major array.
+`PathBatch.driver_increments`, which the batch computes once per driver
+and keeps, so the radii of a sweep share one step-major array per driver.
 
 The localized solver reports, besides y0, one value per sample whose mean
 is y0: the pathwise sum of datum and driver terms.  A standard error is
@@ -58,6 +61,7 @@ __all__ = [
     "check_t_index",
     "tower_rule_defect",
     "solve_localized_bsde",
+    "solve_localized_bsdes",
     "martingale_residual",
     "solve_bsde_with_localization",
     "exponential_moment_diagnostic",
@@ -290,23 +294,27 @@ class BsdeSolution:
     max_abs_y: float = float("nan")
 
 
-def solve_localized_bsde(problem: BsdeProblem, radius: float,
-                         batch: PathBatch, basis_degree: int = 2,
-                         picard: PicardConfig | None = None) -> BsdeSolution:
-    """Backward induction with regression conditional expectations on the
-    equation stopped at the first exit from the centered ball of the given
-    radius, in one backward pass over the given path batch.
+def solve_localized_bsdes(problems, radius: float, batch: PathBatch,
+                          basis_degree: int = 2,
+                          picard: PicardConfig | None = None
+                          ) -> list[BsdeSolution]:
+    """Backward induction with regression conditional expectations on each
+    given equation stopped at the first exit from the centered ball of the
+    given radius, all in one backward pass over the given path batch; one
+    solution per problem, in order.
 
-    At step i, from the last step back to the first, only samples still
-    inside the ball (stop index > i) are fitted; exited samples stay frozen
-    at their boundary datum.  The step's basis and ridge coefficient
-    operator are built once.  Z_i is fitted once from Y_{i+1}; Y_i solves
-    the fixed point
+    The projection depends only on the paths: one first exit serves every
+    problem, and at step i, from the last step back to the first, one set
+    of active samples (stop index > i), one basis and one ridge coefficient
+    operator.  Exited samples stay frozen at each problem's boundary datum.
+    For each problem in turn, Z_i is fitted once from its Y_{i+1}; Y_i
+    solves the fixed point
         Y_i = P_i[Y_{i+1} + f(t_i, X_i, Y_i, Z_i) dt + g(Y_i) . deta_i],
-    iterated from Y_{i+1} with the same operator until the sup change of one
-    iteration (the step's gap) drops below the Picard tolerance, or for at
-    most max_iterations iterations.  Non-convergence is flagged on the
-    result, not raised.
+    iterated from Y_{i+1} with the step's operator until the sup change of
+    one iteration (the step's gap) drops below the Picard tolerance, or for
+    at most max_iterations iterations.  Each problem keeps its own datum,
+    fits, Picard loop and solution, with the arithmetic of a lone solve.
+    Non-convergence is flagged on the result, not raised.
 
     Every basis has an intercept, so each fit's mean is its targets' mean
     and y0 is the mean of the pathwise sum
@@ -314,6 +322,8 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
     of each step's last target; y0_samples holds P and the standard error
     is its spread.
     """
+    if not problems:
+        raise DomainError("need at least one problem")
     picard = picard or PicardConfig()
     check_radii([radius], float(np.linalg.norm(batch.paths[0, 0])))
     times = batch.grid.times
@@ -322,18 +332,16 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
 
     exit_report = first_exit(batch, radius)
     stop_index = exit_report.stop_index
-    datum = problem.terminal_at(batch, stop_index)
-    deta = batch.driver_increments(problem.driver)
-
-    # exited samples keep their datum in y and zero in z: only active rows
-    # are ever written
-    y = np.tile(datum, (m, 1))
-    z = np.zeros((m - 1, S, batch.dim))
-    y_coeffs = [None] * (m - 1)
-    z_coeffs = [None] * (m - 1)
-    pathwise = datum.copy()
-    gaps = []
-    iterations = 0
+    runs = []
+    for problem in problems:
+        datum = problem.terminal_at(batch, stop_index)
+        # exited samples keep their datum in y and zero in z: only active
+        # rows are ever written
+        runs.append(SimpleNamespace(
+            problem=problem, deta=batch.driver_increments(problem.driver),
+            y=np.tile(datum, (m, 1)), z=np.zeros((m - 1, S, batch.dim)),
+            y_coeffs=[None] * (m - 1), z_coeffs=[None] * (m - 1),
+            pathwise=datum.copy(), gaps=[], iterations=0))
     for i in range(m - 2, -1, -1):
         active = np.flatnonzero(stop_index > i)
         if active.size == 0:
@@ -343,38 +351,52 @@ def solve_localized_bsde(problem: BsdeProblem, radius: float,
         x_i = batch.paths[active, i]
         basis = poly_basis(x_i, basis_degree)
         operator = ridge_operator(basis)
-        y_next = y[i + 1, active]
-        z_coeffs[i] = ridge_solve(operator, y_next[:, None]
-                                  * batch.increments[active, i] / dts[i])
-        z_fit = basis @ z_coeffs[i]
-        z[i, active] = z_fit
-        deta_i = deta[i, active]
-        y_i, step, gap, k = y_next, 0.0, math.inf, 0
-        for k in range(1, picard.max_iterations + 1):
-            f_val = np.asarray(problem.f(times[i], x_i, y_i, z_fit),
-                               dtype=float)
-            step = f_val * dts[i] + _young_term(problem, y_i, deta_i)
-            y_coeffs[i] = ridge_solve(operator, y_next + step)
-            y_fit = basis @ y_coeffs[i]
-            gap = float(np.abs(y_fit - y_i).max())
-            y_i = y_fit
-            if gap < picard.tolerance:
-                break
-        y[i, active] = y_i
-        pathwise[active] += step
-        gaps.append(gap)
-        iterations = max(iterations, k)
+        for run in runs:
+            y_next = run.y[i + 1, active]
+            run.z_coeffs[i] = ridge_solve(operator, y_next[:, None]
+                                          * batch.increments[active, i]
+                                          / dts[i])
+            z_fit = basis @ run.z_coeffs[i]
+            run.z[i, active] = z_fit
+            deta_i = run.deta[i, active]
+            y_i, step, gap, k = y_next, 0.0, math.inf, 0
+            for k in range(1, picard.max_iterations + 1):
+                f_val = np.asarray(run.problem.f(times[i], x_i, y_i, z_fit),
+                                   dtype=float)
+                step = f_val * dts[i] + _young_term(run.problem, y_i, deta_i)
+                run.y_coeffs[i] = ridge_solve(operator, y_next + step)
+                y_fit = basis @ run.y_coeffs[i]
+                gap = float(np.abs(y_fit - y_i).max())
+                y_i = y_fit
+                if gap < picard.tolerance:
+                    break
+            run.y[i, active] = y_i
+            run.pathwise[active] += step
+            run.gaps.append(gap)
+            run.iterations = max(run.iterations, k)
 
-    return BsdeSolution(
-        y0=float(y[0].mean()), y_coefficients=y_coeffs,
-        z_coefficients=z_coeffs, y_paths=y.T, z_paths=z.transpose(1, 0, 2),
-        radius=float(radius), picard_iterations=iterations,
-        picard_gaps=gaps,
-        converged=all(gap < picard.tolerance for gap in gaps),
-        y0_samples=pathwise,
-        y0_standard_error=_standard_error(pathwise),
+    return [BsdeSolution(
+        y0=float(run.y[0].mean()), y_coefficients=run.y_coeffs,
+        z_coefficients=run.z_coeffs, y_paths=run.y.T,
+        z_paths=run.z.transpose(1, 0, 2), radius=float(radius),
+        picard_iterations=run.iterations, picard_gaps=run.gaps,
+        converged=all(gap < picard.tolerance for gap in run.gaps),
+        y0_samples=run.pathwise,
+        y0_standard_error=_standard_error(run.pathwise),
         exit_probability=exit_report.probability,
-        max_abs_y=float(np.max(np.abs(y))))
+        max_abs_y=float(np.max(np.abs(run.y)))) for run in runs]
+
+
+def solve_localized_bsde(problem: BsdeProblem, radius: float,
+                         batch: PathBatch, basis_degree: int = 2,
+                         picard: PicardConfig | None = None) -> BsdeSolution:
+    """The one-problem case of `solve_localized_bsdes`: the equation
+    stopped at the first exit from the centered ball of the given radius,
+    solved in one backward pass over the given path batch."""
+    (solution,) = solve_localized_bsdes([problem], radius, batch,
+                                        basis_degree=basis_degree,
+                                        picard=picard)
+    return solution
 
 
 def martingale_residual(problem: BsdeProblem, solution: BsdeSolution,

@@ -117,15 +117,17 @@ class PathBatch:
     views, so `paths[:, i]` is a contiguous row.  Consumers must not depend
     on the layout: any array of these shapes gives the same results.
 
-    `driver_increments` keeps the increments of the last driver it was
-    asked for, so every solve of a sweep on one batch reads one array.  A
-    copy made with `dataclasses.replace` starts with nothing kept.
+    `driver_increments` keeps the increments of every driver it was asked
+    for, with the driver object itself, for the batch's lifetime: every
+    solve of a sweep, and every width of the double approximation, reads
+    its driver's one array.  A copy made with `dataclasses.replace` starts
+    with nothing kept.
     """
 
     grid: TimeGrid
     paths: np.ndarray
     increments: np.ndarray
-    _kept: dict = field(default_factory=dict, init=False, repr=False,
+    _kept: list = field(default_factory=list, init=False, repr=False,
                         compare=False)
 
     @property
@@ -141,17 +143,17 @@ class PathBatch:
         driver along the batch, step-major and read-only: shape (m - 1, S, M),
         (0, S, M) on a one-point grid, row i being step i of
         `young_calculus.step_increments`.  Computed once per driver and kept
-        for the last driver only, matched by identity."""
-        if self._kept.get("driver") is not driver:
-            self._kept.clear()  # free the old array before building anew
-            times = self.grid.times
-            deta = np.empty((times.size - 1, self.samples, driver.channels))
-            for i, step in enumerate(step_increments(driver, times,
-                                                     self.paths)):
-                deta[i] = step
-            deta.flags.writeable = False
-            self._kept.update(driver=driver, deta=deta)
-        return self._kept["deta"]
+        with it, matched by identity (an equal copy is a new driver)."""
+        for kept, deta in self._kept:
+            if kept is driver:
+                return deta
+        times = self.grid.times
+        deta = np.empty((times.size - 1, self.samples, driver.channels))
+        for i, step in enumerate(step_increments(driver, times, self.paths)):
+            deta[i] = step
+        deta.flags.writeable = False
+        self._kept.append((driver, deta))
+        return deta
 
 
 @dataclass(frozen=True)

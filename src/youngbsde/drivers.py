@@ -100,7 +100,8 @@ class SpaceTimeDriver:
         """eta(t1_k, x_k) - eta(t0_k, x_k) for the K rows of x, times paired
         to the rows (K,) or scalars; recentring cancels, so this hits the
         raw field once per endpoint, or a separable field's space factor
-        once per point and its time factor once per time given."""
+        once per point and its time factor once, on the times t1 then t0
+        (it must act element by element)."""
         t0 = np.asarray(t0, dtype=float).ravel()
         t1 = np.asarray(t1, dtype=float).ravel()
         x = np.asarray(x, dtype=float).reshape(-1, self.dim)
@@ -108,8 +109,10 @@ class SpaceTimeDriver:
         if self._factors is not None:
             v, a, a0 = self._factors
             vx = _space_factor(v, x)
-            hi = vx * (np.asarray(a(t1), dtype=float) - a0)[:, None]
-            lo = vx * (np.asarray(a(t0), dtype=float) - a0)[:, None]
+            # one call for both endpoints: time factors act per element
+            at = np.asarray(a(np.concatenate([t1, t0])), dtype=float) - a0
+            hi = vx * at[:t1.size, None]
+            lo = vx * at[t1.size:, None]
             return _as_channels(hi - lo, k, self.channels)
         t0, t1 = np.broadcast_to(t0, k), np.broadcast_to(t1, k)
         hi = _as_channels(self.fn(t1, x), k, self.channels)
@@ -128,7 +131,7 @@ def make_separable_driver(v, a, dim: int = 1, channels: int = 1,
     """Driver eta(t, x) = v(x) * (a(t) - a(0)).
 
     v must be numpy-vectorized: (K, d) -> (K,) or (K, M); a likewise maps
-    (K,) -> (K,).
+    (K,) -> (K,), element by element.
     """
     a0 = float(np.asarray(a(np.zeros(1)))[0])
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bsde import (BsdeProblem, BsdeSolution, PicardConfig, _check_secant,
                    _contract_cloud, _log_girsanov_weight, _standard_error,
-                   solve_bsde_with_localization)
+                   solve_bsde_with_localization, solve_localized_bsdes)
 # bench/tracer.py wraps solve_localized_bsde as bound in this module
 from .bsde import solve_localized_bsde  # noqa: F401
 from .diffusion import DiffusionSpec, PathBatch, check_radii, simulate
@@ -283,14 +283,23 @@ def solve_young_pde_double_approximation(problem: PdeProblem, deltas, radii,
 
     Sampling noise is keyed by (seed, evaluation point) only, so every
     (radius, mollification) pair shares paths and the convergence table is a
-    common-random-number comparison.  The diagnostics hold the values and
-    standard errors, shape (radii, widths, points), and the largest change
-    between successive radii, shape (radii - 1, widths).
+    common-random-number comparison.  All widths of one radius are solved
+    in one backward pass (`solve_localized_bsdes`), which shares the exit
+    times, bases and ridge operators the paths determine.  The diagnostics
+    hold the values and standard errors, shape (radii, widths, points), and
+    the largest change between successive radii, shape (radii - 1, widths).
+    Every argument is checked before any path is simulated.
     """
     _check_elliptic(problem.diffusion)
     if len(eval_points) == 0:
         raise DomainError("need at least one evaluation point")
+    for j, (t, x) in enumerate(eval_points):
+        if not 0.0 <= float(t) < problem.horizon:
+            raise DomainError(f"evaluation point {j} (t={t}, x={x}): time "
+                              f"outside [0, horizon {problem.horizon})")
     deltas = list(deltas)
+    if not deltas:
+        raise DomainError("need at least one mollification width")
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise DomainError("mollification widths must decrease")
     radii = check_radii(radii, max(np.linalg.norm(x) for _, x in eval_points))
@@ -303,12 +312,12 @@ def solve_young_pde_double_approximation(problem: PdeProblem, deltas, radii,
         grid = TimeGrid(np.linspace(float(t), problem.horizon, steps + 1),
                         problem.horizon)
         batch = simulate(problem.diffusion, x, grid, samples, hash64(seed, j))
-        for mi, sub_problem in enumerate(problems):
-            _, table = solve_bsde_with_localization(
-                sub_problem, radii, batch, basis_degree=basis_degree,
-                picard=picard)
-            values[:, mi, j] = [row["y0"] for row in table]
-            ses[:, mi, j] = [row["y0_standard_error"] for row in table]
+        for ri, radius in enumerate(radii):
+            solutions = solve_localized_bsdes(problems, radius, batch,
+                                              basis_degree=basis_degree,
+                                              picard=picard)
+            values[ri, :, j] = [sol.y0 for sol in solutions]
+            ses[ri, :, j] = [sol.y0_standard_error for sol in solutions]
     finest = PdeSolutionTable(points=list(eval_points),
                               values=values[-1, -1],
                               standard_errors=ses[-1, -1])

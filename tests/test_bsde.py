@@ -13,10 +13,11 @@ from youngbsde.bsde import (BsdeProblem, PicardConfig,
                             exponential_moment_diagnostic,
                             girsanov_weight, martingale_residual,
                             solve_bsde_with_localization,
-                            solve_localized_bsde, tower_rule_defect)
+                            solve_localized_bsde, solve_localized_bsdes,
+                            tower_rule_defect)
 from youngbsde.diffusion import DiffusionSpec, PathBatch, first_exit, simulate
 from youngbsde.drivers import (SpaceTimeDriver, make_separable_driver,
-                               zero_driver)
+                               mollify_time, zero_driver)
 from youngbsde.errors import DomainError, NumericalError
 from youngbsde.paths import SamplePath, TimeGrid
 from youngbsde.pde_fk import (LinearBsdeSpec, fk_point_estimate,
@@ -838,6 +839,62 @@ class TestLocalizationSweep:
         fit_c = np.max(np.asarray(values)[::2] / envelope[::2])
         assert np.all(np.asarray(values)[1::2]
                       <= 1.5 * fit_c * envelope[1::2] + 1e-9)
+
+
+class TestJointPass:
+    """`solve_localized_bsdes` shares each step's active rows, basis and
+    ridge operator among its problems; each problem keeps the bytes of its
+    lone solve."""
+
+    GRID8 = TimeGrid.uniform(1.0, 8)
+
+    @staticmethod
+    def problems():
+        # problems that differ in f, g, terminal and driver
+        return [
+            BsdeProblem(
+                f=lambda t, x, y, z: np.zeros(x.shape[0]),
+                g=lambda y: np.ones((np.size(y), 1)),
+                terminal=lambda x: x[:, 0],
+                driver=driver_by_names("lorentz", "linear"),
+                lipschitz_f=1e-9),
+            BsdeProblem(
+                f=lambda t, x, y, z: 0.3 * np.sin(y) + 0.2 * z[:, 0],
+                g=lambda y: np.tanh(y).reshape(-1, 1),
+                terminal=lambda x: np.cos(x[:, 0]),
+                driver=mollify_time(driver_by_names("linear", "kink-mid"),
+                                    0.1, 1.0),
+                lipschitz_f=0.5),
+            BsdeProblem(
+                f=lambda t, x, y, z: -0.5 * y,
+                g=lambda y: np.stack([np.sin(y), 0.01 * np.cos(y)], axis=1),
+                terminal=lambda x: np.abs(x[:, 0]),
+                driver=TWO_CHANNEL_DRIVER, lipschitz_f=0.5),
+        ]
+
+    # samples exit at radius 1 (gathered rows) and none at 50 (views)
+    @pytest.mark.parametrize("radius, exits", [(1.0, True), (50.0, False)])
+    def test_each_solution_has_its_lone_solve_bytes(self, radius, exits):
+        batch = simulate(BROWNIAN, [0.2], self.GRID8, 300, 7)
+        assert (first_exit(batch, radius).probability > 0) == exits
+        problems = self.problems()
+        picard = PicardConfig(tolerance=1e-10, max_iterations=30)
+        joint = solve_localized_bsdes(problems, radius, batch, picard=picard)
+        assert len(joint) == len(problems)
+        for problem, sol in zip(problems, joint):
+            lone = solve_localized_bsde(problem, radius, batch, picard=picard)
+            for name in ("y0_samples", "y_paths", "z_paths"):
+                assert getattr(sol, name).tobytes() == \
+                    getattr(lone, name).tobytes(), name
+            for name in ("picard_gaps", "picard_iterations", "converged",
+                         "exit_probability"):
+                assert getattr(sol, name) == getattr(lone, name), name
+        assert len({sol.y0 for sol in joint}) == len(problems)
+
+    def test_no_problem_rejected(self):
+        batch = simulate(BROWNIAN, [0.0], self.GRID8, 20, 1)
+        with pytest.raises(DomainError, match="at least one problem"):
+            solve_localized_bsdes([], 2.0, batch)
 
 
 class TestLayout:

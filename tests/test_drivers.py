@@ -11,6 +11,7 @@ from youngbsde.drivers import (estimate_seminorm, load_sampled_driver,
 from youngbsde.errors import DomainError
 from youngbsde.fractional_sheet import SheetSpec, sample_sheet
 from youngbsde.paths import TimeGrid
+from youngbsde.registry import TIME_FUNCTIONS, driver_by_names
 
 
 def cos_driver(amplitude=1.0):
@@ -244,6 +245,44 @@ class TestScalarTimes:
         got = drv.increment_pairs(t0, t1, x)
         want = drv.increment_pairs(np.full(rows, t0), np.full(rows, t1), x)
         assert got.shape == want.shape == (rows, drv.channels)
+        assert got.tobytes() == want.tobytes()
+
+
+def _two_call_increments(drv, t0, t1, x):
+    """A separable driver's increments with its time factor called once per
+    endpoint."""
+    v, a, a0 = drv._factors
+    t0 = np.asarray(t0, dtype=float).ravel()
+    t1 = np.asarray(t1, dtype=float).ravel()
+    vx = np.asarray(v(x), dtype=float).reshape(x.shape[0], -1)
+    hi = vx * (np.asarray(a(t1), dtype=float) - a0)[:, None]
+    lo = vx * (np.asarray(a(t0), dtype=float) - a0)[:, None]
+    return hi - lo
+
+
+# every registry time factor, and a mollified one
+_TIME_FACTOR_DRIVERS = {name: driver_by_names("cos", name)
+                        for name in TIME_FUNCTIONS}
+_TIME_FACTOR_DRIVERS["mollified kink-mid"] = mollify_time(
+    driver_by_names("cos", "kink-mid"), 0.1, 1.0)
+
+
+class TestOneTimeFactorCall:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(_TIME_FACTOR_DRIVERS)),
+           paired=st.booleans(), rows=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_bytes_as_one_call_per_endpoint(self, kind, paired, rows,
+                                                 seed):
+        drv = _TIME_FACTOR_DRIVERS[kind]
+        gen = np.random.Generator(np.random.Philox(key=seed))
+        x = gen.uniform(-5.0, 5.0, (rows, 1))
+        size = rows if paired else None
+        t0 = gen.uniform(0.0, 1.0, size)
+        t1 = np.minimum(t0 + gen.uniform(0.0, 0.5, size), 1.0)
+        got = drv.increment_pairs(t0, t1, x)
+        want = _two_call_increments(drv, t0, t1, x)
+        assert got.shape == want.shape == (rows, 1)
         assert got.tobytes() == want.tobytes()
 
 

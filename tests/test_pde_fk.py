@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from youngbsde import bsde, pde_fk
 from youngbsde.bsde import (BsdeProblem, PicardConfig,
                             solve_bsde_with_localization)
-from youngbsde.diffusion import simulate
+from youngbsde.diffusion import first_exit, simulate
 from youngbsde.drivers import make_separable_driver, zero_driver
 from youngbsde.errors import DomainError, NumericalError
 from youngbsde.fd import crank_nicolson_terminal_value
@@ -331,6 +332,79 @@ class TestDoubleApproximation:
                 deltas=[0.1], radii=[2.0], eval_points=[(0.0, [0.0])],
                 samples=100, seed=1, steps=8)
         assert not calls
+
+
+    def test_empty_widths_rejected_before_simulation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated with no mollification width")
+
+        monkeypatch.setattr(pde_fk, "simulate", refuse)
+        with pytest.raises(DomainError, match="at least one mollification"):
+            solve_young_pde_double_approximation(
+                self._tent_problem(), deltas=[], radii=[2.0],
+                eval_points=[(0.0, [0.0])], samples=100, seed=1, steps=8)
+
+    @pytest.mark.parametrize("t", [1.0, 1.5, -0.1])
+    def test_times_checked_before_simulation(self, monkeypatch, t):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before the times were checked")
+
+        monkeypatch.setattr(pde_fk, "simulate", refuse)
+        with pytest.raises(DomainError, match=r"evaluation point 1 \(t="):
+            solve_young_pde_double_approximation(
+                self._tent_problem(), deltas=[0.1], radii=[2.0],
+                eval_points=[(0.0, [0.0]), (t, [0.5])], samples=100,
+                seed=1, steps=8)
+
+    def test_one_operator_per_visited_step_and_radius(self, monkeypatch):
+        # the widths of one radius share its exit times, so each visited
+        # step builds one basis and one ridge operator for all of them
+        operators, batches = [], []
+        ridge_operator, simulate_batch = bsde.ridge_operator, pde_fk.simulate
+        monkeypatch.setattr(bsde, "ridge_operator",
+                            lambda basis: operators.append(basis.shape[0])
+                            or ridge_operator(basis))
+        monkeypatch.setattr(pde_fk, "simulate",
+                            lambda *args, **kwargs: batches.append(
+                                simulate_batch(*args, **kwargs))
+                            or batches[-1])
+        radii = [1.0, 1.5, 4.0]
+        counts = {}
+        for deltas in ([0.1], [0.2, 0.1, 0.05]):
+            operators.clear()
+            batches.clear()
+            solve_young_pde_double_approximation(
+                self._tent_problem(), deltas=deltas, radii=radii,
+                eval_points=[(0.0, [0.0]), (0.5, [0.5])], samples=200,
+                seed=3, steps=8)
+            # step i is visited when some sample stops after it
+            exits = [first_exit(batch, r) for batch in batches for r in radii]
+            assert len(operators) == sum(int(e.stop_index.max())
+                                         for e in exits)
+            counts[len(deltas)] = operators.copy()
+        # samples exit, so the operators of a point's radii differ in rows
+        assert exits[0].probability > 0
+        assert counts[1] == counts[3]
+
+    def test_table_keeps_its_bytes(self):
+        # a nonlinear problem with a time kink (so every width matters) and
+        # exits at the smaller radii; a move of these bytes is an output
+        # change to declare
+        problem = PdeProblem(
+            diffusion=BROWNIAN,
+            f=lambda t, x, y, z: 0.3 * np.sin(y) + 0.2 * z[:, 0],
+            g=lambda y: np.tanh(np.asarray(y, dtype=float)).reshape(-1, 1),
+            terminal=lambda x: x[:, 0],
+            driver=driver_by_names("linear", "kink-mid"), horizon=1.0,
+            lipschitz_f=0.5)
+        _, diag = solve_young_pde_double_approximation(
+            problem, deltas=[0.2, 0.1, 0.05], radii=[1.5, 2.5, 4.0],
+            eval_points=[(0.0, [0.0]), (0.25, [0.5])], samples=400, seed=26,
+            steps=16)
+        digest = hashlib.sha256(diag["values"].tobytes()
+                                + diag["standard_errors"].tobytes())
+        assert digest.hexdigest() == ("b522d982a6d36ab9160970ef0cfd3949"
+                                      "f8d43050803714d9e9341ff4d72b1790")
 
 
 class TestLocalizationError:
