@@ -189,13 +189,13 @@ class TestWeakSolutionResidual:
         # identity up to the left-point Young-sum bias, which shrinks as the
         # time grid refines
         driver = driver_by_names("cos", "linear")
+        cn = crank_nicolson_terminal_value(
+            lambda x: np.exp(-x**2 / 2), lambda x: np.ones_like(x),
+            lambda x: np.zeros_like(x), np.cos, 1.0, 8.0, 1601, 800)
+        xs = np.linspace(-6.0, 6.0, 241)
         residuals = []
         for n_t in (41, 161):
             times = np.linspace(0.0, 1.0, n_t)
-            xs = np.linspace(-6.0, 6.0, 241)
-            cn = crank_nicolson_terminal_value(
-                lambda x: np.exp(-x**2 / 2), lambda x: np.ones_like(x),
-                lambda x: np.zeros_like(x), np.cos, 1.0, 8.0, 1601, 800)
             u = np.stack([cn.at(t, xs) for t in times])
             residuals.append(abs(weak_solution_residual(
                 times, xs, u, lambda x: np.exp(-x[:, 0] ** 2 / 2),
