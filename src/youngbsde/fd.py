@@ -58,11 +58,11 @@ def crank_nicolson_terminal_value(terminal, diffusion_sq, drift, potential,
 
     terminal, diffusion_sq (= a = sigma^2), drift (= b) and potential (= c)
     are vectorized callables of x.  horizon and radius must be finite and
-    positive, space_points at least 5 (three interior nodes, the fewest the
-    LAPACK tridiagonal routines take) and time_steps at least 1.  Returns
-    the full (t, x) table, terminal slice included.  Raises ValueError when
-    the matrix or a right-hand side is not finite, and LinAlgError when the
-    implicit matrix is singular.
+    positive, space_points at least 5 (three interior nodes, the fewest
+    scipy's dgttrf and dgttrs wrappers take) and time_steps at least 1.
+    Returns the full (t, x) table, terminal slice included.  Raises
+    ValueError when the matrix or a right-hand side is not finite, and
+    LinAlgError when the implicit matrix is singular.
     """
     # imported here so that importing the package does not load scipy
     from scipy.linalg.lapack import dgttrf, dgttrs
