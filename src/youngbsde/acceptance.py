@@ -18,9 +18,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from .bsde import (BsdeProblem, girsanov_weight,
-                   solve_bsde_with_localization, solve_localized_bsde,
-                   tower_rule_defect)
+from .bsde import (BsdeProblem, solve_bsde_with_localization,
+                   solve_localized_bsde, tower_rule_defect)
 from .config import parse_config
 from .csvio import write_csv
 from .diffusion import exit_tail_decay, simulate
@@ -31,7 +30,8 @@ from .fd import crank_nicolson_terminal_value
 from .fractional_sheet import (SheetSpec, covariance_matrix,
                                hurst_region_grid, sample_sheet_batch)
 from .paths import SamplePath, TimeGrid, p_variation, p_variation_brute_force
-from .pde_fk import localization_error_experiment, solve_linear_young_pde
+from .pde_fk import (girsanov_weight, localization_error_experiment,
+                     solve_linear_young_pde)
 from .registry import (diffusion_by_name, driver_by_names,
                        drift_change_function)
 from .rng import hash64, stream

@@ -4,9 +4,8 @@ The nonlinear equation
     dY = -f(t,X,Y,Z) dt - g(Y) eta(dt,X) + Z dW
 is solved by a localized least-squares Monte Carlo scheme, stopped at the
 first exit of X from a centered ball, with exited samples absorbed at
-their boundary datum.  The linear equation has a Feynman-Kac formula;
-`pde_fk.solve_linear_bsde` evaluates it, and this module keeps the
-exponential martingale of its drift change, `girsanov_weight`.
+their boundary datum.  The linear equation has a Feynman-Kac formula,
+`pde_fk.solve_linear_bsde`.
 
 Conditional expectations are global polynomial regressions on the state
 restricted to not-yet-exited samples.  Z carries the documented O(sqrt(dt))
@@ -51,13 +50,11 @@ from .drivers import SpaceTimeDriver
 from .errors import DomainError
 from .regression import (fit_predict, poly_basis, ridge_fit, ridge_operator,
                          ridge_solve)
-from .young_calculus import _check_log_weight
 
 __all__ = [
     "BsdeProblem",
     "BsdeSolution",
     "PicardConfig",
-    "girsanov_weight",
     "check_t_index",
     "tower_rule_defect",
     "solve_localized_bsde",
@@ -68,34 +65,6 @@ __all__ = [
 ]
 
 _EXP_GUARD = 700.0  # exponential_moment_diagnostic reports inf past it
-
-
-def _log_girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
-                         dts: np.ndarray) -> np.ndarray:
-    """log M_T, shape (S,), summed in step order; see `girsanov_weight`."""
-    g_values = np.asarray(g_values, dtype=float)
-    increments = np.asarray(increments, dtype=float)
-    if g_values.shape != increments.shape:
-        raise DomainError("drift-change values and increments must align")
-    log_steps = (np.sum(g_values * increments, axis=2)
-                 - 0.5 * np.sum(g_values**2, axis=2) * dts[None, :])
-    if log_steps.shape[1] == 0:
-        return np.zeros(log_steps.shape[0])
-    return np.cumsum(log_steps, axis=1)[:, -1]
-
-
-def girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
-                    dts: np.ndarray) -> np.ndarray:
-    """Terminal value M_T, shape (S,), of the discrete exponential
-    martingale of a drift-change process; strictly positive, M_0 = 1.
-
-    g_values holds the process at left grid points, shape (S, steps, d);
-    increments are the Brownian increments of the same shape.  Raises
-    NumericalError when a sample's log M_T passes log(FLOW_OVERFLOW_GUARD).
-    """
-    log_m = _log_girsanov_weight(g_values, increments, dts)
-    _check_log_weight(log_m, "exponential martingale")
-    return np.exp(log_m)
 
 
 def _standard_error(values: np.ndarray) -> float:
@@ -181,6 +150,13 @@ def _check_secant(message: str, change, distance, bound) -> None:
                           f"{float(np.max(ratio)):g})")
 
 
+def _check_declared(problem, *names) -> None:
+    """Declared constants may be inf but not NaN, which passes every secant."""
+    for name in names:
+        if math.isnan(getattr(problem, name)):
+            raise DomainError(f"declared {name} is NaN")
+
+
 def _check_coefficients(problem) -> None:
     """The declared bound on g and its first two derivatives, and the
     Lipschitz constant of f in (y, z), on the contract cloud."""
@@ -209,9 +185,9 @@ class BsdeProblem:
     f(t, x:(S,d), y:(S,), z:(S,d)) -> (S,); g(y:(S,)) -> (S, M) with g, its
     gradient and curvature bounded by coefficient_bound and f Lipschitz in
     (y, z) with constant lipschitz_f (both checked by secants on the
-    contract cloud at construction); terminal h(x:(S,d)) -> (S,).  The
-    start point and the forward dynamics are those of the batch a solve is
-    given.
+    contract cloud at construction; neither may be NaN); terminal
+    h(x:(S,d)) -> (S,).  The start point and the forward dynamics are those
+    of the batch a solve is given.
     """
 
     f: callable
@@ -222,6 +198,7 @@ class BsdeProblem:
     lipschitz_f: float = 1.0
 
     def __post_init__(self):
+        _check_declared(self, "coefficient_bound", "lipschitz_f")
         _check_coefficients(self)
 
     def terminal_at(self, batch: PathBatch, stop_index: np.ndarray

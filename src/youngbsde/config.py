@@ -10,6 +10,7 @@ declared once: `_batch(steps, samples)` (diffusion, horizon, steps, samples),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +39,13 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if math.isnan(value):  # passes every check; inf is allowed
+        raise ValueError(f"not a number: {raw!r}")
+    return value
+
+
 def _parse_value(raw: str, kind: type):
     raw = raw.strip()
     if kind is bool:
@@ -45,11 +53,12 @@ def _parse_value(raw: str, kind: type):
     if kind is int:
         return int(raw)
     if kind is float:
-        return float(raw)
+        return _parse_float(raw)
     if kind is str:
         return raw
     if kind is tuple:  # tuple of floats, comma separated
-        return tuple(float(p) for p in raw.split(",") if p.strip() != "")
+        return tuple(_parse_float(p) for p in raw.split(",")
+                     if p.strip() != "")
     raise ConfigError(f"unsupported schema type {kind}")
 
 

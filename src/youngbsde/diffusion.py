@@ -42,7 +42,8 @@ class DiffusionSpec:
     copy, or a vectorized callable: sigma maps (t, x:(S,d)) -> (S,d,d) and b
     maps (t, x:(S,d)) -> (S,d), scalar shorthands ((S,) outputs for d == 1)
     accepted.  ellipticity=0 means "not asserted".  The bound and a positive
-    ellipticity are checked here when both are constant, else by `simulate`.
+    ellipticity are checked here when both are constant, else by `simulate`;
+    a NaN constant, or a NaN coefficient value, fails its check.
     """
 
     sigma: object
@@ -52,9 +53,9 @@ class DiffusionSpec:
     ellipticity: float = 0.0
 
     def __post_init__(self):
-        if self.bound <= 0 or self.dim < 1:
+        if not self.bound > 0 or self.dim < 1:
             raise DomainError("bound and dim must be positive")
-        if self.ellipticity < 0:
+        if not self.ellipticity >= 0:
             raise DomainError("ellipticity must be >= 0")
         for name, shape in (("sigma", (self.dim, self.dim)),
                             ("drift", (self.dim,))):
@@ -89,8 +90,8 @@ class DiffusionSpec:
     def check_bounds(self, t: float, sig: np.ndarray, dri: np.ndarray) -> None:
         worst_sigma = float(np.max(np.sqrt(np.sum(sig * sig, axis=(1, 2)))))
         worst_drift = float(np.max(np.linalg.norm(dri, axis=1)))
-        if worst_sigma > self.bound * (1 + 1e-12) or \
-                worst_drift > self.bound * (1 + 1e-12):
+        if not (worst_sigma <= self.bound * (1 + 1e-12)
+                and worst_drift <= self.bound * (1 + 1e-12)):
             raise DomainError(
                 f"coefficient bound violated at t={t:g}: |sigma|="
                 f"{worst_sigma:g}, |b|={worst_drift:g} exceed the declared "
@@ -101,7 +102,7 @@ class DiffusionSpec:
             else:
                 gram = np.einsum("sij,skj->sik", sig, sig)
                 smallest = float(np.min(np.linalg.eigvalsh(gram)))
-            if smallest < self.ellipticity * (1 - 1e-9):
+            if not smallest >= self.ellipticity * (1 - 1e-9):
                 raise DomainError(
                     f"ellipticity violated at t={t:g}: smallest sigma*sigma^T "
                     f"eigenvalue {smallest:g} < declared {self.ellipticity:g}")

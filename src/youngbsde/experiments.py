@@ -7,6 +7,7 @@ their own seeds, so worker counts never change any output byte.
 
 from __future__ import annotations
 
+import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -24,9 +25,8 @@ from .drivers import save_sampled_driver, zero_driver
 from .errors import ConfigError
 from .fractional_sheet import SheetSpec, hurst_region_grid, sample_sheet
 from .paths import SamplePath, TimeGrid
-from .pde_fk import (LinearBsdeSpec, PdeProblem, check_reaction_growth,
-                     fk_point_estimate, localization_error_experiment,
-                     solve_linear_bsde)
+from .pde_fk import (PdeProblem, check_reaction_growth, fk_point_estimate,
+                     localization_error_experiment, solve_linear_bsde)
 from .registry import (diffusion_by_name, driver_by_names, drift_change_function,
                        path_function, space_function, terminal_function,
                        y_coefficient_function)
@@ -44,11 +44,16 @@ class RunResult:
 
 
 def parallel_map(fn, items, workers) -> list:
-    """Order-preserving map over independent jobs; thread pool when asked."""
+    """Order-preserving map over independent jobs; thread pool when asked.
+    Each pool job runs in its own copy of the caller's context, which holds
+    numpy's floating-point error state, so the worker count never changes
+    it (a context is entered by one thread at a time)."""
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    context = contextvars.copy_context()
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(lambda item: context.copy().run(fn, item),
+                             items))
 
 
 def _batch(v: dict):
@@ -145,13 +150,13 @@ def _run_flow(v: dict, out: Path) -> RunResult:
 
 
 def _run_linear_bsde(v: dict, out: Path) -> RunResult:
-    terminal = terminal_function(v["terminal"])
-    spec = LinearBsdeSpec(
+    # every registry lookup comes before the simulation
+    sol = solve_linear_bsde(
+        _driver(v), terminal_function(v["terminal"]),
         alpha=0.0 if v["alpha"] == "zero" else 1.0,
-        terminal=lambda paths: terminal(paths[:, -1, :]), driver=_driver(v),
         drift_change=drift_change_function(v["drift_change"],
-                                           v["drift_change_amplitude"]))
-    sol = solve_linear_bsde(spec, _batch(v))
+                                           v["drift_change_amplitude"]),
+        batch=_batch(v))
     path = write_csv(out / "linear_solution.csv",
                      ["time", "y0", "standard_error", "samples"],
                      [[0.0, sol.y0, sol.y0_standard_error, v["samples"]]])

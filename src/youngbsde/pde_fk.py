@@ -4,11 +4,12 @@ A `PdeProblem` is a `BsdeProblem` plus the operator's diffusion, the horizon
 and the terminal's declared Lipschitz constant.  The linear Feynman-Kac
 formula is one function, `solve_linear_bsde`:
     Y_0 = E[exp(sum_i alpha_i int eta_i(dr, X)) xi M_T]
-with constant coefficients alpha_i, M the exponential martingale of a drift
-change, and the driver integral streamed by `young_sum_batch`.  Linear
-terminal-value problems are evaluated by it with alpha = 1 and no drift
-change, one batch chunk at a time: u(t, x) is the Monte Carlo mean of
-u_T(X_T) weighted by the exponential of the pathwise driver integral.
+with xi = terminal(X_T), constant coefficients alpha_i, M the exponential
+martingale of a drift change (`girsanov_weight`), and the driver integral
+streamed by `young_sum_batch`.  Linear terminal-value problems are
+evaluated by it with alpha = 1 and no drift change, one batch chunk at a
+time: u(t, x) is the Monte Carlo mean of u_T(X_T) weighted by the
+exponential of the pathwise driver integral.
 Nonlinear problems go through the double approximation: time-mollified
 drivers and balls of growing radius, each sub-problem solved by the
 localized least-squares scheme.  Both PDE solvers require a declared
@@ -26,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bsde import (BsdeProblem, BsdeSolution, PicardConfig, _check_secant,
-                   _contract_cloud, _log_girsanov_weight, _standard_error,
+from .bsde import (BsdeProblem, BsdeSolution, PicardConfig, _check_declared,
+                   _check_secant, _contract_cloud, _standard_error,
                    solve_bsde_with_localization, solve_localized_bsdes)
 # bench/tracer.py wraps solve_localized_bsde as bound in this module
 from .bsde import solve_localized_bsde  # noqa: F401
@@ -42,7 +43,7 @@ from .young_calculus import (_check_log_weight, step_increments,
                              young_sum_batch)
 
 __all__ = [
-    "LinearBsdeSpec",
+    "girsanov_weight",
     "solve_linear_bsde",
     "PdeProblem",
     "GROWTH_EXPONENTS",
@@ -59,58 +60,60 @@ __all__ = [
 _FK_CHUNK = 50_000
 
 
-@dataclass
-class LinearBsdeSpec:
-    """Coefficients of the scalar linear equation
-    Y_t = xi + sum_i int alpha_i Y eta_i(dr, X) + int Z G dr - int Z dW.
+def _log_girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
+                         dts: np.ndarray) -> np.ndarray:
+    """log M_T, shape (S,), summed in step order; see `girsanov_weight`."""
+    g_values = np.asarray(g_values, dtype=float)
+    increments = np.asarray(increments, dtype=float)
+    if g_values.shape != increments.shape:
+        raise DomainError("drift-change values and increments must align")
+    log_steps = (np.sum(g_values * increments, axis=2)
+                 - 0.5 * np.sum(g_values**2, axis=2) * dts[None, :])
+    if log_steps.shape[1] == 0:
+        return np.zeros(log_steps.shape[0])
+    return np.cumsum(log_steps, axis=1)[:, -1]
 
-    alpha is a constant, or one constant per driver channel;
-    drift_change(t, x) -> (S, d) or None; terminal(paths (S, m, d)) -> (S,)
-    evaluated on whole simulated paths.  The declared drift-change bound is
-    spot-checked on every visited state of the batch a solve is given.
+
+def girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
+                    dts: np.ndarray) -> np.ndarray:
+    """Terminal value M_T, shape (S,), of the discrete exponential
+    martingale of a drift-change process; strictly positive, M_0 = 1.
+
+    g_values holds the process at left grid points, shape (S, steps, d);
+    increments are the Brownian increments of the same shape.  Raises
+    NumericalError when a sample's log M_T passes log(FLOW_OVERFLOW_GUARD).
     """
-
-    alpha: float | np.ndarray
-    terminal: callable
-    driver: SpaceTimeDriver
-    drift_change: callable = None
-    drift_change_bound: float | None = None
-
-    def drift_change_at(self, t: float, x: np.ndarray) -> np.ndarray:
-        out = np.asarray(self.drift_change(t, x), dtype=float)
-        out = out.reshape(x.shape[0], x.shape[1])
-        if self.drift_change_bound is not None:
-            worst = float(np.max(np.linalg.norm(out, axis=1)))
-            if worst > self.drift_change_bound * (1 + 1e-12):
-                raise DomainError(
-                    f"drift-change process exceeded its declared bound: "
-                    f"{worst:g} > {self.drift_change_bound:g} at t={t:g}")
-        return out
+    log_m = _log_girsanov_weight(g_values, increments, dts)
+    _check_log_weight(log_m, "exponential martingale")
+    return np.exp(log_m)
 
 
-def solve_linear_bsde(spec: LinearBsdeSpec, batch: PathBatch
-                      ) -> BsdeSolution:
-    """Y_0 of the linear equation by the Feynman-Kac formula at t = 0,
+def solve_linear_bsde(driver: SpaceTimeDriver, terminal, batch: PathBatch,
+                      alpha=1.0, drift_change=None) -> BsdeSolution:
+    """Y_0 of the scalar linear equation
+        Y_t = xi + sum_i int alpha_i Y eta_i(dr, X) + int Z G dr - int Z dW
+    by the Feynman-Kac formula on the given path batch,
         Y_0 = E[exp(sum_i alpha_i int eta_i(dr, X)) xi M_T],
-    on the given path batch, with M the exponential martingale of the drift
-    change (1 without one): the mean of one payoff per sample, whose spread
-    gives the standard error.  Raises NumericalError when a sample's log
-    weight, the exponent plus log M_T, passes log(FLOW_OVERFLOW_GUARD).  The
-    control process Z is not produced by this formula; Z estimation belongs
-    to the regression pathway of the localized solver and any Z here is None.
+    with xi = terminal(X_T), alpha a constant or one per driver channel, and
+    M the exponential martingale of G = drift_change(t, x) -> (S, d) (1
+    without one): the mean of one payoff per sample, whose spread gives the
+    standard error.  Raises NumericalError when a sample's log weight, the
+    exponent plus log M_T, passes log(FLOW_OVERFLOW_GUARD) or is NaN.  No Z
+    is produced; the localized solver's regressions estimate Z.
     """
     times = batch.grid.times
-    exponent = np.sum(np.asarray(spec.alpha, dtype=float)
-                      * young_sum_batch(spec.driver, times, batch.paths),
-                      axis=1)
+    exponent = np.sum(np.asarray(alpha, dtype=float)
+                      * young_sum_batch(driver, times, batch.paths), axis=1)
     log_m = 0.0
-    if spec.drift_change is not None:
+    if drift_change is not None:
         g_vals = np.empty((batch.samples, times.size - 1, batch.dim))
         for i in range(times.size - 1):
-            g_vals[:, i] = spec.drift_change_at(times[i], batch.paths[:, i])
+            g_vals[:, i] = np.asarray(
+                drift_change(times[i], batch.paths[:, i]),
+                dtype=float).reshape(batch.samples, batch.dim)
         log_m = _log_girsanov_weight(g_vals, batch.increments, np.diff(times))
     _check_log_weight(exponent + log_m, "Feynman-Kac weight")
-    xi = np.asarray(spec.terminal(batch.paths), dtype=float).reshape(
+    xi = np.asarray(terminal(batch.paths[:, -1, :]), dtype=float).reshape(
         batch.samples)
     payoff = np.exp(exponent) * xi * np.exp(log_m)
     return BsdeSolution(y0=float(payoff.mean()), y_coefficients=None,
@@ -124,7 +127,7 @@ def solve_linear_bsde(spec: LinearBsdeSpec, batch: PathBatch
 class PdeProblem(BsdeProblem):
     """Nonlinear Young PDE data: a backward equation plus the diffusion of
     its operator, the horizon and the declared Lipschitz constant of the
-    terminal condition, checked by secants at construction."""
+    terminal condition (not NaN), checked by secants at construction."""
 
     diffusion: DiffusionSpec
     horizon: float
@@ -132,6 +135,7 @@ class PdeProblem(BsdeProblem):
 
     def __post_init__(self):
         super().__post_init__()
+        _check_declared(self, "lipschitz_terminal")
         c = _contract_cloud(self.diffusion.dim)
         _check_secant(
             f"terminal condition violates its declared Lipschitz constant "
@@ -169,13 +173,11 @@ def fk_point_estimate(diffusion: DiffusionSpec, driver: SpaceTimeDriver,
                                         .reshape(1, -1)))[0])
         return val, 0.0
     grid = TimeGrid(np.linspace(t, horizon, steps + 1), horizon)
-    spec = LinearBsdeSpec(alpha=1.0, driver=driver,
-                          terminal=lambda paths: terminal(paths[:, -1, :]))
     payoffs = []
     for total in range(0, samples, _FK_CHUNK):
         batch = simulate(diffusion, x, grid, min(_FK_CHUNK, samples - total),
                          point_seed, sample_offset=total)
-        payoffs.append(solve_linear_bsde(spec, batch).y0_samples)
+        payoffs.append(solve_linear_bsde(driver, terminal, batch).y0_samples)
     payoff = np.concatenate(payoffs)
     return float(payoff.mean()), _standard_error(payoff)
 

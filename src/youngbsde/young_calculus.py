@@ -44,9 +44,11 @@ DEFAULT_MAX_LEVELS = 16
 
 def _check_log_weight(log_weight: np.ndarray, what: str) -> None:
     """The overflow rule of every exponential weight: raise NumericalError
-    when a log weight passes log(FLOW_OVERFLOW_GUARD)."""
-    worst = float(np.max(log_weight))
-    if worst > np.log(FLOW_OVERFLOW_GUARD):
+    when a log weight passes log(FLOW_OVERFLOW_GUARD) or is NaN."""
+    worst = float(np.max(log_weight))  # NaN if any log weight is NaN
+    if not worst <= np.log(FLOW_OVERFLOW_GUARD):
+        if np.isnan(worst):
+            raise NumericalError(f"{what}: a log weight is NaN")
         raise NumericalError(f"{what} overflow: log weight {worst:g} above "
                              f"log({FLOW_OVERFLOW_GUARD:g})")
 

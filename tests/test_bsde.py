@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from youngbsde import bsde
 from youngbsde.bsde import (BsdeProblem, PicardConfig,
                             exponential_moment_diagnostic,
-                            girsanov_weight, martingale_residual,
+                            martingale_residual,
                             solve_bsde_with_localization,
                             solve_localized_bsde, solve_localized_bsdes,
                             tower_rule_defect)
@@ -20,7 +20,7 @@ from youngbsde.drivers import (SpaceTimeDriver, make_separable_driver,
                                mollify_time, zero_driver)
 from youngbsde.errors import DomainError, NumericalError
 from youngbsde.paths import SamplePath, TimeGrid
-from youngbsde.pde_fk import (LinearBsdeSpec, fk_point_estimate,
+from youngbsde.pde_fk import (fk_point_estimate, girsanov_weight,
                               solve_linear_bsde)
 from youngbsde.regression import poly_basis, ridge_fit
 from youngbsde.registry import diffusion_by_name, driver_by_names
@@ -157,28 +157,24 @@ class TestGirsanov:
 
 class TestLinearSolver:
     def test_martingale_case(self):
-        spec = LinearBsdeSpec(
-            alpha=0.0,
-            terminal=lambda p: p[:, -1, 0], driver=TIME_DRIVER)
-        sol = solve_linear_bsde(spec, brownian_batch(20000, seed=11, x0=0.3))
+        sol = solve_linear_bsde(TIME_DRIVER, lambda x: x[:, 0],
+                                brownian_batch(20000, seed=11, x0=0.3),
+                                alpha=0.0)
         assert abs(sol.y0 - 0.3) <= 3 * sol.y0_standard_error
 
     def test_unit_coefficient_time_driver(self):
         # alpha = 1, eta = t, xi = 1: the flow is e^T exactly
-        spec = LinearBsdeSpec(
-            alpha=1.0,
-            terminal=lambda p: np.ones(p.shape[0]), driver=TIME_DRIVER)
-        sol = solve_linear_bsde(spec, brownian_batch(500, seed=1))
+        sol = solve_linear_bsde(TIME_DRIVER, lambda x: np.ones(x.shape[0]),
+                                brownian_batch(500, seed=1), alpha=1.0)
         assert sol.y0 == pytest.approx(math.e, rel=1e-12)
 
     def test_one_coefficient_per_channel(self):
         # two channels of eta = t: the exponent is 0.5 T - 0.25 T exactly
         driver = make_separable_driver(lambda x: np.ones((x.shape[0], 2)),
                                        lambda t: t, channels=2)
-        spec = LinearBsdeSpec(
-            alpha=np.array([0.5, -0.25]),
-            terminal=lambda p: np.ones(p.shape[0]), driver=driver)
-        sol = solve_linear_bsde(spec, brownian_batch(200, seed=1))
+        sol = solve_linear_bsde(driver, lambda x: np.ones(x.shape[0]),
+                                brownian_batch(200, seed=1),
+                                alpha=np.array([0.5, -0.25]))
         assert sol.y0 == pytest.approx(math.exp(0.25), rel=1e-12)
 
     def test_guard_reads_the_whole_weight(self):
@@ -190,30 +186,35 @@ class TestLinearSolver:
                           paths=np.zeros((2, 2, 1)),
                           increments=np.full((2, 1, 1), 8.0))
 
-        def spec(alpha, drift_change):
-            return LinearBsdeSpec(
-                alpha=alpha, terminal=lambda p: np.ones(p.shape[0]),
-                driver=driver, drift_change=drift_change)
+        def one(x):
+            return np.ones(x.shape[0])
 
         def drift(t, x):
             return np.full_like(x, 3.0)
 
-        assert solve_linear_bsde(spec(1.0, None), batch).y0 == \
+        assert solve_linear_bsde(driver, one, batch, 1.0, None).y0 == \
             pytest.approx(math.exp(10.0), rel=1e-12)
-        assert solve_linear_bsde(spec(0.0, drift), batch).y0 == \
+        assert solve_linear_bsde(driver, one, batch, 0.0, drift).y0 == \
             pytest.approx(math.exp(19.5), rel=1e-12)
         with pytest.raises(NumericalError, match="overflow"):
-            solve_linear_bsde(spec(1.0, drift), batch)
+            solve_linear_bsde(driver, one, batch, 1.0, drift)
+
+    def test_nan_weight_raises(self):
+        # max() of a NaN log weight is NaN, which no overflow test catches
+        driver = make_separable_driver(lambda x: np.full(x.shape[0], np.nan),
+                                       lambda t: t)
+        with pytest.raises(NumericalError, match="NaN"):
+            solve_linear_bsde(driver, lambda x: np.ones(x.shape[0]),
+                              brownian_batch(50, seed=1))
 
     def test_kac_potential_against_finite_differences(self):
         from youngbsde.fd import crank_nicolson_terminal_value
 
         driver = driver_by_names("cos", "linear")
-        spec = LinearBsdeSpec(
-            alpha=1.0,
-            terminal=lambda p: np.ones(p.shape[0]), driver=driver)
-        sol = solve_linear_bsde(spec, brownian_batch(
-            50000, seed=7, grid=TimeGrid.uniform(1.0, 64)))
+        sol = solve_linear_bsde(
+            driver, lambda x: np.ones(x.shape[0]),
+            brownian_batch(50000, seed=7, grid=TimeGrid.uniform(1.0, 64)),
+            alpha=1.0)
         oracle = crank_nicolson_terminal_value(
             lambda x: np.ones_like(x), lambda x: np.ones_like(x),
             lambda x: np.zeros_like(x), np.cos, 1.0, 8.0, 1200, 600)
@@ -223,11 +224,9 @@ class TestLinearSolver:
     def test_girsanov_drift_change_consistency(self):
         # xi = X_T under a constant drift change: E[X_T M_T] = x0 + c T
         c = 0.4
-        spec = LinearBsdeSpec(
-            alpha=0.0,
-            terminal=lambda p: p[:, -1, 0], driver=TIME_DRIVER,
-            drift_change=lambda t, x: np.full_like(x, c))
-        sol = solve_linear_bsde(spec, brownian_batch(50000, seed=13))
+        sol = solve_linear_bsde(TIME_DRIVER, lambda x: x[:, 0],
+                                brownian_batch(50000, seed=13), alpha=0.0,
+                                drift_change=lambda t, x: np.full_like(x, c))
         assert abs(sol.y0 - c) <= 3 * sol.y0_standard_error
 
     @pytest.mark.parametrize("seed", range(5))
@@ -236,10 +235,9 @@ class TestLinearSolver:
         # payoff h(X_T) exp(sum deta) on the same simulated paths
         driver = driver_by_names("cos", "linear", amplitude=0.5)
         h = lambda x: np.cos(x[:, 0]) + 2.0
-        spec = LinearBsdeSpec(
-            alpha=1.0,
-            terminal=lambda p: h(p[:, -1, :]), driver=driver)
-        sol = solve_linear_bsde(spec, brownian_batch(3000, seed=seed, x0=0.3))
+        sol = solve_linear_bsde(driver, h,
+                                brownian_batch(3000, seed=seed, x0=0.3),
+                                alpha=1.0)
         value, se = fk_point_estimate(BROWNIAN, driver, h, 0.0, [0.3], 1.0,
                                       32, 3000, seed)
         assert sol.y0 == value
@@ -663,34 +661,23 @@ class TestLinearNonlinearConsistency:
                                     brownian_batch(40000, seed=33, grid=grid),
                                     picard=PicardConfig(tolerance=1e-8,
                                                         max_iterations=80))
-        spec = LinearBsdeSpec(
-            alpha=1.0,
-            terminal=lambda p: np.ones(p.shape[0]), driver=driver)
         flow = solve_linear_bsde(
-            spec, brownian_batch(40000, seed=3300, grid=grid))
+            driver, lambda x: np.ones(x.shape[0]),
+            brownian_batch(40000, seed=3300, grid=grid), alpha=1.0)
         combined = math.hypot(lsmc.y0_standard_error,
                               flow.y0_standard_error)
         scheme_bias = lsmc.y0 * amp**2 / (2 * 64)
         assert abs(lsmc.y0 - flow.y0) <= 3 * combined + scheme_bias
-
-    def test_drift_change_bound_enforced(self):
-        spec = LinearBsdeSpec(
-            alpha=0.0,
-            terminal=lambda p: p[:, -1, 0], driver=TIME_DRIVER,
-            drift_change=lambda t, x: np.full_like(x, 2.0),
-            drift_change_bound=1.0)
-        with pytest.raises(DomainError, match="bound"):
-            solve_linear_bsde(spec, brownian_batch(50, seed=1))
 
     def test_flow_overflow_guard_shared_with_exact_flow(self):
         # exponent 40 t ends above log(FLOW_OVERFLOW_GUARD) ~ 27.6 but below
         # the 700 of the exponential-martingale guard
         driver = driver_by_names("one", "linear", amplitude=40.0)
         grid = TimeGrid.uniform(1.0, 8)
-        spec = LinearBsdeSpec(
-            alpha=1.0, terminal=lambda p: np.ones(p.shape[0]), driver=driver)
         with pytest.raises(NumericalError):
-            solve_linear_bsde(spec, brownian_batch(50, seed=1, grid=grid))
+            solve_linear_bsde(driver, lambda x: np.ones(x.shape[0]),
+                              brownian_batch(50, seed=1, grid=grid),
+                              alpha=1.0)
         with pytest.raises(NumericalError):
             solve_flow(np.ones(9), driver, SamplePath(grid, np.zeros(9)),
                        mode="exact")
@@ -704,9 +691,8 @@ class TestLinearNonlinearConsistency:
         # t = 1/2 and returns to 0 (up to round-off) at t = 1
         driver = make_separable_driver(lambda x: np.ones(x.shape[0]),
                                        lambda t: 40.0 * np.sin(np.pi * t))
-        spec = LinearBsdeSpec(
-            alpha=1.0, terminal=lambda p: np.ones(p.shape[0]), driver=driver)
-        sol = solve_linear_bsde(spec, brownian_batch(50, seed=1))
+        sol = solve_linear_bsde(driver, lambda x: np.ones(x.shape[0]),
+                                brownian_batch(50, seed=1), alpha=1.0)
         assert sol.y0 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -909,10 +895,6 @@ class TestLayout:
             g=lambda y: np.tanh(np.asarray(y, dtype=float)).reshape(-1, 1),
             terminal=lambda x: np.sum(x**2, axis=1), driver=driver,
             lipschitz_f=0.3)
-        linear = LinearBsdeSpec(
-            alpha=0.7, driver=driver,
-            terminal=lambda p: np.sum(p[:, -1, :], axis=1),
-            drift_change=lambda t, x: 0.3 * np.sin(x))
         sol = solve_localized_bsde(problem, 1.5, batch)
         finest, table = solve_bsde_with_localization(problem, [1.0, 2.0],
                                                      batch)
@@ -921,7 +903,9 @@ class TestLayout:
         return [sol.y_paths, sol.z_paths, sol.y0_samples, finest.y0_samples,
                 [[row[k] for k in sorted(row)] for row in table],
                 residual["mean"], residual["se"],
-                solve_linear_bsde(linear, batch).y0_samples,
+                solve_linear_bsde(
+                    driver, lambda x: np.sum(x, axis=1), batch, alpha=0.7,
+                    drift_change=lambda t, x: 0.3 * np.sin(x)).y0_samples,
                 tower_rule_defect(np.tile(x[:, -1:], (1, x.shape[1])), x,
                                   driver, batch, t_index=2),
                 first_exit(batch, 1.5).stop_index,

@@ -55,6 +55,12 @@ class TestConfigParsing:
         cfg = parse_config(text="kind = exit-decay\nradii = 1.0,2.0, 3.0\n")
         assert cfg.values["radii"] == (1.0, 2.0, 3.0)
 
+    def test_inf_accepted(self):
+        cfg = parse_config(text="kind = pde-fk\namplitude = inf\n"
+                                "eval_xs = -inf, 0.0\n")
+        assert cfg.values["amplitude"] == float("inf")
+        assert cfg.values["eval_xs"] == (float("-inf"), 0.0)
+
     def test_overrides_win(self):
         cfg = parse_config(text="kind = hurst-region\nd = 1\n",
                            overrides=["d=3", "seed=9"])
@@ -287,6 +293,24 @@ class TestCliExitCodes:
         assert err["error"] == "config" and "eval_xs" in err["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("body, key", [
+        ("kind = linear-bsde\namplitude = nan\n", "amplitude"),
+        ("kind = linear-bsde\ndrift_change = const\n"
+         "drift_change_amplitude = nan\n", "drift_change_amplitude"),
+        ("kind = pde-fk\namplitude = nan\n", "amplitude"),
+        ("kind = pde-fk\neval_xs = 0.0, NaN\n", "eval_xs"),
+    ], ids=["linear-bsde-amplitude", "linear-bsde-drift-change",
+            "pde-fk-amplitude", "pde-fk-eval-xs"])
+    def test_nan_value_is_2(self, tmp_path, capsys, body, key):
+        # a NaN passes every precondition and every overflow guard, so it
+        # is refused where it enters
+        cfg = self._write(tmp_path, body + "samples = 50\nsteps = 4\n")
+        assert main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and key in err["message"]
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("t_index, code", [(7, 0), (8, 3), (40, 3)])
     def test_tower_rule_t_index_must_leave_a_step(self, tmp_path, capsys,
                                                   t_index, code):
@@ -406,6 +430,15 @@ class TestWorkerDeterminism:
             bodies[w] = {p.name: p.read_bytes()
                          for p in sorted(out.glob("*.csv"))}
         assert bodies[1] == bodies[4]
+
+    def test_jobs_see_the_callers_errstate(self):
+        # numpy keeps its floating-point error state in a context variable,
+        # which a pool thread does not inherit by itself
+        with np.errstate(over="raise", under="ignore"):
+            states = {w: experiments.parallel_map(
+                lambda item: (np.geterr()["over"], np.geterr()["under"]),
+                list(range(4)), w) for w in (1, 2)}
+        assert states[1] == states[2] == [("raise", "ignore")] * 4
 
 
 # sha256 of every CSV of the criterion-12 configs at seed 77, one worker

@@ -171,6 +171,14 @@ class TestSimulate:
         with pytest.raises(DomainError, match="bound"):
             simulate(spec, [0.0], GRID, 4, seed=0)
 
+    @pytest.mark.parametrize("which", ["sigma", "drift"])
+    def test_nan_coefficient_raises(self, which):
+        nan = lambda t, x: np.full((x.shape[0], 1, 1) if which == "sigma"
+                                   else x.shape, np.nan)
+        spec = dataclasses.replace(constant_spec(), **{which: nan})
+        with pytest.raises(DomainError, match="bound violated"):
+            simulate(spec, [0.0], GRID, 4, seed=0)
+
     @pytest.mark.parametrize("dim", [1, 2])
     def test_ellipticity_violation_raises(self, dim):
         # sigma = I near the start, 0.5 I once the drift has carried a path
@@ -262,6 +270,18 @@ class TestConstantCoefficients:
                            r"eigenvalue 0.25 < declared 1"):
             DiffusionSpec(sigma=0.5 * np.eye(dim), drift=np.zeros(dim),
                           bound=1.0, dim=dim, ellipticity=1.0)
+
+    @pytest.mark.parametrize("bound, ellipticity, match", [
+        (float("nan"), 0.0, "bound and dim must be positive"),
+        (1.0, float("nan"), "ellipticity must be >= 0"),
+    ], ids=["bound", "ellipticity"])
+    def test_nan_constant_raises_at_construction(self, no_simulation, bound,
+                                                 ellipticity, match):
+        # sigma = 0 breaks any positive ellipticity; a NaN one checked
+        # nothing
+        with pytest.raises(DomainError, match=match):
+            DiffusionSpec(sigma=np.zeros((1, 1)), drift=np.zeros(1),
+                          bound=bound, dim=1, ellipticity=ellipticity)
 
     @pytest.mark.parametrize("sigma, drift", [
         (np.ones(2), np.zeros(2)), (np.eye(3), np.zeros(2)),

@@ -15,10 +15,11 @@ from youngbsde.paths import TimeGrid
 from youngbsde.pde_fk import (PdeProblem, check_reaction_growth,
                               fk_point_estimate,
                               localization_error_experiment,
-                              solve_linear_young_pde,
+                              solve_linear_bsde, solve_linear_young_pde,
                               solve_young_pde_double_approximation,
                               weak_solution_residual)
-from youngbsde.registry import diffusion_by_name, driver_by_names
+from youngbsde.registry import (diffusion_by_name, driver_by_names,
+                                drift_change_function, terminal_function)
 from youngbsde.rng import hash64
 
 BROWNIAN = diffusion_by_name("brownian")
@@ -106,6 +107,31 @@ class TestLinearFeynmanKac:
             lambda x: np.zeros_like(x), np.cos, 1.0, 8.0, 1200, 600)
         ref = float(oracle.at(0.0, 0.0)[0])
         assert table.values[0] == pytest.approx(ref, rel=0.02)
+
+    @pytest.mark.parametrize("space, alpha, drift_change, terminal, digest", [
+        ("cos", 1.0, ("cos-state", 0.3), "cos",
+         "d00f9fd997abae0fa46a8d9960a5452d1b89e735cbfde5f12223999e19b118af"),
+        ("lorentz", 0.0, ("const", 0.4), "identity",
+         "2536d622282981598505bdc3e45eb16c0b907ee8b8e11fe018824fd83e4c5616"),
+        ("cos-and-linear", np.array([0.5, -0.25]), None, "gauss",
+         "f212b5783e9b229c09e5f57df2302c7bbe1465bf2af6861931dab8719822a45b"),
+    ], ids=["cos-state-drift-change", "const-drift-change", "two-channels"])
+    def test_linear_formula_keeps_its_bytes(self, space, alpha, drift_change,
+                                            terminal, digest):
+        # per-sample payoffs of three linear equations on one batch: a
+        # state-dependent and a constant drift change, and one alpha per
+        # channel of a two-channel driver
+        if space == "cos-and-linear":
+            driver = make_separable_driver(
+                lambda x: np.stack([np.cos(x[:, 0]), x[:, 0]], axis=1),
+                lambda t: np.asarray(t, dtype=float), channels=2)
+        else:
+            driver = driver_by_names(space, "linear")
+        batch = simulate(BROWNIAN, [0.3], TimeGrid.uniform(1.0, 32), 3000, 5)
+        sol = solve_linear_bsde(
+            driver, terminal_function(terminal), batch, alpha=alpha,
+            drift_change=drift_change and drift_change_function(*drift_change))
+        assert hashlib.sha256(sol.y0_samples.tobytes()).hexdigest() == digest
 
     def test_requires_ellipticity(self):
         with pytest.raises(DomainError, match="ellipticity"):
@@ -538,6 +564,20 @@ class TestDeclaredConstants:
     def test_rejected_at_construction(self, build, match):
         with pytest.raises(DomainError, match=match):
             build()
+
+    @pytest.mark.parametrize("build, name", [
+        (lambda nan: _bsde(g=lambda y: (100.0 * np.asarray(y))
+                           .reshape(-1, 1), coefficient_bound=nan),
+         "coefficient_bound"),
+        (lambda nan: _bsde(f=lambda t, x, y, z: 100.0 * y, lipschitz_f=nan),
+         "lipschitz_f"),
+        (lambda nan: _pde(terminal=lambda x: 100.0 * x[:, 0],
+                          lipschitz_terminal=nan), "lipschitz_terminal"),
+    ], ids=["coefficient-bound", "lipschitz-f", "lipschitz-terminal"])
+    def test_nan_declared_constant_rejected(self, build, name):
+        # a NaN bound passes every secant check, so it declares nothing
+        with pytest.raises(DomainError, match=f"declared {name} is NaN"):
+            build(float("nan"))
 
     def test_solves_skip_the_residual_diagnostic(self, monkeypatch):
         def fail(*args, **kwargs):
