@@ -64,8 +64,6 @@ __all__ = [
     "exponential_moment_diagnostic",
 ]
 
-_EXP_GUARD = 700.0  # exponential_moment_diagnostic reports inf past it
-
 
 def _standard_error(values: np.ndarray) -> float:
     """Standard error of the mean of per-sample values; 0 for fewer than
@@ -248,27 +246,27 @@ class PicardConfig:
 
 @dataclass
 class BsdeSolution:
-    """Estimated backward solution and solver diagnostics."""
+    """The localized solver's estimate and its diagnostics."""
 
     y0: float
-    y_coefficients: object
-    z_coefficients: object
-    y_paths: np.ndarray | None
-    z_paths: np.ndarray | None
+    # per step, None where no sample was active
+    y_coefficients: list
+    z_coefficients: list
+    y_paths: np.ndarray
+    z_paths: np.ndarray
     radius: float
-    # localized solver: the largest per-step iteration count, each visited
-    # step's final gap (last step first), and whether every one of those
-    # gaps is below the tolerance
+    # the largest per-step iteration count, each visited step's final gap
+    # (last step first), and whether every one of those gaps is below the
+    # tolerance
     picard_iterations: int
     picard_gaps: list
     converged: bool
     # one value per sample, in sample order, whose mean is y0 (up to the
-    # ridge's shrinkage for the localized solver); its spread is the
-    # standard error
+    # ridge's shrinkage); its spread is the standard error
     y0_samples: np.ndarray
     y0_standard_error: float
-    exit_probability: float = 0.0
-    max_abs_y: float = float("nan")
+    exit_probability: float
+    max_abs_y: float
 
 
 def solve_localized_bsdes(problems, radius: float, batch: PathBatch,
@@ -455,7 +453,6 @@ def solve_bsde_with_localization(problem: BsdeProblem, radii,
 
 @dataclass(frozen=True)
 class ExponentialMomentEstimate:
-    value: float
     log_value: float
     argmax_time: float
 
@@ -467,8 +464,8 @@ def exponential_moment_diagnostic(alpha_values: np.ndarray,
     """Estimate sup_t E[exp(q int_{t ^ T_n}^{T_n} alpha eta(dr, X))] on the
     grid; the localization constant monitor.
 
-    Works in log space throughout, so an overflowing supremum is reported
-    through log_value with value = inf instead of failing.
+    Works in log space throughout and reports only the log of the
+    supremum, so no supremum overflows.
     """
     if exponent <= 0:
         raise DomainError("exponent must be positive")
@@ -494,6 +491,4 @@ def exponential_moment_diagnostic(alpha_values: np.ndarray,
             else -np.inf
         if log_mean > best_log:
             best_log, best_t = log_mean, float(times[j])
-    value = float(np.exp(best_log)) if best_log < _EXP_GUARD else float("inf")
-    return ExponentialMomentEstimate(value=value, log_value=best_log,
-                                     argmax_time=best_t)
+    return ExponentialMomentEstimate(log_value=best_log, argmax_time=best_t)

@@ -5,7 +5,8 @@ same key names.  Every key is declared in the kind's schema with a type and
 either a default or REQUIRED; unknown keys are rejected outright and numeric
 preconditions are validated before any compute starts.  Shared keys are
 declared once: `_batch(steps, samples)` (diffusion, horizon, steps, samples),
-`_driver(space)` (driver_space, driver_time), `_X0` and `_AMPLITUDE`.
+`_driver(space)` (driver_space, driver_time), `_HORIZON`, `_X0` and
+`_AMPLITUDE`.
 """
 
 from __future__ import annotations
@@ -70,11 +71,13 @@ _COMMON = {
 _positive = lambda v: v > 0
 _nonneg = lambda v: v >= 0
 _nonempty = lambda v: len(v) > 0
+# a finite horizon: inf would reach the time grids as non-finite times
+_HORIZON = Field(float, 1.0, lambda v: 0 < v < math.inf)
 
 
 def _batch(steps, samples):
     return {"diffusion": Field(str, "brownian"),
-            "horizon": Field(float, 1.0, _positive),
+            "horizon": _HORIZON,
             "steps": Field(int, steps, lambda v: v >= 1),
             "samples": Field(int, samples, _positive)}
 
@@ -92,7 +95,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "h0": Field(float, REQUIRED, lambda v: 0 < v < 1),
         "h": Field(float, REQUIRED, lambda v: 0 < v < 1),
         "sdim": Field(int, 1, lambda v: v >= 1),
-        "horizon": Field(float, 1.0, _positive),
+        "horizon": _HORIZON,
         "time_points": Field(int, 8, lambda v: v >= 1),
         "space_min": Field(float, 0.25),
         "space_max": Field(float, 2.0),
@@ -104,7 +107,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "space_path": Field(str, "t"),
         **_driver("cos"),
         "amplitude": _AMPLITUDE,
-        "horizon": Field(float, 1.0, _positive),
+        "horizon": _HORIZON,
         "steps": Field(int, 1024, lambda v: v >= 2),
         "lower": Field(float, 0.0, _nonneg),
         "upper": Field(float, 1.0, _positive),
@@ -117,7 +120,7 @@ SCHEMAS: dict[str, dict[str, Field]] = {
         "alpha_kind": Field(str, "ones"),
         **_driver("one"),
         "x_path": Field(str, "sin"),
-        "horizon": Field(float, 1.0, _positive),
+        "horizon": _HORIZON,
         "steps": Field(int, 4096, lambda v: v >= 2),
         "base_time": Field(float, 0.0, _nonneg),
         "mode": Field(str, "euler", lambda v: v in ("euler", "exact")),

@@ -220,11 +220,14 @@ def simulate(spec: DiffusionSpec, x0, grid: TimeGrid, samples: int,
     is one contiguous (samples, dim) row; the batch holds (samples, m, dim)
     and (samples, m - 1, dim) read-only views of them.  Callable
     coefficients are checked at each step: DomainError if a visited state
-    breaks the declared bound or ellipticity (constants: see DiffusionSpec).
+    breaks the declared bound or ellipticity (constants: see DiffusionSpec),
+    and before any draw if x0 is not finite.
     """
     if samples < 1:
         raise DomainError("need at least one sample")
     x0 = np.asarray(x0, dtype=float).reshape(spec.dim)
+    if not np.all(np.isfinite(x0)):
+        raise DomainError(f"start point {x0.tolist()} is not finite")
     times = grid.times
     steps = times.size - 1
     dts = np.diff(times)

@@ -58,31 +58,18 @@ def _as_channels(out: np.ndarray, k: int, channels: int) -> np.ndarray:
 
 @dataclass
 class SpaceTimeDriver:
-    """Evaluable field eta(t, x) with declared regularity metadata.
+    """Evaluable field eta(t, x).
 
     fn is the raw field in the batched form of the module conventions.
-    tau, lam are the time/space Hoelder exponents and beta the polynomial
-    spatial weight the caller declares for the field; they are metadata used
-    by the calculus layer, never re-derived from samples.
     """
 
     fn: callable
     dim: int
     channels: int = 1
-    tau: float = 1.0
-    lam: float = 1.0
-    beta: float = 0.0
     payload: dict = field(default_factory=dict, repr=False)
     # (v, a, a(0)) of a separable field v(x) * (a(t) - a(0)), else None;
     # set by make_separable_driver
     _factors: tuple | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if not 0 < self.tau <= 1 or not 0 < self.lam <= 1 or self.beta < 0:
-            raise DomainError(
-                f"declared regularity out of range: tau={self.tau}, "
-                f"lam={self.lam}, beta={self.beta}"
-            )
 
     # -- evaluation ------------------------------------------------------
 
@@ -125,9 +112,8 @@ def _space_factor(v, x: np.ndarray) -> np.ndarray:
     return vx[:, None] if vx.ndim == 1 else vx
 
 
-def make_separable_driver(v, a, dim: int = 1, channels: int = 1,
-                          tau: float = 1.0, lam: float = 1.0,
-                          beta: float = 0.0) -> SpaceTimeDriver:
+def make_separable_driver(v, a, dim: int = 1, channels: int = 1
+                          ) -> SpaceTimeDriver:
     """Driver eta(t, x) = v(x) * (a(t) - a(0)).
 
     v must be numpy-vectorized: (K, d) -> (K,) or (K, M); a likewise maps
@@ -139,8 +125,8 @@ def make_separable_driver(v, a, dim: int = 1, channels: int = 1,
         return (_space_factor(v, x)
                 * (np.asarray(a(t), dtype=float) - a0)[:, None])
 
-    return SpaceTimeDriver(fn=fn, dim=dim, channels=channels, tau=tau,
-                           lam=lam, beta=beta, _factors=(v, a, a0))
+    return SpaceTimeDriver(fn=fn, dim=dim, channels=channels,
+                           _factors=(v, a, a0))
 
 
 def zero_driver(dim: int = 1, channels: int = 1) -> SpaceTimeDriver:
@@ -216,9 +202,8 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
             # a dot per time, whatever their count (matmul switches to gemv)
             return np.vecdot(sign * raw, weights)
 
-        return make_separable_driver(
-            v, a_smooth, dim=driver.dim, channels=driver.channels,
-            tau=driver.tau, lam=driver.lam, beta=driver.beta)
+        return make_separable_driver(v, a_smooth, dim=driver.dim,
+                                     channels=driver.channels)
 
     base_fn = driver.fn
 
@@ -233,8 +218,7 @@ def mollify_time(driver: SpaceTimeDriver, delta: float, horizon: float,
             acc += w * (sign[:, None] * (raw - base0) + base0)
         return acc
 
-    return SpaceTimeDriver(fn=fn, dim=driver.dim, channels=driver.channels,
-                           tau=driver.tau, lam=driver.lam, beta=driver.beta)
+    return SpaceTimeDriver(fn=fn, dim=driver.dim, channels=driver.channels)
 
 
 # -- seminorm estimation ---------------------------------------------------
@@ -250,9 +234,6 @@ class SeminormEstimate:
 
     weighted: float
     unweighted: float
-    tau: float
-    lam: float
-    beta: float
     components_weighted: tuple[float, float, float]
     components_unweighted: tuple[float, float, float]
 
@@ -335,7 +316,6 @@ def estimate_seminorm(driver: SpaceTimeDriver, time_grid, space_grid,
     return SeminormEstimate(
         weighted=rect_w + time_w + space_w,
         unweighted=rect_unw + time_unw + space_unw,
-        tau=tau, lam=lam, beta=beta,
         components_weighted=(rect_w, time_w, space_w),
         components_unweighted=(rect_unw, time_unw, space_unw),
     )
@@ -344,8 +324,7 @@ def estimate_seminorm(driver: SpaceTimeDriver, time_grid, space_grid,
 # -- grid-sampled drivers and CSV round trip -------------------------------
 
 def make_grid_driver(times: np.ndarray, space_axes: list[np.ndarray],
-                     values: np.ndarray, tau: float, lam: float, beta: float
-                     ) -> SpaceTimeDriver:
+                     values: np.ndarray) -> SpaceTimeDriver:
     """Driver interpolating grid samples multilinearly in (t, x).
 
     Queries outside the sampled hull are clamped to the boundary (constant
@@ -385,8 +364,7 @@ def make_grid_driver(times: np.ndarray, space_axes: list[np.ndarray],
         pts = np.clip(np.column_stack([t, x]), lows, highs)
         return interp(pts[:, keep])
 
-    drv = SpaceTimeDriver(fn=fn, dim=dim, channels=1, tau=tau, lam=lam,
-                          beta=beta)
+    drv = SpaceTimeDriver(fn=fn, dim=dim)
     drv.payload.update(times=times, space_axes=space_axes, values=values)
     return drv
 
@@ -418,8 +396,7 @@ def _csv_number(cell: str, row: int, col: int) -> float:
                           f"{cell!r} is not a number") from None
 
 
-def load_sampled_driver(path, tau: float = 0.5, lam: float = 0.5,
-                        beta: float = 0.0) -> SpaceTimeDriver:
+def load_sampled_driver(path) -> SpaceTimeDriver:
     """Rebuild a grid-sampled driver from the CSV layout of
     save_sampled_driver.  The column coordinates must form a full product
     grid."""
@@ -447,4 +424,4 @@ def load_sampled_driver(path, tau: float = 0.5, lam: float = 0.5,
                      for i, r in enumerate(rows[1:], start=1)])
     times, flat = body[:, 0], body[:, 1:]
     values = flat.reshape(times.size, *(ax.size for ax in axes))
-    return make_grid_driver(times, axes, values, tau=tau, lam=lam, beta=beta)
+    return make_grid_driver(times, axes, values)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde import (BsdeProblem, PicardConfig, check_t_index,
+from .bsde import (BsdeProblem, PicardConfig, _standard_error, check_t_index,
                    martingale_residual, solve_bsde_with_localization,
                    tower_rule_defect)
 from .config import ExperimentConfig
@@ -23,7 +23,8 @@ from .csvio import write_csv
 from .diffusion import check_radii, exit_tail_decay, simulate
 from .drivers import save_sampled_driver, zero_driver
 from .errors import ConfigError
-from .fractional_sheet import SheetSpec, hurst_region_grid, sample_sheet
+from .fractional_sheet import (SheetSpec, hurst_region_grid, sample_sheet,
+                               sheet_regularity)
 from .paths import SamplePath, TimeGrid
 from .pde_fk import (PdeProblem, check_reaction_growth, fk_point_estimate,
                      localization_error_experiment, solve_linear_bsde)
@@ -82,9 +83,8 @@ def _run_simulate_fbs(v: dict, out: Path) -> RunResult:
     save_sampled_driver(driver, path)
     meta = write_csv(out / "sheet_meta.csv",
                      ["h0", "h", "sdim", "jitter_used", "tau", "lam", "beta"],
-                     [[v["h0"], v["h"], v["sdim"],
-                       driver.payload["jitter"], driver.tau, driver.lam,
-                       driver.beta]])
+                     [[v["h0"], v["h"], v["sdim"], driver.payload["jitter"],
+                       *sheet_regularity(spec)]])
     return RunResult(files=[path, meta])
 
 
@@ -151,7 +151,7 @@ def _run_flow(v: dict, out: Path) -> RunResult:
 
 def _run_linear_bsde(v: dict, out: Path) -> RunResult:
     # every registry lookup comes before the simulation
-    sol = solve_linear_bsde(
+    payoff = solve_linear_bsde(
         _driver(v), terminal_function(v["terminal"]),
         alpha=0.0 if v["alpha"] == "zero" else 1.0,
         drift_change=drift_change_function(v["drift_change"],
@@ -159,7 +159,8 @@ def _run_linear_bsde(v: dict, out: Path) -> RunResult:
         batch=_batch(v))
     path = write_csv(out / "linear_solution.csv",
                      ["time", "y0", "standard_error", "samples"],
-                     [[0.0, sol.y0, sol.y0_standard_error, v["samples"]]])
+                     [[0.0, float(payoff.mean()), _standard_error(payoff),
+                       v["samples"]]])
     return RunResult(files=[path])
 
 

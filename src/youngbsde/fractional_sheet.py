@@ -22,6 +22,7 @@ __all__ = [
     "SheetSpec",
     "covariance_matrix",
     "sample_sheet",
+    "sheet_regularity",
     "hurst_admissible",
     "hurst_region_grid",
     "CHOLESKY_LIMIT",
@@ -112,24 +113,25 @@ def sample_sheet(spec: SheetSpec, seed: int, jitter: float | None = None
     The Gaussian vector has the exact grid covariance up to the jitter added
     for factorization.  The driver is normalized to eta(0, x) = 0 by the
     recentring of make_grid_driver, whether or not the time grid starts at
-    0.  The declared regularity is a conservative estimate (tau just below
-    H0, lam just below min H, beta the leftover spatial roughness budget)
-    and is flagged as such.
+    0.
     """
     cov = covariance_matrix(spec)
     chol, used_jitter = _cholesky_with_jitter(cov, max_jitter=jitter)
     gauss = stream(seed).standard_normal(cov.shape[0])
     values = (chol @ gauss).reshape(
         len(spec.grid), *(ax.size for ax in spec.space_axes))
-
-    hmin = float(np.min(spec.h))
-    tau = max(spec.h0 - 0.01, 1e-3)
-    lam = max(min(hmin - 0.01, 1.0), 1e-3)
-    beta = max(float(np.sum(spec.h)) - lam, 0.0)
-    driver = make_grid_driver(spec.grid.times, spec.space_axes, values,
-                              tau=tau, lam=lam, beta=beta)
+    driver = make_grid_driver(spec.grid.times, spec.space_axes, values)
     driver.payload["jitter"] = used_jitter
     return driver
+
+
+def sheet_regularity(spec: SheetSpec) -> tuple[float, float, float]:
+    """A conservative estimate (tau, lam, beta) of the sheet's regularity:
+    tau just below H0 in time, lam just below min H in space, and beta the
+    leftover spatial roughness budget sum H - lam."""
+    lam = max(min(float(np.min(spec.h)) - 0.01, 1.0), 1e-3)
+    return (max(spec.h0 - 0.01, 1e-3), lam,
+            max(float(np.sum(spec.h)) - lam, 0.0))
 
 
 def sample_sheet_batch(spec: SheetSpec, seed: int, n_samples: int,

@@ -6,10 +6,11 @@ formula is one function, `solve_linear_bsde`:
     Y_0 = E[exp(sum_i alpha_i int eta_i(dr, X)) xi M_T]
 with xi = terminal(X_T), constant coefficients alpha_i, M the exponential
 martingale of a drift change (`girsanov_weight`), and the driver integral
-streamed by `young_sum_batch`.  Linear terminal-value problems are
-evaluated by it with alpha = 1 and no drift change, one batch chunk at a
-time: u(t, x) is the Monte Carlo mean of u_T(X_T) weighted by the
-exponential of the pathwise driver integral.
+streamed by `young_sum_batch`; it returns the payoff of each sample, whose
+mean is Y_0 and whose spread gives the standard error.  Linear
+terminal-value problems are evaluated by it with alpha = 1 and no drift
+change, one batch chunk at a time: u(t, x) is the Monte Carlo mean of
+u_T(X_T) weighted by the exponential of the pathwise driver integral.
 Nonlinear problems go through the double approximation: time-mollified
 drivers and balls of growing radius, each sub-problem solved by the
 localized least-squares scheme.  Both PDE solvers require a declared
@@ -27,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bsde import (BsdeProblem, BsdeSolution, PicardConfig, _check_declared,
+from .bsde import (BsdeProblem, PicardConfig, _check_declared,
                    _check_secant, _contract_cloud, _standard_error,
                    solve_bsde_with_localization, solve_localized_bsdes)
 # bench/tracer.py wraps solve_localized_bsde as bound in this module
@@ -89,17 +90,18 @@ def girsanov_weight(g_values: np.ndarray, increments: np.ndarray,
 
 
 def solve_linear_bsde(driver: SpaceTimeDriver, terminal, batch: PathBatch,
-                      alpha=1.0, drift_change=None) -> BsdeSolution:
-    """Y_0 of the scalar linear equation
+                      alpha=1.0, drift_change=None) -> np.ndarray:
+    """The payoffs, shape (S,), whose mean is Y_0 of the scalar linear
+    equation
         Y_t = xi + sum_i int alpha_i Y eta_i(dr, X) + int Z G dr - int Z dW
     by the Feynman-Kac formula on the given path batch,
         Y_0 = E[exp(sum_i alpha_i int eta_i(dr, X)) xi M_T],
     with xi = terminal(X_T), alpha a constant or one per driver channel, and
     M the exponential martingale of G = drift_change(t, x) -> (S, d) (1
-    without one): the mean of one payoff per sample, whose spread gives the
-    standard error.  Raises NumericalError when a sample's log weight, the
-    exponent plus log M_T, passes log(FLOW_OVERFLOW_GUARD) or is NaN.  No Z
-    is produced; the localized solver's regressions estimate Z.
+    without one); their spread gives the standard error.  Raises
+    NumericalError when a sample's log weight, the exponent plus log M_T,
+    passes log(FLOW_OVERFLOW_GUARD) or is NaN.  No Z is produced; the
+    localized solver's regressions estimate Z.
     """
     times = batch.grid.times
     exponent = np.sum(np.asarray(alpha, dtype=float)
@@ -115,12 +117,7 @@ def solve_linear_bsde(driver: SpaceTimeDriver, terminal, batch: PathBatch,
     _check_log_weight(exponent + log_m, "Feynman-Kac weight")
     xi = np.asarray(terminal(batch.paths[:, -1, :]), dtype=float).reshape(
         batch.samples)
-    payoff = np.exp(exponent) * xi * np.exp(log_m)
-    return BsdeSolution(y0=float(payoff.mean()), y_coefficients=None,
-                        z_coefficients=None, y_paths=None, z_paths=None,
-                        radius=math.inf, picard_iterations=0, picard_gaps=[],
-                        converged=True, y0_samples=payoff,
-                        y0_standard_error=_standard_error(payoff))
+    return np.exp(exponent) * xi * np.exp(log_m)
 
 
 @dataclass(kw_only=True)
@@ -177,7 +174,7 @@ def fk_point_estimate(diffusion: DiffusionSpec, driver: SpaceTimeDriver,
     for total in range(0, samples, _FK_CHUNK):
         batch = simulate(diffusion, x, grid, min(_FK_CHUNK, samples - total),
                          point_seed, sample_offset=total)
-        payoffs.append(solve_linear_bsde(driver, terminal, batch).y0_samples)
+        payoffs.append(solve_linear_bsde(driver, terminal, batch))
     payoff = np.concatenate(payoffs)
     return float(payoff.mean()), _standard_error(payoff)
 

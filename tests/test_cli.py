@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from youngbsde import experiments, pde_fk
 from youngbsde.acceptance import _DETERMINISM_CONFIGS
 from youngbsde.cli import main
-from youngbsde.config import parse_config
+from youngbsde.config import EXPERIMENT_KINDS, SCHEMAS, parse_config
 from youngbsde.csvio import format_value, sha256_of_file, write_csv
 from youngbsde.errors import ConfigError
 from youngbsde.rng import hash64, stream
@@ -309,6 +309,38 @@ class TestCliExitCodes:
                      "--out", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "config" and key in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("body", [
+        "kind = linear-bsde\nx0 = inf\n",
+        "kind = pde-fk\neval_xs = -inf, 0.0\n",
+        "kind = tower-rule\nx0 = inf\n",
+    ], ids=["linear-bsde", "pde-fk", "tower-rule"])
+    def test_non_finite_start_is_3(self, tmp_path, capsys, body):
+        # config keys accept inf; the simulation refuses it as a start point
+        # before it draws, with no numpy warning on the way
+        cfg = self._write(tmp_path, body + "samples = 50\nsteps = 4\n")
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "precondition"
+        assert "not finite" in err["message"]
+        assert not list(out.glob("*.csv"))
+
+    @pytest.mark.parametrize("kind", [k for k in EXPERIMENT_KINDS
+                                      if "horizon" in SCHEMAS[k]])
+    def test_infinite_horizon_is_2(self, tmp_path, capsys, kind):
+        required = "h0 = 0.75\nh = 0.75\n" if kind == "simulate-fbs" else ""
+        cfg = self._write(tmp_path,
+                          f"kind = {kind}\n{required}horizon = inf\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["run", "--config", cfg,
+                         "--out", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "config" and "horizon" in err["message"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("t_index, code", [(7, 0), (8, 3), (40, 3)])

@@ -171,6 +171,16 @@ class TestSimulate:
         with pytest.raises(DomainError, match="bound"):
             simulate(spec, [0.0], GRID, 4, seed=0)
 
+    @pytest.mark.parametrize("x0", [[np.inf], [np.nan], [0.0, -np.inf]],
+                             ids=["inf", "nan", "2d-minus-inf"])
+    def test_non_finite_start_raises_before_drawing(self, monkeypatch, x0):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew increments for a non-finite start")
+
+        monkeypatch.setattr(diffusion, "_normal_increments", refuse)
+        with pytest.raises(DomainError, match="start point .* not finite"):
+            simulate(brownian(len(x0)), x0, GRID, 4, seed=0)
+
     @pytest.mark.parametrize("which", ["sigma", "drift"])
     def test_nan_coefficient_raises(self, which):
         nan = lambda t, x: np.full((x.shape[0], 1, 1) if which == "sigma"
@@ -348,9 +358,11 @@ class TestExitTailDecay:
                                      100, seed=1), [1.0, 1.5, 1.5, 2.0])
 
     def test_degenerate_no_exit_reported(self):
-        with pytest.raises(DomainError, match="degenerate|nonzero"):
+        with pytest.raises(DomainError, match="degenerate|nonzero"), \
+                pytest.warns(UserWarning, match="no exits observed") as seen:
             exit_tail_decay(simulate(constant_spec(0.0, 0.0), [0.0], GRID,
                                      50, seed=1), [1.0, 1.5, 2.0])
+        assert len(seen) == 3
 
 
 def sample_major(batch):

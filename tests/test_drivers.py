@@ -121,8 +121,7 @@ class TestMollify:
         smooth = mollify_time(cos_driver(), delta=0.1, horizon=1.0)
         assert smooth._factors is not None
         grid = make_grid_driver(np.linspace(0, 1, 3), [np.array([0.0, 1.0])],
-                                np.arange(6.0).reshape(3, 2), tau=0.5,
-                                lam=0.5, beta=0.0)
+                                np.arange(6.0).reshape(3, 2))
         assert mollify_time(grid, delta=0.1, horizon=1.0)._factors is None
 
 
@@ -136,8 +135,7 @@ def grid_driver():
     times = np.linspace(0.0, 1.0, 9)
     axis = np.linspace(-3.0, 3.0, 7)
     values = np.sin(times[:, None] * 4.0 + axis[None, :])
-    return make_grid_driver(times, [axis], values, tau=1.0, lam=1.0,
-                            beta=0.0)
+    return make_grid_driver(times, [axis], values)
 
 
 unit_times = st.floats(0.0, 1.0)
@@ -299,8 +297,7 @@ class TestNormalization:
         # grid axes may start after t = 0; a(0) = offset is nonzero
         times = np.linspace(start, 1.0, 3)
         axis = np.array([-1.0, 0.0, 1.0])
-        grid = make_grid_driver(times, [axis], np.reshape(values, (3, 3)),
-                                tau=1.0, lam=1.0, beta=0.0)
+        grid = make_grid_driver(times, [axis], np.reshape(values, (3, 3)))
         sheet = sample_sheet(
             SheetSpec(0.75, [0.75], TimeGrid(times, 1.0), [axis]), seed)
         separable = make_separable_driver(lambda y: np.cos(y[:, 0]),
@@ -386,11 +383,10 @@ class TestCsvRoundTrip:
         axes = [np.array([-1.0, 0.0, 1.0]), np.array([0.0, 2.0])]
         rng = np.random.Generator(np.random.Philox(key=5))
         values = rng.standard_normal((4, 3, 2))
-        drv = make_grid_driver(times, axes, values, tau=0.6, lam=0.6,
-                               beta=0.5)
+        drv = make_grid_driver(times, axes, values)
         target = tmp_path / "driver.csv"
         save_sampled_driver(drv, target)
-        loaded = load_sampled_driver(target, tau=0.6, lam=0.6, beta=0.5)
+        loaded = load_sampled_driver(target)
         probes_t = np.array([0.0, 0.37, 0.8, 1.0])
         probes_x = np.array([[-0.4, 1.1], [0.2, 0.3], [1.0, 2.0],
                              [-1.0, 0.0]])
@@ -406,8 +402,7 @@ class TestCsvRoundTrip:
         times = np.linspace(0.0, 1.0, 3)
         axes = [np.array([0.0, 1.0])]
         values = np.arange(6, dtype=float).reshape(3, 2)
-        drv = make_grid_driver(times, axes, values, tau=0.5, lam=0.5,
-                               beta=0.0)
+        drv = make_grid_driver(times, axes, values)
         assert drv.at_pairs([0.5], [5.0])[0, 0] == \
             drv.at_pairs([0.5], [1.0])[0, 0]
 

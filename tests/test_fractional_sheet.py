@@ -4,7 +4,8 @@ import pytest
 from youngbsde.errors import DomainError, ResourceError
 from youngbsde.fractional_sheet import (SheetSpec, covariance_matrix,
                                         hurst_admissible, hurst_region_grid,
-                                        sample_sheet, sample_sheet_batch)
+                                        sample_sheet, sample_sheet_batch,
+                                        sheet_regularity)
 from youngbsde.paths import TimeGrid
 
 
@@ -132,10 +133,10 @@ class TestSampling:
                       [np.linspace(0.1, 2, 100)])
 
     def test_declared_regularity_is_estimate(self):
-        drv = sample_sheet(spec_1d(h0=0.8, h=0.7), seed=2)
-        assert drv.tau == pytest.approx(0.79)
-        assert drv.lam == pytest.approx(0.69)
-        assert drv.beta == pytest.approx(0.7 - 0.69)
+        tau, lam, beta = sheet_regularity(spec_1d(h0=0.8, h=0.7))
+        assert tau == pytest.approx(0.79)
+        assert lam == pytest.approx(0.69)
+        assert beta == pytest.approx(0.7 - 0.69)
 
 
 class TestHurstRegion:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "youngbsde"
 
-OPTION_BUDGET = 154
+OPTION_BUDGET = 141
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

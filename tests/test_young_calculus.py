@@ -253,11 +253,9 @@ class TestBatchSums:
 # fixed grid samples
 GRID_DRIVER = make_grid_driver(
     np.linspace(0.0, 1.0, 9), [np.linspace(-4.0, 4.0, 17)],
-    np.random.Generator(np.random.Philox(key=21)).standard_normal((9, 17)),
-    tau=0.5, lam=1.0, beta=0.0)
+    np.random.Generator(np.random.Philox(key=21)).standard_normal((9, 17)))
 DRIVERS = [COS_T, TIME_ONLY, GRID_DRIVER,
-           driver_vt(lambda x: np.sin(x[:, 0]), lambda t: np.sqrt(t),
-                     tau=0.5)]
+           driver_vt(lambda x: np.sin(x[:, 0]), lambda t: np.sqrt(t))]
 
 
 def _random_grid(rng, m):
